@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
+from typing import Sequence
 
 from .graphs import (
     LabeledGraph,
@@ -15,18 +17,32 @@ from .mapping import GraphMapping
 from .successors import SearchNode
 
 
-def _deltas(degs_g: tuple[int, ...], degs_q: tuple[int, ...]) -> tuple[int, int]:
+def _deltas(degs_g: Sequence[int], degs_q: Sequence[int]) -> tuple[int, int]:
     """Positionwise surplus degree mass on each side, halved and rounded up.
 
-    Both sequences are zero-extended to equal length; each surplus edge
-    endpoint pairs with another, hence the division by two.
+    Both non-increasing sequences are walked once, the shorter one read as
+    zero-extended; each surplus edge endpoint pairs with another, hence the
+    division by two.
     """
-    size = max(len(degs_g), len(degs_q))
-    dg = degs_g + (0,) * (size - len(degs_g))
-    dq = degs_q + (0,) * (size - len(degs_q))
-    over = sum(a - b for a, b in zip(dg, dq) if a > b)
-    under = sum(b - a for a, b in zip(dg, dq) if a <= b)
+    over = under = 0
+    for a, b in zip_longest(degs_g, degs_q, fillvalue=0):
+        if a > b:
+            over += a - b
+        else:
+            under += b - a
     return -(-over // 2), -(-under // 2)
+
+
+def _pair_bound(n_g: int, n_q: int, vinter: int, degs_g: Sequence[int],
+                degs_q: Sequence[int], m_q: int, einter: int) -> int:
+    """The pair bound LB from its ingredients.
+
+    vinter and einter are the sizes of the vertex- and edge-label multiset
+    intersections, m_q the target's edge count, and degs_g, degs_q the
+    non-increasing degree sequences; trailing zeros do not change the bound.
+    """
+    d1, d2 = _deltas(degs_g, degs_q)
+    return max(n_g, n_q) - vinter + max(d1 + d2, d1 + m_q - einter)
 
 
 def delta_bounds(g: LabeledGraph, q: LabeledGraph) -> tuple[int, int]:
@@ -56,10 +72,17 @@ def summarize(g: LabeledGraph) -> GraphSummary:
 
 
 def lb_from_summaries(a: GraphSummary, b: GraphSummary) -> int:
-    vterm = max(a.n, b.n) - multiset_intersection_size(a.vertex_labels, b.vertex_labels)
-    d1, d2 = _deltas(a.degrees, b.degrees)
-    eterm = max(d1 + d2, d1 + b.m - multiset_intersection_size(a.edge_labels, b.edge_labels))
-    return vterm + eterm
+    """Lower bound on ged from two precomputed summaries (source a, target b).
+
+    Costs O(|V| + |E|) of the two graphs: two label-count intersections and
+    one walk over the degree sequences, with no per-call container classes.
+    tests/reference_bounds.py keeps the Counter-based original that tests
+    compare it against.
+    """
+    return _pair_bound(
+        a.n, b.n, multiset_intersection_size(a.vertex_labels, b.vertex_labels),
+        a.degrees, b.degrees, b.m, multiset_intersection_size(a.edge_labels, b.edge_labels),
+    )
 
 
 def lb_graph(g: LabeledGraph, q: LabeledGraph) -> int:
@@ -144,58 +167,88 @@ def remainder_bounds(mapping: GraphMapping, g: LabeledGraph, q: LabeledGraph) ->
 
     Each starts from the pair bound on the unmapped parts and adds, per
     mapped vertex, the cheapest reconciliation of its outer edges; the last
-    two trade per-vertex tightness for a global outer-vertex correction."""
-    mapped = mapping.mapped_sources()
-    used_t = mapping.used_targets()
-    un_src = set(range(g.n)) - set(mapped)
-    un_tgt = set(range(q.n)) - used_t
+    two trade per-vertex tightness for a global outer-vertex correction.
 
-    # Summaries of the unmapped induced parts.
-    v_g2 = Counter(g.vertex_labels[u] for u in un_src)
-    v_q2 = Counter(q.vertex_labels[v] for v in un_tgt)
-    e_g2 = Counter()
-    deg_g2 = Counter()
+    Costs O(|V| + |E|) per call over flat lists and plain dicts, reading
+    mapping.pairs directly and building no per-call container classes.
+    tests/reference_bounds.py keeps the Counter-based original that tests
+    compare it against.
+    """
+    pairs = mapping.pairs
+    mapped = [False] * g.n
+    used = [False] * q.n
+    for u, t in pairs:
+        if u is not None:
+            mapped[u] = True
+        if t is not None:
+            used[t] = True
+
+    # Multiset intersections count the source side into a dict, then let the
+    # target side consume it: every consumed unit is one shared label.
+    counts: dict[int, int] = {}
+    n_g = 0
+    for u, lab in enumerate(g.vertex_labels):
+        if not mapped[u]:
+            n_g += 1
+            counts[lab] = counts.get(lab, 0) + 1
+    n_q = vinter = 0
+    for v, lab in enumerate(q.vertex_labels):
+        if not used[v]:
+            n_q += 1
+            c = counts.get(lab)
+            if c:
+                counts[lab] = c - 1
+                vinter += 1
+
+    # Edges of the unmapped induced parts. Mapped vertices keep degree 0,
+    # which does not change the degree-sequence deltas.
+    counts = {}
+    deg_g = [0] * g.n
     for u, v, lab in g.edges:
-        if u in un_src and v in un_src:
-            e_g2[lab] += 1
-            deg_g2[u] += 1
-            deg_g2[v] += 1
-    e_q2 = Counter()
-    deg_q2 = Counter()
+        if not (mapped[u] or mapped[v]):
+            counts[lab] = counts.get(lab, 0) + 1
+            deg_g[u] += 1
+            deg_g[v] += 1
+    deg_q = [0] * q.n
+    m_q = einter = 0
     for u, v, lab in q.edges:
-        if u in un_tgt and v in un_tgt:
-            e_q2[lab] += 1
-            deg_q2[u] += 1
-            deg_q2[v] += 1
-    base = lb_from_summaries(
-        GraphSummary(
-            len(un_src), sum(e_g2.values()), v_g2, e_g2,
-            tuple(sorted((deg_g2[u] for u in un_src), reverse=True)),
-        ),
-        GraphSummary(
-            len(un_tgt), sum(e_q2.values()), v_q2, e_q2,
-            tuple(sorted((deg_q2[v] for v in un_tgt), reverse=True)),
-        ),
-    )
+        if not (used[u] or used[v]):
+            m_q += 1
+            deg_q[u] += 1
+            deg_q[v] += 1
+            c = counts.get(lab)
+            if c:
+                counts[lab] = c - 1
+                einter += 1
+    deg_g.sort(reverse=True)
+    deg_q.sort(reverse=True)
+    base = _pair_bound(n_g, n_q, vinter, deg_g, deg_q, m_q, einter)
 
+    # Outer edges: from each mapped vertex to the unmapped part.
     sum_max = sum_tgt = sum_src = 0
     a_g: set[int] = set()
     a_q: set[int] = set()
-    for u, t in mapped.items():
-        o_u = Counter()
-        for v, lab in g.adjacency[u]:
-            if v in un_src:
-                o_u[lab] += 1
+    adj_g, adj_q = g.adjacency, q.adjacency
+    for u, t in pairs:
+        if u is None:
+            continue
+        counts = {}
+        size_u = 0
+        for v, lab in adj_g[u]:
+            if not mapped[v]:
+                size_u += 1
+                counts[lab] = counts.get(lab, 0) + 1
                 a_g.add(v)
-        o_t = Counter()
+        size_t = inter = 0
         if t is not None:
-            for v, lab in q.adjacency[t]:
-                if v in un_tgt:
-                    o_t[lab] += 1
+            for v, lab in adj_q[t]:
+                if not used[v]:
+                    size_t += 1
                     a_q.add(v)
-        size_u = sum(o_u.values())
-        size_t = sum(o_t.values())
-        inter = multiset_intersection_size(o_u, o_t)
+                    c = counts.get(lab)
+                    if c:
+                        counts[lab] = c - 1
+                        inter += 1
         sum_max += max(size_u, size_t) - inter
         sum_tgt += size_t - inter
         sum_src += size_u - inter

@@ -31,9 +31,15 @@ def _load_db(path: str) -> GraphDatabase:
         return GraphDatabase.from_text(fh.read())
 
 
+def _usage_error(message: str):
+    """Print a one-line error and exit with the usage code, as argparse does."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
 def _pick(db: GraphDatabase, gid: int):
     if gid not in db.graphs:
-        raise SystemExit(f"graph id {gid} not in database ({len(db)} graphs)")
+        _usage_error(f"graph id {gid} not in database ({len(db)} graphs)")
     return db.graphs[gid]
 
 
@@ -90,7 +96,7 @@ def cmd_search(args) -> int:
     with open(args.query, encoding="utf-8") as fh:
         queries, _ = parse_graph_db(fh.read(), db.table)
     if not queries:
-        raise SystemExit("query file contains no graph")
+        _usage_error("query file contains no graph")
     _, query = queries[0]
     t0 = time.perf_counter()
     res = range_query(db, query, args.tau, args.beam, threads=args.threads, node_budget=args.budget)
@@ -255,7 +261,7 @@ def main(argv=None) -> int:
     except GraphFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

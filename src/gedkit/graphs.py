@@ -176,9 +176,20 @@ def label_multiset(g: LabeledGraph, which: str) -> Counter:
     raise ValueError(f"which must be 'vertices' or 'edges', got {which!r}")
 
 
-def multiset_intersection_size(a: Counter, b: Counter) -> int:
-    """Size of the multiset intersection: sum over labels of min counts."""
-    return sum((a & b).values())
+def multiset_intersection_size(a: dict, b: dict) -> int:
+    """Size of the multiset intersection: sum over labels of min counts.
+
+    Takes label -> positive count mappings (Counter or dict) and walks the
+    smaller one, building no intermediate multiset.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    total = 0
+    for lab, c in a.items():
+        d = b.get(lab)
+        if d:
+            total += c if c < d else d
+    return total
 
 
 def parse_graph_db(text: str, table: LabelTable | None = None) -> tuple[list[tuple[int, LabeledGraph]], LabelTable]:

@@ -130,6 +130,8 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
     Candidates are verified in ascending lower-bound order; verification
     jobs are independent, so the result is the same for any thread count.
     """
+    if tau < 0:
+        raise ValueError("threshold must be >= 0")
     t0 = time.perf_counter()
     qsum = summarize(query)
     bounds = {gid: lb_from_summaries(db.summaries[gid], qsum) for gid in db.ids}

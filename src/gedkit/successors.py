@@ -56,16 +56,24 @@ def determine_order(g: LabeledGraph) -> tuple[int, ...]:
     seen = [False] * g.n
     order: list[int] = []
 
-    def dfs(u: int):
-        order.append(u)
+    def visit(u: int):
         seen[u] = True
-        for v in sorted((v for v, _ in g.adjacency[u]), key=pos.__getitem__):
-            if not seen[v]:
-                dfs(v)
+        order.append(u)
+        return iter(sorted((v for v, _ in g.adjacency[u]), key=pos.__getitem__))
 
-    for u in rank:
-        if not seen[u]:
-            dfs(u)
+    for start in rank:
+        if seen[start]:
+            continue
+        # One neighbor iterator per vertex on the DFS path, kept on an
+        # explicit stack so that long paths cannot exhaust the recursion limit.
+        stack = [visit(start)]
+        while stack:
+            for v in stack[-1]:
+                if not seen[v]:
+                    stack.append(visit(v))
+                    break
+            else:
+                stack.pop()
     return tuple(order)
 
 

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import reference_bounds as reference
 from conftest import build_graph, random_pair
 from gedkit.bounds import (
     delta_bounds,
@@ -182,3 +183,47 @@ def test_h_never_negative_and_zero_when_done():
 
         for psi in all_complete_mappings(g, q):
             assert h_for_mapping(psi, g, q) == 0
+
+
+def random_mapping(rng: random.Random, g: LabeledGraph, q: LabeledGraph) -> GraphMapping:
+    """A random valid mapping: partial, or complete with trailing insertions.
+
+    Sources map to an unused target or to a dummy target; dummy sources
+    (None, t) are mixed in among them.
+    """
+    sources = list(range(g.n))
+    rng.shuffle(sources)
+    free = list(range(q.n))
+    rng.shuffle(free)
+    complete = rng.random() < 0.3
+    depth = g.n if complete else rng.randint(0, g.n)
+    pairs = []
+    for u in sources[:depth]:
+        if free and rng.random() < 0.15:
+            pairs.append((None, free.pop()))
+        pairs.append((u, free.pop() if free and rng.random() < 0.75 else None))
+    if complete:
+        pairs.extend((None, z) for z in sorted(free))
+    mapping = GraphMapping(tuple(pairs), g.n, q.n)
+    mapping.validate()
+    return mapping
+
+
+def test_flat_bounds_match_reference():
+    rng = random.Random(45)
+    checked = inserting = 0
+    kinds = set()
+    for _ in range(300):
+        g, q = random_pair(rng, max_n=12, min_n=0)
+        sg, sq = summarize(g), summarize(q)
+        assert lb_from_summaries(sg, sq) == reference.lb_from_summaries(sg, sq)
+        assert lb_from_summaries(sq, sg) == reference.lb_from_summaries(sq, sg)
+        for _ in range(10):
+            mapping = random_mapping(rng, g, q)
+            assert remainder_bounds(mapping, g, q) == reference.remainder_bounds(mapping, g, q)
+            checked += 1
+            if mapping.is_complete() and mapping.pairs and mapping.pairs[-1][0] is None:
+                inserting += 1
+            kinds.update((s is None, t is None) for s, t in mapping.pairs)
+    assert checked >= 3000 and inserting >= 300
+    assert kinds == {(False, False), (False, True), (True, False)}

@@ -190,5 +190,24 @@ def test_usage_error_exit_code(square_star_db):
 
 
 def test_unknown_graph_id(square_star_db, capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["dist", square_star_db, "0", "9"])
+    assert exc.value.code == 2
+    assert "graph id 9" in capsys.readouterr().err
+
+
+def test_missing_file_exit_code(square_star_db, tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    assert main(["dist", missing, "0", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "missing.txt" in err
+    assert main(["search", "--db", square_star_db, "--query", missing, "--tau", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "missing.txt" in err
+
+
+def test_search_negative_tau_exit_code(square_star_db, tmp_path, capsys):
+    query = tmp_path / "query.txt"
+    query.write_text(SQUARE_STAR_TEXT.split("t # 1")[0])
+    assert main(["search", "--db", square_star_db, "--query", str(query), "--tau", "-1"]) == 2
+    assert "threshold" in capsys.readouterr().err

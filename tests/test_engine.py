@@ -13,6 +13,7 @@ from gedkit.engine import (
     bss_ged,
 )
 from gedkit.graphs import LabelTable
+from gedkit.synth import random_graph_db
 
 WIDTHS = (1, 2, 15, 50)
 
@@ -181,3 +182,32 @@ def test_stats_shapes(square_star):
     assert s.passes >= 1 and s.backtracks >= 1
     assert s.max_open >= 1
     assert sum(s.visit_counts.values()) == s.nodes_expanded
+
+
+# (source id, target id, beam width) -> (distance, nodes_expanded,
+# nodes_generated, ub_history, passes, backtracks), recorded with the
+# Counter-based bounds that reference_bounds.py keeps. A bound change that
+# alters the search tree changes these numbers.
+PINNED_TREES = {
+    (0, 1, 1): (13, 335, 1219, [16, 15, 14, 13], 119, 336),
+    (2, 3, 5): (12, 395, 1443, [13, 12], 29, 110),
+    (4, 5, 15): (14, 116, 611, [14], 1, 10),
+    (6, 7, 1): (16, 6338, 21751, [22, 21, 20, 19, 18, 17, 16], 2410, 6339),
+    (8, 9, 5): (16, 1579, 6341, [16], 122, 437),
+    (10, 11, 15): (12, 269, 1089, [12], 6, 27),
+    (12, 13, 1): (16, 2761, 10394, [16], 1002, 2762),
+    (14, 15, 5): (12, 128, 462, [12], 7, 37),
+    (16, 17, 15): (10, 99, 380, [10], 1, 9),
+    (18, 19, 1): (15, 1502, 5977, [17, 16, 15], 575, 1503),
+}
+
+
+def test_search_tree_pinned():
+    entries, _ = random_graph_db(11, 20, 8, 10, 0.3, 5, 2)
+    graphs = dict(entries)
+    for (a, b, w), want in PINNED_TREES.items():
+        res = bss_ged(graphs[a], graphs[b], w)
+        s = res.stats
+        got = (res.distance, s.nodes_expanded, s.nodes_generated, s.ub_history,
+               s.passes, s.backtracks)
+        assert got == want, (a, b, w)

@@ -149,3 +149,5 @@ def test_negative_tau_rejected(small_db):
         filter_candidates(db, query, -1)
     with pytest.raises(ValueError):
         verify_within(db.graphs[0], query, -1)
+    with pytest.raises(ValueError):
+        range_query(db, query, -1)

@@ -78,6 +78,39 @@ def test_determine_order_edgeless_and_components():
     assert sorted(order) == [0, 1, 2, 3, 4]
 
 
+def recursive_order(g):
+    """The recursive DFS that determine_order must reproduce."""
+    rank = sorted(range(g.n), key=lambda u: (len(g.adjacency[u]), u))
+    pos = {u: i for i, u in enumerate(rank)}
+    seen = [False] * g.n
+    order = []
+
+    def dfs(u):
+        order.append(u)
+        seen[u] = True
+        for v in sorted((v for v, _ in g.adjacency[u]), key=pos.__getitem__):
+            if not seen[v]:
+                dfs(v)
+
+    for u in rank:
+        if not seen[u]:
+            dfs(u)
+    return tuple(order)
+
+
+def test_determine_order_matches_recursive_dfs():
+    rng = random.Random(33)
+    for _ in range(200):
+        g, _ = random_pair(rng, max_n=12, min_n=0, densities=(0.1, 0.2, 0.3, 0.5, 0.8))
+        assert determine_order(g) == recursive_order(g)
+
+
+def test_determine_order_long_path():
+    n = 1500
+    g = build_graph(["A"] * n, [(i, i + 1, "x") for i in range(n - 1)])
+    assert determine_order(g) == tuple(range(n))
+
+
 def test_predicted_layer_counts_square_star(square_star):
     g, q = square_star
     sizes = [len(c) for c in vertex_partition(q).classes]
