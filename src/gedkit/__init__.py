@@ -1,6 +1,6 @@
 """gedkit: exact graph edit distance with beam-stack search and similarity search."""
 
-from .bounds import delta_bounds, h_estimate, lb_graph, node_split
+from .bounds import delta_bounds, lb_graph
 from .engine import DEFAULT_BEAM_WIDTH, GedResult, SearchRun, bss_ged
 from .graphs import (
     DUMMY_LABEL,
@@ -10,7 +10,6 @@ from .graphs import (
     VertexPartition,
     degree_sequence,
     label_multiset,
-    neighborhood,
     parse_graph_db,
     serialize_graph_db,
     vertex_partition,
@@ -67,13 +66,10 @@ __all__ = [
     "exhaustive_ged",
     "filter_candidates",
     "gen_succr",
-    "h_estimate",
     "induced_structure",
     "is_isomorphic",
     "label_multiset",
     "lb_graph",
-    "neighborhood",
-    "node_split",
     "parse_graph_db",
     "predicted_layer_count",
     "range_query",

@@ -14,7 +14,6 @@ from .graphs import (
     multiset_intersection_size,
 )
 from .mapping import GraphMapping
-from .successors import SearchNode
 
 
 def _deltas(degs_g: Sequence[int], degs_q: Sequence[int]) -> tuple[int, int]:
@@ -88,74 +87,6 @@ def lb_from_summaries(a: GraphSummary, b: GraphSummary) -> int:
 def lb_graph(g: LabeledGraph, q: LabeledGraph) -> int:
     """Lower bound on ged(g, q) from label multisets and degree sequences."""
     return lb_from_summaries(summarize(g), summarize(q))
-
-
-@dataclass(frozen=True)
-class NodeSplit:
-    """A search node's view of both graphs: mapped part, unmapped part, and
-    the outer edges crossing between them."""
-
-    mapped_source: tuple[int, ...]
-    mapped_target: tuple[int, ...]
-    unmapped_source_graph: LabeledGraph
-    unmapped_target_graph: LabeledGraph
-    outer_edges_source: dict[int, tuple[tuple[int, int], ...]]
-    outer_edges_target: dict[int, tuple[tuple[int, int], ...]]
-    outer_vertices_source: frozenset[int]
-    outer_vertices_target: frozenset[int]
-
-
-def _induced_subgraph(g: LabeledGraph, keep: list[int]) -> LabeledGraph:
-    index = {u: i for i, u in enumerate(keep)}
-    labels = [g.vertex_labels[u] for u in keep]
-    edges = [
-        (index[u], index[v], lab)
-        for u, v, lab in g.edges
-        if u in index and v in index
-    ]
-    return LabeledGraph(labels, edges, g.table)
-
-
-def node_split(r: SearchNode, g: LabeledGraph, q: LabeledGraph) -> NodeSplit:
-    """Split both graphs around r's partial mapping (inspection/testing view)."""
-    return _split_mapping(r.mapping, g, q)
-
-
-def _split_mapping(mapping: GraphMapping, g: LabeledGraph, q: LabeledGraph) -> NodeSplit:
-    mapped = mapping.mapped_sources()
-    used_t = mapping.used_targets()
-    un_src = [u for u in range(g.n) if u not in mapped]
-    un_tgt = [v for v in range(q.n) if v not in used_t]
-    un_src_set, un_tgt_set = set(un_src), set(un_tgt)
-
-    outer_src: dict[int, tuple] = {}
-    a_g: set[int] = set()
-    for u in mapped:
-        o = tuple((v, lab) for v, lab in g.adjacency[u] if v in un_src_set)
-        outer_src[u] = o
-        a_g.update(v for v, _ in o)
-    outer_tgt: dict[int, tuple] = {}
-    a_q: set[int] = set()
-    for t in used_t:
-        o = tuple((v, lab) for v, lab in q.adjacency[t] if v in un_tgt_set)
-        outer_tgt[t] = o
-        a_q.update(v for v, _ in o)
-
-    return NodeSplit(
-        mapped_source=tuple(sorted(mapped)),
-        mapped_target=tuple(sorted(used_t)),
-        unmapped_source_graph=_induced_subgraph(g, un_src),
-        unmapped_target_graph=_induced_subgraph(q, un_tgt),
-        outer_edges_source=outer_src,
-        outer_edges_target=outer_tgt,
-        outer_vertices_source=frozenset(a_g),
-        outer_vertices_target=frozenset(a_q),
-    )
-
-
-def h_estimate(r: SearchNode, g: LabeledGraph, q: LabeledGraph) -> int:
-    """Admissible estimate of the remaining edit cost below node r."""
-    return h_for_mapping(r.mapping, g, q)
 
 
 def h_for_mapping(mapping: GraphMapping, g: LabeledGraph, q: LabeledGraph) -> int:
@@ -257,11 +188,6 @@ def remainder_bounds(mapping: GraphMapping, g: LabeledGraph, q: LabeledGraph) ->
     lb2 = base + sum_tgt + max(0, len(a_g) - len(a_q))
     lb3 = base + sum_src + max(0, len(a_q) - len(a_g))
     return lb1, lb2, lb3
-
-
-def lb_parts(split: NodeSplit) -> int:
-    """Pair bound evaluated on a split's unmapped parts."""
-    return lb_graph(split.unmapped_source_graph, split.unmapped_target_graph)
 
 
 def make_heuristic(g: LabeledGraph, q: LabeledGraph):

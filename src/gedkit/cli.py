@@ -50,6 +50,16 @@ def _add_engine_flags(p: argparse.ArgumentParser):
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="node budget")
 
 
+def _outcome(result) -> dict:
+    """The status of an engine result; when a budget ran out, also which one
+    and the best upper bound found (None if no leaf was reached)."""
+    out = {"status": result.status}
+    if result.status == BUDGET_EXHAUSTED:
+        out["reason"] = result.reason
+        out["upper_bound"] = result.upper_bound
+    return out
+
+
 def cmd_dist(args) -> int:
     db = _load_db(args.db)
     g, q = _pick(db, args.id1), _pick(db, args.id2)
@@ -61,19 +71,16 @@ def cmd_dist(args) -> int:
     ms = (time.perf_counter() - t0) * 1000.0
     payload = {
         "ged": result.distance,
+        **_outcome(result),
         "expanded": result.stats.nodes_expanded,
         "backtracks": result.stats.backtracks,
         "passes": result.stats.passes,
         "time_ms": round(ms, 3),
     }
-    if result.status == BUDGET_EXHAUSTED:
-        payload["ged"] = None
-        payload["upper_bound"] = result.upper_bound
-        payload["status"] = "budget_exhausted"
     if args.json:
         print(json.dumps(payload))
     elif result.status == BUDGET_EXHAUSTED:
-        print(f"budget exhausted; best upper bound {result.upper_bound}")
+        print(f"{result.reason} budget exhausted; best upper bound {result.upper_bound}")
     else:
         print(
             f"ged({args.id1}, {args.id2}) = {result.distance}  "
@@ -102,10 +109,12 @@ def cmd_search(args) -> int:
     res = range_query(db, query, args.tau, args.beam, threads=args.threads, node_budget=args.budget)
     ms = (time.perf_counter() - t0) * 1000.0
     payload = {
-        "matches": [{"id": m.graph_id, "bound": m.bound, "exact": m.exact} for m in res.matches],
+        "matches": [{"id": m.graph_id, "bound": m.bound} for m in res.matches],
         "filtered": res.filtered_count,
         "candidates": res.candidate_count,
         "time_ms": round(ms, 3),
+        "filter_s": round(res.timings["filter_s"], 6),
+        "verify_s": round(res.timings["verify_s"], 6),
     }
     if res.unknowns:
         payload["unknown"] = res.unknowns
@@ -115,8 +124,7 @@ def cmd_search(args) -> int:
         print(f"{len(res.matches)} matches within tau={args.tau} "
               f"({res.filtered_count} filtered, {res.candidate_count} verified, {ms:.1f}ms)")
         for m in res.matches:
-            mark = "=" if m.exact else "<="
-            print(f"  graph {m.graph_id}: ged {mark} {m.bound}")
+            print(f"  graph {m.graph_id}: ged <= {m.bound}")
         for gid in res.unknowns:
             print(f"  graph {gid}: unknown (budget exhausted)")
     return EXIT_OK
@@ -173,12 +181,12 @@ def cmd_bench(args) -> int:
                 node_budget=args.budget, time_limit=args.time_limit,
             )
             ms = (time.perf_counter() - t0) * 1000.0
-            ok = result.is_exact
-            solved += ok
+            solved += result.is_exact
             rows.append({
                 "query": qid,
                 "target": tid,
-                "ged": result.distance if ok else None,
+                "ged": result.distance,
+                **_outcome(result),
                 "time_ms": round(ms, 3),
                 "expanded": result.stats.nodes_expanded,
                 "backtracks": result.stats.backtracks,

@@ -47,49 +47,6 @@ class Interval:
     f_max: int
 
 
-class BeamStack:
-    """Stack of per-layer intervals driving pruning and backtracking."""
-
-    def __init__(self):
-        self._items: list[Interval] = []
-
-    def push(self, interval: Interval):
-        self._items.append(interval)
-
-    def pop(self) -> Interval:
-        return self._items.pop()
-
-    def top(self) -> Interval:
-        return self._items[-1]
-
-    def __len__(self):
-        return len(self._items)
-
-    def __bool__(self):
-        return bool(self._items)
-
-
-class OpenLayer:
-    """Live nodes of one layer, removable by id."""
-
-    __slots__ = ("live",)
-
-    def __init__(self, nodes=()):
-        self.live = {n.id: n for n in nodes}
-
-    def push(self, node: SearchNode):
-        self.live[node.id] = node
-
-    def remove(self, node_id: int):
-        self.live.pop(node_id, None)
-
-    def nodes(self):
-        return self.live.values()
-
-    def __len__(self):
-        return len(self.live)
-
-
 @dataclass
 class SearchStats:
     nodes_generated: int = 0
@@ -108,13 +65,15 @@ class GedResult:
     status 'exact' carries the distance; 'within_threshold' certifies
     upper_bound <= the requested threshold without claiming exactness;
     'above_bound' proves the distance is >= the initial bound;
-    'budget_exhausted' reports the best upper bound found, if any.
+    'budget_exhausted' reports the best upper bound found, if any, and in
+    reason which budget ran out: 'nodes' or 'time'.
     """
 
     status: str
     distance: int | None
     upper_bound: int | None
     stats: SearchStats
+    reason: str | None = None
 
     @property
     def is_exact(self) -> bool:
@@ -160,15 +119,16 @@ class SearchRun:
 
         self.ids = itertools.count()
         self.stats = SearchStats()
-        # One queue per tree depth; insertion leaves sit one past layer |V_G|.
-        self.open = [OpenLayer() for _ in range(g.n + 2)]
+        # Live nodes by id, one dict per tree depth; insertion leaves sit one
+        # past layer |V_G|.
+        self.open: list[dict[int, SearchNode]] = [{} for _ in range(g.n + 2)]
         self.cache: dict[int, list[SearchNode]] = {}
-        self.bs = BeamStack()
+        # The beam stack: one interval per layer of the current descent.
+        self.bs: list[Interval] = [Interval(0, self.ub)]
 
         root = make_root(g, q, self.heuristic, self.ids)
         self.stats.nodes_generated += 1
-        self.open[0].push(root)
-        self.bs.push(Interval(0, self.ub))
+        self.open[0][root.id] = root
 
     def _generate(self, r: SearchNode) -> list[SearchNode]:
         if self.succ_policy == "reduced":
@@ -194,7 +154,7 @@ class SearchRun:
             r.visited = True
         else:
             succ = self.cache.get(r.id, [])
-        top = self.bs.top()
+        top = self.bs[-1]
         admitted = []
         all_safely_pruned = True
         for n in succ:
@@ -205,7 +165,7 @@ class SearchRun:
                 if top.f_min <= n.f < top.f_max:
                     admitted.append(n)
         if all_safely_pruned:
-            self.open[layer].remove(r.id)
+            self.open[layer].pop(r.id, None)
             self.cache.pop(r.id, None)
         return admitted
 
@@ -217,7 +177,7 @@ class SearchRun:
         later pass can resume exactly there.
         """
         self.stats.passes += 1
-        pql = [(_priority(n), n) for n in self.open[layer].nodes()]
+        pql = [(_priority(n), n) for n in self.open[layer].values()]
         heapq.heapify(pql)
         pqll: list[SearchNode] = []
         while pql or pqll:
@@ -235,26 +195,26 @@ class SearchRun:
                 pqll.extend(self.expand_node(r, layer))
             if len(pqll) > self.w:
                 pqll.sort(key=_priority)
-                self.bs.top().f_max = pqll[self.w].f
+                self.bs[-1].f_max = pqll[self.w].f
                 pqll = pqll[: self.w]
             layer += 1
-            self.open[layer] = OpenLayer(pqll)
+            self.open[layer] = {n.id: n for n in pqll}
             pql = [(_priority(n), n) for n in pqll]
             heapq.heapify(pql)
             pqll = []
-            self.bs.push(Interval(0, self.ub))
+            self.bs.append(Interval(0, self.ub))
             live = sum(len(o) for o in self.open)
             if live > self.stats.max_open:
                 self.stats.max_open = live
 
     def backtrack(self) -> bool:
         """Pop exhausted intervals and shift the surviving top; False when done."""
-        while self.bs and self.bs.top().f_max >= self.ub:
+        while self.bs and self.bs[-1].f_max >= self.ub:
             self.bs.pop()
             self.stats.backtracks += 1
         if not self.bs:
             return False
-        top = self.bs.top()
+        top = self.bs[-1]
         top.f_min = top.f_max
         top.f_max = self.ub
         return True
@@ -267,9 +227,9 @@ class SearchRun:
                     return GedResult(WITHIN_THRESHOLD, None, self.ub, self.stats)
                 if not self.backtrack():
                     break
-        except _BudgetExceeded:
+        except _BudgetExceeded as exc:
             found = self.ub if self.ub < self.initial_ub else None
-            return GedResult(BUDGET_EXHAUSTED, None, found, self.stats)
+            return GedResult(BUDGET_EXHAUSTED, None, found, self.stats, exc.reason)
         if self.ub < self.initial_ub:
             return GedResult(EXACT, self.ub, self.ub, self.stats)
         return GedResult(ABOVE_BOUND, None, None, self.stats)

@@ -138,13 +138,6 @@ class VertexPartition:
         return self.class_of[v]
 
 
-def neighborhood(g: LabeledGraph, u: int) -> frozenset[tuple[int, int]]:
-    """Set of (neighbor id, edge label) pairs adjacent to u."""
-    if not 0 <= u < g.n:
-        raise IndexError(f"vertex {u} out of range for graph of size {g.n}")
-    return frozenset(g.adjacency[u])
-
-
 def vertex_partition(q: LabeledGraph) -> VertexPartition:
     """Group vertices of q by (label, labeled neighborhood) equivalence."""
     groups: dict[tuple, list[int]] = {}

@@ -12,7 +12,6 @@ from .engine import (
     BUDGET_EXHAUSTED,
     DEFAULT_BEAM_WIDTH,
     DEFAULT_NODE_BUDGET,
-    EXACT,
     WITHIN_THRESHOLD,
     GedResult,
     bss_ged,
@@ -64,14 +63,12 @@ def filter_candidates(db: GraphDatabase, query: LabeledGraph, tau: int) -> list[
 class VerifyOutcome:
     """Result of one threshold-capped verification.
 
-    decision 'yes' carries a certified bound <= tau (exact only when the
-    search happened to finish); 'no' proves the distance exceeds tau;
-    'unknown' means the budget ran out first.
+    decision 'yes' carries a certified upper bound <= tau; 'no' proves the
+    distance exceeds tau; 'unknown' means the budget ran out first.
     """
 
     decision: str
     bound: int | None
-    exact: bool
     result: GedResult
 
 
@@ -81,7 +78,8 @@ def verify_within(g: LabeledGraph, q: LabeledGraph, tau: int,
     """Decide ged(g, q) <= tau with the engine capped at tau + 1.
 
     Starting the search with upper bound tau + 1 prunes everything beyond
-    the threshold, and the first leaf at or under tau ends the run early.
+    the threshold, and the first leaf at or under tau ends the run, so the
+    run never finishes with an exact distance.
     """
     if tau < 0:
         raise ValueError("threshold must be >= 0")
@@ -93,22 +91,17 @@ def verify_within(g: LabeledGraph, q: LabeledGraph, tau: int,
         stop_threshold=tau,
     )
     if result.status == WITHIN_THRESHOLD:
-        return VerifyOutcome("yes", result.upper_bound, False, result)
-    if result.status == EXACT:
-        # Only reachable without early exit; kept for completeness.
-        decision = "yes" if result.distance <= tau else "no"
-        return VerifyOutcome(decision, result.distance, True, result)
+        return VerifyOutcome("yes", result.upper_bound, result)
     if result.status == ABOVE_BOUND:
-        return VerifyOutcome("no", None, False, result)
+        return VerifyOutcome("no", None, result)
     assert result.status == BUDGET_EXHAUSTED
-    return VerifyOutcome("unknown", result.upper_bound, False, result)
+    return VerifyOutcome("unknown", result.upper_bound, result)
 
 
 @dataclass(frozen=True)
 class Match:
     graph_id: int
     bound: int
-    exact: bool
 
 
 @dataclass
@@ -117,7 +110,6 @@ class QueryResult:
     unknowns: list[int]
     filtered_count: int
     candidate_count: int
-    verified_count: int
     timings: dict[str, float] = field(default_factory=dict)
 
 
@@ -153,7 +145,7 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
     unknowns = []
     for gid, out in outcomes:
         if out.decision == "yes":
-            matches.append(Match(gid, out.bound, out.exact))
+            matches.append(Match(gid, out.bound))
         elif out.decision == "unknown":
             unknowns.append(gid)
     matches.sort(key=lambda m: m.graph_id)
@@ -163,6 +155,5 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
         unknowns=unknowns,
         filtered_count=len(db) - len(candidates),
         candidate_count=len(candidates),
-        verified_count=len(candidates),
         timings={"filter_s": t1 - t0, "verify_s": t2 - t1},
     )

@@ -1,4 +1,4 @@
-"""Search-tree successor generation, vertex processing order, and tree-size prediction."""
+"""Search-tree successor generation, vertex processing order, and predicted layer counts."""
 
 from __future__ import annotations
 
@@ -23,11 +23,10 @@ class SearchNode:
     leaf appends all remaining target vertices at once.
     """
 
-    __slots__ = ("id", "parent_id", "layer", "mapping", "g", "h", "f", "visited", "complete")
+    __slots__ = ("id", "layer", "mapping", "g", "h", "f", "visited", "complete")
 
-    def __init__(self, node_id, parent_id, layer, mapping, g, h, complete):
+    def __init__(self, node_id, layer, mapping, g, h, complete):
         self.id = node_id
-        self.parent_id = parent_id
         self.layer = layer
         self.mapping = mapping
         self.g = g
@@ -127,22 +126,25 @@ def _child(parent: SearchNode, g, q, u, z, heuristic, ids, parent_map, preimage)
     complete = parent.layer + 1 == g.n and used == q.n
     gval = parent.g + delta
     h = heuristic(mapping) if heuristic and not complete else 0
-    return SearchNode(next(ids), parent.id, parent.layer + 1, mapping, gval, h, complete)
+    return SearchNode(next(ids), parent.layer + 1, mapping, gval, h, complete)
 
 
 def _insertion_leaf(parent: SearchNode, g, q, remaining: list[int], heuristic, ids) -> SearchNode:
     pairs = parent.mapping.pairs + tuple((None, z) for z in remaining)
     mapping = GraphMapping(pairs, g.n, q.n)
     gval = parent.g + leaf_completion_cost(g, q, parent.mapping.used_targets())
-    return SearchNode(next(ids), parent.id, parent.layer + 1, mapping, gval, 0, True)
+    return SearchNode(next(ids), parent.layer + 1, mapping, gval, 0, True)
 
 
-def basic_gen_succr(r: SearchNode, g: LabeledGraph, q: LabeledGraph, order: Sequence[int],
-                    heuristic: Heuristic | None = None, ids=None) -> list[SearchNode]:
-    """All successors of r: one per unmapped target plus a dummy, no reduction.
+def _extend(r: SearchNode, g: LabeledGraph, q: LabeledGraph, classes: Sequence[Sequence[int]],
+            dummy_only_when_forced: bool, order: Sequence[int], heuristic: Heuristic | None,
+            ids) -> list[SearchNode]:
+    """Successors of r: the smallest unmapped member of each target class,
+    then the dummy target.
 
-    Once every source vertex is processed, a single leaf inserts all
-    remaining target vertices.
+    With dummy_only_when_forced the dummy is offered only while more source
+    than target vertices remain unmapped, otherwise always. Once every source
+    vertex is processed, a single leaf inserts all remaining target vertices.
     """
     if ids is None:
         ids = _GLOBAL_IDS
@@ -151,15 +153,22 @@ def basic_gen_succr(r: SearchNode, g: LabeledGraph, q: LabeledGraph, order: Sequ
     depth = len(r.mapping.pairs)
     if depth < g.n:
         u = order[depth]
-        succ = [
-            _child(r, g, q, u, z, heuristic, ids, parent_map, preimage)
-            for z in range(q.n)
-            if z not in preimage
-        ]
-        succ.append(_child(r, g, q, u, None, heuristic, ids, parent_map, preimage))
+        succ = []
+        for members in classes:
+            z = next((v for v in members if v not in preimage), None)
+            if z is not None:
+                succ.append(_child(r, g, q, u, z, heuristic, ids, parent_map, preimage))
+        if not dummy_only_when_forced or g.n - depth > q.n - len(preimage):
+            succ.append(_child(r, g, q, u, None, heuristic, ids, parent_map, preimage))
         return succ
     remaining = [z for z in range(q.n) if z not in preimage]
     return [_insertion_leaf(r, g, q, remaining, heuristic, ids)]
+
+
+def basic_gen_succr(r: SearchNode, g: LabeledGraph, q: LabeledGraph, order: Sequence[int],
+                    heuristic: Heuristic | None = None, ids=None) -> list[SearchNode]:
+    """All successors of r: one per unmapped target plus a dummy, no reduction."""
+    return _extend(r, g, q, [(z,) for z in range(q.n)], False, order, heuristic, ids)
 
 
 def gen_succr(r: SearchNode, g: LabeledGraph, q: LabeledGraph, part: VertexPartition,
@@ -171,23 +180,7 @@ def gen_succr(r: SearchNode, g: LabeledGraph, q: LabeledGraph, part: VertexParti
     than target vertices remain unmapped. Cuts invalid and redundant
     mappings from the tree while preserving the minimum cost.
     """
-    if ids is None:
-        ids = _GLOBAL_IDS
-    parent_map = r.mapping.mapped_sources()
-    preimage = {a: w for w, a in parent_map.items() if a is not None}
-    depth = len(r.mapping.pairs)
-    if depth < g.n:
-        u = order[depth]
-        succ = []
-        for members in part.classes:
-            z = next((v for v in members if v not in preimage), None)
-            if z is not None:
-                succ.append(_child(r, g, q, u, z, heuristic, ids, parent_map, preimage))
-        if g.n - depth > q.n - len(preimage):
-            succ.append(_child(r, g, q, u, None, heuristic, ids, parent_map, preimage))
-        return succ
-    remaining = [z for z in range(q.n) if z not in preimage]
-    return [_insertion_leaf(r, g, q, remaining, heuristic, ids)]
+    return _extend(r, g, q, part.classes, True, order, heuristic, ids)
 
 
 def make_root(g: LabeledGraph, q: LabeledGraph, heuristic: Heuristic | None = None, ids=None) -> SearchNode:
@@ -196,7 +189,7 @@ def make_root(g: LabeledGraph, q: LabeledGraph, heuristic: Heuristic | None = No
     mapping = GraphMapping((), g.n, q.n)
     complete = g.n == 0 and q.n == 0
     h = heuristic(mapping) if heuristic and not complete else 0
-    return SearchNode(next(ids), None, 0, mapping, 0, h, complete)
+    return SearchNode(next(ids), 0, mapping, 0, h, complete)
 
 
 def enumerate_search_tree(g: LabeledGraph, q: LabeledGraph, reduced: bool = True,
@@ -259,8 +252,3 @@ def predicted_layer_count(l: int, n_g: int, n_q: int, class_sizes: Sequence[int]
 
     rec(0, l, 1)
     return total
-
-
-def predicted_tree_size(n_g: int, n_q: int, class_sizes: Sequence[int]) -> int:
-    """Total node count of the reduced tree over layers 0..|V_G|."""
-    return sum(predicted_layer_count(l, n_g, n_q, class_sizes) for l in range(n_g + 1))

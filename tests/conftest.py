@@ -89,6 +89,25 @@ def build_graph(labels: list[str], edges: list[tuple[int, int, str]],
     )
 
 
+def induced_subgraph(g: LabeledGraph, keep: list[int]) -> LabeledGraph:
+    """The subgraph of g induced by keep, its vertices renumbered in that order."""
+    index = {u: i for i, u in enumerate(keep)}
+    return LabeledGraph(
+        [g.vertex_labels[u] for u in keep],
+        [(index[u], index[v], lab) for u, v, lab in g.edges if u in index and v in index],
+        g.table,
+    )
+
+
+def unmapped_parts(mapping: GraphMapping, g: LabeledGraph, q: LabeledGraph):
+    """The subgraphs of g and q induced by the vertices a mapping leaves out."""
+    mapped, used = mapping.mapped_sources(), mapping.used_targets()
+    return (
+        induced_subgraph(g, [u for u in range(g.n) if u not in mapped]),
+        induced_subgraph(q, [v for v in range(q.n) if v not in used]),
+    )
+
+
 def random_pair(rng: random.Random, max_n: int = 7, min_n: int = 2,
                 densities=(0.2, 0.5, 0.8), alphabets=(1, 2, 5),
                 table: LabelTable | None = None):

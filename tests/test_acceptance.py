@@ -8,8 +8,8 @@ import random
 import time
 from contextlib import contextmanager
 
-from conftest import SQUARE_STAR_TEXT
-from gedkit.bounds import lb_graph, make_heuristic, node_split, remainder_bounds
+from conftest import SQUARE_STAR_TEXT, unmapped_parts
+from gedkit.bounds import lb_graph, make_heuristic, remainder_bounds
 from gedkit.cli import main
 from gedkit.engine import bss_ged
 from gedkit.graphs import LabelTable, vertex_partition
@@ -17,7 +17,6 @@ from gedkit.mapping import GraphMapping, canonical_code, edit_cost, realize_edit
 from gedkit.oracle import check_edit_path, exhaustive_ged
 from gedkit.simsearch import GraphDatabase, filter_candidates, range_query
 from gedkit.successors import (
-    SearchNode,
     determine_order,
     enumerate_search_tree,
     gen_succr,
@@ -83,9 +82,7 @@ def test_criterion_04_heuristic_example(pendant_pair):
     with criterion(4, "heuristic example: LB(G2,Q2)=2, LB1=2, LB2=2, LB3=3, h=3"):
         g, q = pendant_pair
         mapping = GraphMapping(((0, 0), (1, 1)), g.n, q.n)
-        node = SearchNode(0, None, 2, mapping, 0, 0, False)
-        split = node_split(node, g, q)
-        assert lb_graph(split.unmapped_source_graph, split.unmapped_target_graph) == 2
+        assert lb_graph(*unmapped_parts(mapping, g, q)) == 2
         lb1, lb2, lb3 = remainder_bounds(mapping, g, q)
         assert (lb1, lb2, lb3) == (2, 2, 3)
         assert max(lb1, lb2, lb3) == 3

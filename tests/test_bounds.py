@@ -2,26 +2,22 @@ import random
 from collections import Counter
 
 import reference_bounds as reference
-from conftest import build_graph, random_pair
+from conftest import build_graph, random_pair, unmapped_parts
 from gedkit.bounds import (
     delta_bounds,
-    h_estimate,
     h_for_mapping,
     lb_graph,
-    node_split,
     remainder_bounds,
     summarize,
     lb_from_summaries,
 )
 from gedkit.graphs import LabeledGraph, vertex_partition
 from gedkit.mapping import GraphMapping, realize_edit_path
-from gedkit.successors import SearchNode, gen_succr, identity_order, make_root
+from gedkit.successors import gen_succr, identity_order, make_root
 
 
-def as_node(pairs, g, q):
-    mapping = GraphMapping(pairs, g.n, q.n)
-    depth = sum(1 for s, _ in pairs if s is not None)
-    return SearchNode(0, None, depth, mapping, 0, 0, mapping.is_complete())
+def as_mapping(pairs, g, q):
+    return GraphMapping(pairs, g.n, q.n)
 
 
 def test_delta_bounds_identical(square_star):
@@ -49,58 +45,54 @@ def test_lb_graph_self_is_zero(square_star, pendant_pair):
 
 def test_lb_graph_example5_unmapped_parts(pendant_pair):
     g, q = pendant_pair
-    node = as_node(((0, 0), (1, 1)), g, q)
-    split = node_split(node, g, q)
-    assert lb_graph(split.unmapped_source_graph, split.unmapped_target_graph) == 2
+    mapping = as_mapping(((0, 0), (1, 1)), g, q)
+    assert lb_graph(*unmapped_parts(mapping, g, q)) == 2
 
 
 def test_node_split_example5(pendant_pair):
+    # Around {0->0, 1->1} the unmapped parts have 3 and 4 vertices and pair
+    # bound 2. The outer edges of both mapped vertices reconcile exactly
+    # (LB1 = 2), and the target side has one more outer vertex, {2, 3, 4}
+    # against {2, 3} (LB2 = 2, LB3 = 3).
     g, q = pendant_pair
-    table = g.table
-    node = as_node(((0, 0), (1, 1)), g, q)
-    split = node_split(node, g, q)
-    a, b = table.intern("a"), table.intern("b")
-    assert Counter(lab for _, lab in split.outer_edges_source[0]) == Counter({a: 2})
-    assert Counter(lab for _, lab in split.outer_edges_source[1]) == Counter({b: 1})
-    assert split.outer_vertices_source == {2, 3}
-    assert split.outer_vertices_target == {2, 3, 4}
-    assert split.unmapped_source_graph.n == 3
-    assert split.unmapped_target_graph.n == 4
+    mapping = as_mapping(((0, 0), (1, 1)), g, q)
+    g2, q2 = unmapped_parts(mapping, g, q)
+    assert (g2.n, q2.n) == (3, 4)
+    assert remainder_bounds(mapping, g, q) == (2, 2, 3)
 
 
 def test_node_split_root_and_leaf(square_star):
     g, q = square_star
-    root = as_node((), g, q)
-    split = node_split(root, g, q)
-    assert split.unmapped_source_graph == g
-    assert split.outer_edges_source == {} and split.outer_vertices_source == frozenset()
-    leaf = as_node(((0, 0), (1, 1), (2, 2), (3, 3)), g, q)
-    split = node_split(leaf, g, q)
-    assert split.unmapped_source_graph.n == 0
-    assert all(not o for o in split.outer_edges_source.values())
+    root = as_mapping((), g, q)
+    assert unmapped_parts(root, g, q)[0] == g
+    # No outer edges at the root: every bound is the pair bound.
+    assert remainder_bounds(root, g, q) == (lb_graph(g, q),) * 3
+    leaf = as_mapping(((0, 0), (1, 1), (2, 2), (3, 3)), g, q)
+    assert unmapped_parts(leaf, g, q)[0].n == 0
+    assert remainder_bounds(leaf, g, q) == (0, 0, 0)
 
 
 def test_h_example5(pendant_pair):
     g, q = pendant_pair
-    node = as_node(((0, 0), (1, 1)), g, q)
-    assert remainder_bounds(node.mapping, g, q) == (2, 2, 3)
-    assert h_estimate(node, g, q) == 3
+    mapping = as_mapping(((0, 0), (1, 1)), g, q)
+    assert remainder_bounds(mapping, g, q) == (2, 2, 3)
+    assert h_for_mapping(mapping, g, q) == 3
 
 
 def test_h_at_root_and_leaf(square_star, pendant_pair):
     for g, q in (square_star, pendant_pair):
-        root = as_node((), g, q)
-        assert h_estimate(root, g, q) == lb_graph(g, q)
+        root = as_mapping((), g, q)
+        assert h_for_mapping(root, g, q) == lb_graph(g, q)
     g, q = square_star
-    leaf = as_node(((0, 0), (1, 1), (2, 2), (3, 3)), g, q)
-    assert h_estimate(leaf, g, q) == 0
+    leaf = as_mapping(((0, 0), (1, 1), (2, 2), (3, 3)), g, q)
+    assert h_for_mapping(leaf, g, q) == 0
 
 
 def test_h_with_dummy_target(pendant_pair):
     # Outer edges of a vertex mapped to a dummy must all be paid for.
     g, q = pendant_pair
-    node = as_node(((0, None),), g, q)
-    lb1, lb2, lb3 = remainder_bounds(node.mapping, g, q)
+    mapping = as_mapping(((0, None),), g, q)
+    lb1, lb2, lb3 = remainder_bounds(mapping, g, q)
     assert lb1 >= len([1 for v, _ in g.adjacency[0]])
 
 

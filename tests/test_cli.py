@@ -38,7 +38,9 @@ def test_dist_json_all_widths(square_star_db, capsys):
         code, payload = run_json(capsys, ["dist", square_star_db, "0", "1", "--beam", w, "--json"])
         assert code == 0
         assert payload["ged"] == 4
+        assert payload["status"] == "exact"
         assert {"expanded", "backtracks", "passes", "time_ms"} <= payload.keys()
+        assert "reason" not in payload and "upper_bound" not in payload
 
 
 def test_dist_budget_exhaustion_exit_code(square_star_db, capsys):
@@ -46,6 +48,8 @@ def test_dist_budget_exhaustion_exit_code(square_star_db, capsys):
     assert code == 3
     assert payload["ged"] is None
     assert payload["status"] == "budget_exhausted"
+    assert payload["reason"] == "nodes"
+    assert "upper_bound" in payload
 
 
 def test_dist_policies(square_star_db, capsys):
@@ -74,7 +78,9 @@ def test_search_json(square_star_db, tmp_path, capsys):
     assert code == 0
     ids = {m["id"] for m in payload["matches"]}
     assert ids == {0, 1}  # ged(G,G)=0 and ged(Q,G)=4
+    assert all(m.keys() == {"id", "bound"} and m["bound"] <= 4 for m in payload["matches"])
     assert payload["filtered"] + payload["candidates"] == 2
+    assert payload["filter_s"] >= 0 and payload["verify_s"] >= 0
     code, payload = run_json(
         capsys,
         ["search", "--db", square_star_db, "--query", str(query), "--tau", "3", "--json"],
@@ -148,6 +154,17 @@ def test_bench_json_solve_ratio(square_star_db, capsys):
     assert len(payload["rows"]) == 4
     diag = [r for r in payload["rows"] if r["query"] == r["target"]]
     assert all(r["ged"] == 0 for r in diag)
+    assert all(r["status"] == "exact" and "reason" not in r for r in payload["rows"])
+
+
+def test_bench_json_budget_reasons(square_star_db, capsys):
+    for flags, reason in ((["--budget", "2"], "nodes"), (["--time-limit", "0"], "time")):
+        code, payload = run_json(capsys, ["bench", square_star_db, *flags, "--json"])
+        assert code == 0
+        assert payload["solve_ratio"] == 0.0
+        for r in payload["rows"]:
+            assert r["ged"] is None and r["status"] == "budget_exhausted"
+            assert r["reason"] == reason and "upper_bound" in r
 
 
 def test_bench_width_sweep_consistent(pendant_pair_db, capsys):

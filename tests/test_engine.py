@@ -92,13 +92,13 @@ def test_interval_discipline_stepped(square_star):
     while run.bs:
         run.search_pass(len(run.bs) - 1)
         passes += 1
-        for item in run.bs._items:
+        for item in run.bs:
             assert 0 <= item.f_min <= item.f_max
         if not run.backtrack():
             break
-        for item in run.bs._items:
+        for item in run.bs:
             assert 0 <= item.f_min <= item.f_max
-        assert run.bs.top().f_max == run.ub
+        assert run.bs[-1].f_max == run.ub
     assert run.ub == 4
     assert passes == run.stats.passes
 
@@ -124,9 +124,11 @@ def test_budget_exhaustion():
     q, _ = random_pair(rng, max_n=7, min_n=7, table=table)
     res = bss_ged(g, q, 50, node_budget=5)
     assert res.status == BUDGET_EXHAUSTED
+    assert res.reason == "nodes"
     assert res.distance is None
     exact = bss_ged(g, q, 50)
     assert exact.is_exact
+    assert exact.reason is None
     if res.upper_bound is not None:
         assert res.upper_bound >= exact.distance
 
@@ -138,6 +140,7 @@ def test_time_limit():
     q, _ = random_pair(rng, max_n=8, min_n=8, table=table)
     res = bss_ged(g, q, 50, time_limit=0.0)
     assert res.status == BUDGET_EXHAUSTED
+    assert res.reason == "time"
 
 
 def test_initial_ub_modes(square_star):
@@ -211,3 +214,47 @@ def test_search_tree_pinned():
         got = (res.distance, s.nodes_expanded, s.nodes_generated, s.ub_history,
                s.passes, s.backtracks)
         assert got == want, (a, b, w)
+
+
+# The same pairs under the other two policies, recorded before the basic and
+# reduced generators shared one body: (policy keywords, source id, target id,
+# beam width) -> the fields of PINNED_TREES.
+PINNED_POLICY_TREES = {
+    ("basic", 0, 1, 1): (13, 1063, 4483, [18, 17, 15, 14, 13], 371, 1064),
+    ("basic", 2, 3, 5): (12, 430, 1887, [13, 12], 31, 117),
+    ("basic", 4, 5, 15): (14, 117, 723, [14], 1, 10),
+    ("basic", 14, 15, 5): (12, 154, 691, [12], 9, 43),
+    ("default", 0, 1, 1): (13, 1453, 4805, [18, 17, 15, 14, 13], 496, 1454),
+    ("default", 2, 3, 5): (12, 261, 876, [12], 20, 65),
+    ("default", 4, 5, 15): (14, 924, 3546, [18, 16, 15, 14], 23, 84),
+    ("default", 14, 15, 5): (12, 124, 376, [14, 12], 9, 38),
+}
+POLICY_KEYWORDS = {"basic": {"succ_policy": "basic"}, "default": {"order_policy": "default"}}
+
+
+def test_search_tree_pinned_other_policies():
+    entries, _ = random_graph_db(11, 20, 8, 10, 0.3, 5, 2)
+    graphs = dict(entries)
+    for (policy, a, b, w), want in PINNED_POLICY_TREES.items():
+        res = bss_ged(graphs[a], graphs[b], w, **POLICY_KEYWORDS[policy])
+        s = res.stats
+        got = (res.distance, s.nodes_expanded, s.nodes_generated, s.ub_history,
+               s.passes, s.backtracks)
+        assert got == want, (policy, a, b, w)
+
+
+def test_policies_agree_beyond_oracle():
+    # 9- and 10-vertex pairs, past the brute-force oracle's reach: every
+    # policy, beam width and argument order must give one distance.
+    entries, _ = random_graph_db(3, 12, 9, 11, 0.3, 5, 2)
+    graphs = dict(entries)
+    for a, b in ((0, 1), (2, 3)):
+        distances = set()
+        for succ in ("basic", "reduced"):
+            for order in ("default", "dfs"):
+                for w in (1, 15):
+                    for x, y in ((a, b), (b, a)):
+                        res = bss_ged(graphs[x], graphs[y], w, order_policy=order, succ_policy=succ)
+                        assert res.is_exact
+                        distances.add(res.distance)
+        assert len(distances) == 1, (a, b, distances)

@@ -10,7 +10,6 @@ from gedkit.graphs import (
     degree_sequence,
     label_multiset,
     multiset_intersection_size,
-    neighborhood,
     parse_graph_db,
     serialize_graph_db,
     vertex_partition,
@@ -86,17 +85,17 @@ def test_round_trip_random_graphs():
 def test_neighborhood_square_star_q():
     _, q, table = parse_pair(SQUARE_STAR_TEXT)
     a = table.intern("a")
-    assert neighborhood(q, 0) == {(3, a)}
-    assert neighborhood(q, 0) == neighborhood(q, 1) == neighborhood(q, 2)
+    assert frozenset(q.adjacency[0]) == {(3, a)}
+    assert frozenset(q.adjacency[0]) == frozenset(q.adjacency[1]) == frozenset(q.adjacency[2])
 
 
 def test_neighborhood_isolated_and_pendant_pair():
     g = build_graph(["A", "B"], [])
-    assert neighborhood(g, 0) == frozenset()
+    assert frozenset(g.adjacency[0]) == frozenset()
     g4, _, table = parse_pair(PENDANT_PAIR_TEXT)
-    assert neighborhood(g4, 4) == {(2, table.intern("a")), (3, table.intern("b"))}
+    assert frozenset(g4.adjacency[4]) == {(2, table.intern("a")), (3, table.intern("b"))}
     with pytest.raises(IndexError):
-        neighborhood(g4, 99)
+        g4.adjacency[99]
 
 
 def test_vertex_partition_square_star():

@@ -11,7 +11,6 @@ from gedkit.successors import (
     identity_order,
     make_root,
     predicted_layer_count,
-    predicted_tree_size,
 )
 
 
@@ -116,7 +115,7 @@ def test_predicted_layer_counts_square_star(square_star):
     sizes = [len(c) for c in vertex_partition(q).classes]
     assert predicted_layer_count(0, g.n, q.n, sizes) == 1
     assert predicted_layer_count(4, g.n, q.n, sizes) == 4
-    assert predicted_tree_size(g.n, q.n, sizes) == 14
+    assert sum(predicted_layer_count(l, g.n, q.n, sizes) for l in range(g.n + 1)) == 14
 
 
 def test_predicted_layer_counts_match_actual_trees():
