@@ -77,6 +77,12 @@ def lb_from_summaries(a: GraphSummary, b: GraphSummary) -> int:
     one walk over the degree sequences, with no per-call container classes.
     tests/reference_bounds.py keeps the Counter-based original that tests
     compare it against.
+
+    Size corollary: the bound is at least |a.n - b.n| + |a.m - b.m|.
+    - max(n_a, n_b) - vinter >= |n_a - n_b|, since vinter <= min(n_a, n_b).
+    - d1 + d2 >= (over + under) / 2 >= |over - under| / 2 = |m_a - m_b|,
+      since over - under is the degree-sum difference 2 (m_a - m_b).
+    Similarity search relies on it to skip whole size buckets.
     """
     return _pair_bound(
         a.n, b.n, multiset_intersection_size(a.vertex_labels, b.vertex_labels),

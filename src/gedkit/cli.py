@@ -60,6 +60,10 @@ def _outcome(result) -> dict:
     return out
 
 
+def _or_dash(value) -> str:
+    return "-" if value is None else str(value)
+
+
 def cmd_dist(args) -> int:
     db = _load_db(args.db)
     g, q = _pick(db, args.id1), _pick(db, args.id2)
@@ -80,7 +84,9 @@ def cmd_dist(args) -> int:
     if args.json:
         print(json.dumps(payload))
     elif result.status == BUDGET_EXHAUSTED:
-        print(f"{result.reason} budget exhausted; best upper bound {result.upper_bound}")
+        found = ("no complete mapping found" if result.upper_bound is None
+                 else f"best upper bound {result.upper_bound}")
+        print(f"{result.reason} budget exhausted; {found}")
     else:
         print(
             f"ged({args.id1}, {args.id2}) = {result.distance}  "
@@ -195,10 +201,11 @@ def cmd_bench(args) -> int:
     if args.json:
         print(json.dumps({"rows": rows, "solve_ratio": ratio}))
     else:
-        print(f"{'query':>6} {'target':>6} {'ged':>6} {'time_ms':>10} {'expanded':>9} {'backtracks':>10}")
+        print(f"{'query':>6} {'target':>6} {'ged':>6} {'status':>16} {'reason':>6} {'upper_bound':>11} "
+              f"{'time_ms':>10} {'expanded':>9} {'backtracks':>10}")
         for r in rows:
-            ged = r["ged"] if r["ged"] is not None else "-"
-            print(f"{r['query']:>6} {r['target']:>6} {ged:>6} {r['time_ms']:>10} "
+            print(f"{r['query']:>6} {r['target']:>6} {_or_dash(r['ged']):>6} {r['status']:>16} "
+                  f"{_or_dash(r.get('reason')):>6} {_or_dash(r.get('upper_bound')):>11} {r['time_ms']:>10} "
                   f"{r['expanded']:>9} {r['backtracks']:>10}")
         print(f"solve ratio: {ratio:.3f} ({solved}/{len(rows)})")
     return EXIT_OK

@@ -21,23 +21,38 @@ from .graphs import LabelTable, LabeledGraph, VertexPartition, parse_graph_db, v
 
 @dataclass
 class GraphDatabase:
-    """Id-indexed graph collection with per-graph summaries precomputed."""
+    """Id-indexed graph collection with per-graph summaries precomputed.
+
+    size_index maps each size (|V|, |E|) in the collection to the positions
+    in ids of the graphs of that size, ascending. The pair bound is at least
+    |n_g - n_q| + |m_g - m_q| (see lb_from_summaries), so the candidate
+    filter skips every bucket farther than tau from the query's size without
+    computing a bound for any of its members.
+    """
 
     graphs: dict[int, LabeledGraph]
     summaries: dict[int, GraphSummary]
     partitions: dict[int, VertexPartition]
     table: LabelTable
     ids: list[int]
+    size_index: dict[tuple[int, int], list[int]]
 
     @classmethod
     def from_graphs(cls, entries: list[tuple[int, LabeledGraph]], table: LabelTable) -> "GraphDatabase":
         graphs = dict(entries)
+        ids = [gid for gid, _ in entries]
+        summaries = {gid: summarize(g) for gid, g in graphs.items()}
+        size_index: dict[tuple[int, int], list[int]] = {}
+        for pos, gid in enumerate(ids):
+            s = summaries[gid]
+            size_index.setdefault((s.n, s.m), []).append(pos)
         return cls(
             graphs=graphs,
-            summaries={gid: summarize(g) for gid, g in graphs.items()},
+            summaries=summaries,
             partitions={gid: vertex_partition(g) for gid, g in graphs.items()},
             table=table,
-            ids=[gid for gid, _ in entries],
+            ids=ids,
+            size_index=size_index,
         )
 
     @classmethod
@@ -49,14 +64,34 @@ class GraphDatabase:
         return len(self.graphs)
 
 
-def filter_candidates(db: GraphDatabase, query: LabeledGraph, tau: int) -> list[int]:
-    """Ids whose lower bound does not rule them out; the rest cannot match."""
+def _candidates(db: GraphDatabase, query: LabeledGraph, tau: int) -> list[tuple[int, int]]:
+    """(id, pair bound) of every graph the bound does not rule out, in db.ids order.
+
+    Size buckets with |n - n_q| + |m - m_q| > tau are skipped whole: every
+    member's pair bound exceeds tau too, so the result equals a full scan.
+    """
     if tau < 0:
         raise ValueError("threshold must be >= 0")
     if query.table is not db.table:
         raise ValueError("query must share the database's label table")
     qsum = summarize(query)
-    return [gid for gid in db.ids if lb_from_summaries(db.summaries[gid], qsum) <= tau]
+    n_q, m_q = qsum.n, qsum.m
+    ids, summaries = db.ids, db.summaries
+    hits = []
+    for (n, m), members in db.size_index.items():
+        if abs(n - n_q) + abs(m - m_q) > tau:
+            continue
+        for pos in members:
+            bound = lb_from_summaries(summaries[ids[pos]], qsum)
+            if bound <= tau:
+                hits.append((pos, bound))
+    hits.sort()
+    return [(ids[pos], bound) for pos, bound in hits]
+
+
+def filter_candidates(db: GraphDatabase, query: LabeledGraph, tau: int) -> list[int]:
+    """Ids whose lower bound does not rule them out; the rest cannot match."""
+    return [gid for gid, _ in _candidates(db, query, tau)]
 
 
 @dataclass(frozen=True)
@@ -122,13 +157,10 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
     Candidates are verified in ascending lower-bound order; verification
     jobs are independent, so the result is the same for any thread count.
     """
-    if tau < 0:
-        raise ValueError("threshold must be >= 0")
     t0 = time.perf_counter()
-    qsum = summarize(query)
-    bounds = {gid: lb_from_summaries(db.summaries[gid], qsum) for gid in db.ids}
-    candidates = [gid for gid in db.ids if bounds[gid] <= tau]
-    candidates.sort(key=lambda gid: (bounds[gid], gid))
+    kept = _candidates(db, query, tau)
+    kept.sort(key=lambda c: (c[1], c[0]))
+    candidates = [gid for gid, _ in kept]
     t1 = time.perf_counter()
 
     def job(gid: int) -> tuple[int, VerifyOutcome]:

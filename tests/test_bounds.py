@@ -11,9 +11,10 @@ from gedkit.bounds import (
     summarize,
     lb_from_summaries,
 )
-from gedkit.graphs import LabeledGraph, vertex_partition
+from gedkit.graphs import LabelTable, LabeledGraph, vertex_partition
 from gedkit.mapping import GraphMapping, realize_edit_path
 from gedkit.successors import gen_succr, identity_order, make_root
+from gedkit.synth import random_graph
 
 
 def as_mapping(pairs, g, q):
@@ -219,3 +220,23 @@ def test_flat_bounds_match_reference():
             kinds.update((s is None, t is None) for s, t in mapping.pairs)
     assert checked >= 3000 and inserting >= 300
     assert kinds == {(False, False), (False, True), (True, False)}
+
+
+def test_pair_bound_size_corollary():
+    # LB(a, b) >= |n_a - n_b| + |m_a - m_b| in both argument orders; the
+    # similarity-search filter skips whole size buckets on this alone.
+    rng = random.Random(46)
+    table = LabelTable()
+    tight = 0
+    for _ in range(2000):
+        g, q = (
+            random_graph(rng, rng.randint(0, 12), rng.choice((0.1, 0.3, 0.6, 1.0)),
+                         rng.choice((1, 2, 5)), rng.choice((1, 2, 5)), table)
+            for _ in range(2)
+        )
+        size_gap = abs(g.n - q.n) + abs(g.m - q.m)
+        sg, sq = summarize(g), summarize(q)
+        assert lb_from_summaries(sg, sq) >= size_gap
+        assert lb_from_summaries(sq, sg) >= size_gap
+        tight += lb_from_summaries(sg, sq) == size_gap
+    assert tight >= 500

@@ -33,6 +33,18 @@ def test_dist_human(square_star_db, capsys):
     assert "ged(0, 1) = 4" in out
 
 
+def test_dist_human_budget_without_leaf(square_star_db, capsys):
+    assert main(["dist", square_star_db, "0", "1", "--budget", "2"]) == 3
+    out = capsys.readouterr().out
+    assert out.strip() == "nodes budget exhausted; no complete mapping found"
+
+
+def test_dist_human_budget_with_upper_bound(pendant_pair_db, capsys):
+    assert main(["dist", pendant_pair_db, "0", "1", "--beam", "1", "--budget", "20"]) == 3
+    out = capsys.readouterr().out
+    assert out.strip() == "nodes budget exhausted; best upper bound 7"
+
+
 def test_dist_json_all_widths(square_star_db, capsys):
     for w in ("1", "2", "15", "50"):
         code, payload = run_json(capsys, ["dist", square_star_db, "0", "1", "--beam", w, "--json"])
@@ -187,10 +199,27 @@ def test_bench_reduced_expands_no_more_than_basic(square_star_db, pendant_pair_d
             assert rr["ged"] == rb["ged"]
 
 
-def test_bench_human_table(square_star_db, capsys):
+def _table_rows(out: str) -> list[list[str]]:
+    return [line.split() for line in out.splitlines()[1:-1]]
+
+
+def test_bench_human_table(square_star_db, pendant_pair_db, capsys):
     assert main(["bench", square_star_db, "--queries", "0", "--targets", "1"]) == 0
     out = capsys.readouterr().out
     assert "solve ratio: 1.000" in out
+    assert out.split()[:6] == ["query", "target", "ged", "status", "reason", "upper_bound"]
+    assert _table_rows(out)[0][:6] == ["0", "1", "4", "exact", "-", "-"]
+
+    # Unsolved rows say which budget ran out and the best bound, as the JSON does.
+    for flags, reason in ((["--budget", "2"], "nodes"), (["--time-limit", "0"], "time")):
+        assert main(["bench", square_star_db, "--queries", "1", "--targets", "0", *flags]) == 0
+        out = capsys.readouterr().out
+        assert "solve ratio: 0.000" in out
+        assert _table_rows(out)[0][:6] == ["1", "0", "-", "budget_exhausted", reason, "-"]
+    assert main(["bench", pendant_pair_db, "--queries", "1", "--targets", "0",
+                 "--beam", "1", "--budget", "20"]) == 0
+    out = capsys.readouterr().out
+    assert _table_rows(out)[0][:6] == ["1", "0", "-", "budget_exhausted", "nodes", "7"]
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from conftest import SQUARE_STAR_TEXT, build_graph, random_pair
-from gedkit.graphs import LabelTable, serialize_graph_db
+from gedkit.bounds import lb_from_summaries, summarize
+from gedkit.graphs import LabelTable, LabeledGraph, serialize_graph_db
 from gedkit.oracle import exhaustive_ged, is_isomorphic
 from gedkit.simsearch import (
     GraphDatabase,
@@ -11,7 +12,7 @@ from gedkit.simsearch import (
     range_query,
     verify_within,
 )
-from gedkit.synth import random_graph_db
+from gedkit.synth import random_graph, random_graph_db
 
 
 @pytest.fixture(scope="module")
@@ -119,13 +120,43 @@ def test_range_query_surfaces_unknowns(small_db):
 
 
 def test_database_precomputation_consistent(small_db):
-    from gedkit.bounds import summarize
     from gedkit.graphs import vertex_partition
 
     db, _, _ = small_db
     for gid, g in db.graphs.items():
         assert db.summaries[gid] == summarize(g)
         assert db.partitions[gid] == vertex_partition(g)
+    by_size = {}
+    for pos, gid in enumerate(db.ids):
+        by_size.setdefault((db.graphs[gid].n, db.graphs[gid].m), []).append(pos)
+    assert db.size_index == by_size
+
+
+def test_indexed_filter_equals_full_scan():
+    # The size-bucket skip must not change the candidates, their order, their
+    # bounds or anything range_query reports, against a scan of every graph.
+    rng = random.Random(74)
+    for seed in range(4):
+        density = rng.choice((0.1, 0.3, 0.5, 0.8))
+        entries, table = random_graph_db(seed, 30, 0, 12, density, 3, 2)
+        entries.append((len(entries), LabeledGraph([], [], table)))
+        rng.shuffle(entries)  # db.ids order is not id order
+        db = GraphDatabase.from_graphs(entries, table)
+        queries = [db.graphs[db.ids[0]], LabeledGraph([], [], table)]
+        queries += [random_graph(rng, rng.randint(0, 9), density, 3, 2, table) for _ in range(2)]
+        for query in queries:
+            qsum = summarize(query)
+            lb = {gid: lb_from_summaries(db.summaries[gid], qsum) for gid in db.ids}
+            for tau in range(9):
+                scan = [gid for gid in db.ids if lb[gid] <= tau]
+                assert filter_candidates(db, query, tau) == scan
+                outcomes = {gid: verify_within(db.graphs[gid], query, tau) for gid in scan}
+                res = range_query(db, query, tau)
+                assert [(m.graph_id, m.bound) for m in res.matches] == sorted(
+                    (gid, out.bound) for gid, out in outcomes.items() if out.decision == "yes")
+                assert res.unknowns == []
+                assert res.candidate_count == len(scan)
+                assert res.filtered_count == len(db) - len(scan)
 
 
 def test_database_from_text_round_trip(square_star):
@@ -141,6 +172,8 @@ def test_mismatched_table_rejected(small_db):
     stray = build_graph(["A"], [], LabelTable())
     with pytest.raises(ValueError):
         filter_candidates(db, stray, 1)
+    with pytest.raises(ValueError):
+        range_query(db, stray, 1)
 
 
 def test_negative_tau_rejected(small_db):
