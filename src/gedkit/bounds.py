@@ -161,7 +161,9 @@ def remainder_bounds(mapping: GraphMapping, g: LabeledGraph, q: LabeledGraph) ->
     deg_q.sort(reverse=True)
     base = _pair_bound(n_g, n_q, vinter, deg_g, deg_q, m_q, einter)
 
-    # Outer edges: from each mapped vertex to the unmapped part.
+    # Outer edges: from each mapped vertex to the unmapped part. Neighbours
+    # are read by key, with a label lookup only where one is needed: on
+    # these short read-only views that is cheaper than .items().
     sum_max = sum_tgt = sum_src = 0
     a_g: set[int] = set()
     a_q: set[int] = set()
@@ -171,17 +173,21 @@ def remainder_bounds(mapping: GraphMapping, g: LabeledGraph, q: LabeledGraph) ->
             continue
         counts = {}
         size_u = 0
-        for v, lab in adj_g[u]:
+        adj = adj_g[u]
+        for v in adj:
             if not mapped[v]:
                 size_u += 1
+                lab = adj[v]
                 counts[lab] = counts.get(lab, 0) + 1
                 a_g.add(v)
         size_t = inter = 0
         if t is not None:
-            for v, lab in adj_q[t]:
+            adj = adj_q[t]
+            for v in adj:
                 if not used[v]:
                     size_t += 1
                     a_q.add(v)
+                    lab = adj[v]
                     c = counts.get(lab)
                     if c:
                         counts[lab] = c - 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 # Reserved label id for dummy vertices; never handed out by interning.
 DUMMY_LABEL = 0
@@ -46,18 +47,24 @@ class LabelTable:
 class LabeledGraph:
     """Immutable simple undirected graph with interned vertex and edge labels.
 
-    Vertices are dense 0-based ids. Edges are stored with u < v and mirrored
-    into per-vertex adjacency lists. The graph size is its vertex count.
+    Vertices are dense 0-based ids, and the graph size is its vertex count.
+    Each edge is stored in two forms:
+
+    - ``edges``: the sorted tuple of canonical ``(u, v, label)`` triples with
+      u < v. It is the graph's identity (equality, hashing, serialisation)
+      and serves whole-graph scans.
+    - ``adjacency[u]``: a read-only neighbour -> edge-label mapping per
+      vertex. It answers every edge lookup: ``v in adjacency[u]`` tests an
+      edge and ``adjacency[u].get(v)`` reads its label, in either orientation.
     """
 
-    __slots__ = ("vertex_labels", "edges", "adjacency", "table", "_edge_labels")
+    __slots__ = ("vertex_labels", "edges", "adjacency", "table")
 
     def __init__(self, vertex_labels, edges, table: LabelTable):
         self.vertex_labels = tuple(vertex_labels)
         n = len(self.vertex_labels)
         canon = []
-        edge_labels: dict[tuple[int, int], int] = {}
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        adj: list[dict[int, int]] = [{} for _ in range(n)]
         for u, v, lab in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) references unknown vertex")
@@ -65,17 +72,15 @@ class LabeledGraph:
                 raise ValueError(f"self-loop on vertex {u}")
             if u > v:
                 u, v = v, u
-            if (u, v) in edge_labels:
+            if v in adj[u]:
                 raise ValueError(f"duplicate edge ({u},{v})")
-            edge_labels[(u, v)] = lab
+            adj[u][v] = lab
+            adj[v][u] = lab
             canon.append((u, v, lab))
-            adj[u].append((v, lab))
-            adj[v].append((u, lab))
         canon.sort()
         self.edges = tuple(canon)
-        self.adjacency = tuple(tuple(sorted(a)) for a in adj)
+        self.adjacency = tuple(MappingProxyType(a) for a in adj)
         self.table = table
-        self._edge_labels = edge_labels
 
     @property
     def n(self) -> int:
@@ -84,20 +89,6 @@ class LabeledGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edge_labels
-
-    def edge_label(self, u: int, v: int) -> int | None:
-        """Label of edge (u, v), or None if the edge is absent."""
-        if u > v:
-            u, v = v, u
-        return self._edge_labels.get((u, v))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledGraph):
@@ -142,7 +133,7 @@ def vertex_partition(q: LabeledGraph) -> VertexPartition:
     """Group vertices of q by (label, labeled neighborhood) equivalence."""
     groups: dict[tuple, list[int]] = {}
     for v in range(q.n):
-        key = (q.vertex_labels[v], q.adjacency[v])
+        key = (q.vertex_labels[v], frozenset(q.adjacency[v].items()))
         groups.setdefault(key, []).append(v)
     classes = sorted(groups.values(), key=lambda c: c[0])
     class_of = [0] * q.n
@@ -205,13 +196,9 @@ def parse_graph_db(text: str, table: LabelTable | None = None) -> tuple[list[tup
     cur_edges: list[tuple[int, int, int]] = []
     cur_edge_set: set[tuple[int, int]] = set()
 
-    def flush(line_no: int):
-        if cur_id is None:
-            return
-        if cur_id in seen_ids:
-            raise GraphFormatError(line_no, f"duplicate graph id {cur_id}")
-        seen_ids.add(cur_id)
-        out.append((cur_id, LabeledGraph(cur_labels, cur_edges, table)))
+    def flush():
+        if cur_id is not None:
+            out.append((cur_id, LabeledGraph(cur_labels, cur_edges, table)))
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -222,11 +209,14 @@ def parse_graph_db(text: str, table: LabelTable | None = None) -> tuple[list[tup
         if kind == "t":
             if len(parts) != 3 or parts[1] != "#":
                 raise GraphFormatError(line_no, f"malformed graph header {line!r}")
-            flush(line_no)
+            flush()
             try:
                 cur_id = int(parts[2])
             except ValueError:
                 raise GraphFormatError(line_no, f"graph id must be an integer, got {parts[2]!r}") from None
+            if cur_id in seen_ids:
+                raise GraphFormatError(line_no, f"duplicate graph id {cur_id}")
+            seen_ids.add(cur_id)
             cur_labels, cur_edges, cur_edge_set = [], [], set()
         elif kind == "v":
             if cur_id is None:
@@ -262,7 +252,7 @@ def parse_graph_db(text: str, table: LabelTable | None = None) -> tuple[list[tup
             cur_edges.append((u, v, table.intern(parts[3])))
         else:
             raise GraphFormatError(line_no, f"unrecognized record {line!r}")
-    flush(line_no=len(text.splitlines()) + 1)
+    flush()
     return out, table
 
 

@@ -76,7 +76,7 @@ def induced_structure(psi: GraphMapping, g: LabeledGraph, q: LabeledGraph):
     e_h = set()
     for u, v, _ in g.edges:
         tu, tv = tgt.get(u), tgt.get(v)
-        if tu is not None and tv is not None and q.has_edge(tu, tv):
+        if tu is not None and tv is not None and tv in q.adjacency[tu]:
             e_h.add((u, v))
     return v_h, e_h
 
@@ -88,11 +88,7 @@ def edit_cost(psi: GraphMapping, g: LabeledGraph, q: LabeledGraph) -> EditCostBr
     c_d = (g.n - len(v_h)) + (g.m - len(e_h))
     c_i = (q.n - len(v_h)) + (q.m - len(e_h))
     c_s = sum(1 for u in v_h if g.vertex_labels[u] != q.vertex_labels[tgt[u]])
-    c_s += sum(
-        1
-        for (u, v) in e_h
-        if g.edge_label(u, v) != q.edge_label(tgt[u], tgt[v])
-    )
+    c_s += sum(1 for u, v in e_h if g.adjacency[u][v] != q.adjacency[tgt[u]][tgt[v]])
     return EditCostBreakdown(c_d=c_d, c_i=c_i, c_s=c_s)
 
 
@@ -139,8 +135,8 @@ def realize_edit_path(psi: GraphMapping, g: LabeledGraph, q: LabeledGraph) -> li
         if g.vertex_labels[u] != q.vertex_labels[tgt[u]]:
             ops.append({"op": "sub_vertex", "u": u, "label": q.vertex_labels[tgt[u]]})
     for u, v in sorted(e_h):
-        lab = q.edge_label(tgt[u], tgt[v])
-        if g.edge_label(u, v) != lab:
+        lab = q.adjacency[tgt[u]][tgt[v]]
+        if g.adjacency[u][v] != lab:
             ops.append({"op": "sub_edge", "u": u, "v": v, "label": lab})
 
     # Preimage ids in the working graph: mapped targets keep their source id,

@@ -67,8 +67,7 @@ def exhaustive_ged(g: LabeledGraph, q: LabeledGraph, limits: OracleLimits | None
 
     n_g, n_q = g.n, q.n
     gl, ql = g.vertex_labels, q.vertex_labels
-    gadj = [dict(a) for a in g.adjacency]
-    qadj = [dict(a) for a in q.adjacency]
+    gadj, qadj = g.adjacency, q.adjacency
     target_of = [-2] * n_g  # -2 unassigned, -1 dummy
     source_of = [-1] * n_q
     used = [False] * n_q
@@ -164,7 +163,7 @@ def is_isomorphic(g: LabeledGraph, q: LabeledGraph, limits: OracleLimits | None 
         if len(g.adjacency[u]) != len(q.adjacency[z]):
             return False
         for w, t in image.items():
-            if g.edge_label(u, w) != q.edge_label(z, t):
+            if g.adjacency[u].get(w) != q.adjacency[z].get(t):
                 return False
         return True
 

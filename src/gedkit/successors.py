@@ -58,7 +58,7 @@ def determine_order(g: LabeledGraph) -> tuple[int, ...]:
     def visit(u: int):
         seen[u] = True
         order.append(u)
-        return iter(sorted((v for v, _ in g.adjacency[u]), key=pos.__getitem__))
+        return iter(sorted(g.adjacency[u], key=pos.__getitem__))
 
     for start in rank:
         if seen[start]:
@@ -84,28 +84,26 @@ def extension_cost(g: LabeledGraph, q: LabeledGraph, parent_map: dict[int, int |
     decidable once u is mapped: source edges to already-mapped vertices and
     target edges between z and already-used targets.
     """
+    adj_u = g.adjacency[u]
     if z is None:
         cost = 1
-        for w, _ in g.adjacency[u]:
+        for w in adj_u:
             if w in parent_map:
                 cost += 1
         return cost
+    adj_z = q.adjacency[z]
     cost = int(g.vertex_labels[u] != q.vertex_labels[z])
-    for w, lab in g.adjacency[u]:
+    for w in adj_u:
         if w not in parent_map:
             continue
         a = parent_map[w]
-        if a is None:
+        if a is None or adj_z.get(a) != adj_u[w]:
             cost += 1
-        else:
-            qlab = q.edge_label(z, a)
-            if qlab is None or qlab != lab:
-                cost += 1
     if preimage is None:
         preimage = {a: w for w, a in parent_map.items() if a is not None}
-    for b, _ in q.adjacency[z]:
+    for b in adj_z:
         w = preimage.get(b)
-        if w is not None and not g.has_edge(u, w):
+        if w is not None and w not in adj_u:
             cost += 1
     return cost
 

@@ -73,13 +73,13 @@ def remainder_bounds(mapping: GraphMapping, g: LabeledGraph, q: LabeledGraph) ->
     a_q: set[int] = set()
     for u, t in mapped.items():
         o_u = Counter()
-        for v, lab in g.adjacency[u]:
+        for v, lab in g.adjacency[u].items():
             if v in un_src:
                 o_u[lab] += 1
                 a_g.add(v)
         o_t = Counter()
         if t is not None:
-            for v, lab in q.adjacency[t]:
+            for v, lab in q.adjacency[t].items():
                 if v in un_tgt:
                     o_t[lab] += 1
                     a_q.add(v)

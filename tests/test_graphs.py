@@ -7,6 +7,7 @@ from conftest import SQUARE_STAR_TEXT, PENDANT_PAIR_TEXT, build_graph, parse_pai
 from gedkit.graphs import (
     GraphFormatError,
     LabelTable,
+    LabeledGraph,
     degree_sequence,
     label_multiset,
     multiset_intersection_size,
@@ -40,6 +41,20 @@ def test_parse_self_loop_rejected():
     assert "self-loop" in str(err.value)
 
 
+# The line each case's error must name, keyed by its message fragment. A
+# duplicate graph id is reported at its own header, not at the next one.
+ERROR_LINES = {
+    "duplicate vertex": 3,
+    "contiguous": 3,
+    "unknown vertex": 3,
+    "duplicate edge": 5,
+    "unrecognized": 3,
+    "malformed": 1,
+    "before any": 1,
+    "duplicate graph id": 2,
+}
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -56,8 +71,10 @@ def test_parse_self_loop_rejected():
 def test_parse_errors_name_line(text, fragment):
     with pytest.raises(GraphFormatError) as err:
         parse_graph_db(text)
+    line = ERROR_LINES[fragment]
     assert fragment in str(err.value)
-    assert str(err.value).startswith("line ")
+    assert str(err.value).startswith(f"line {line}: ")
+    assert err.value.line_no == line
 
 
 def test_parse_comments_blank_lines_and_crlf():
@@ -85,17 +102,65 @@ def test_round_trip_random_graphs():
 def test_neighborhood_square_star_q():
     _, q, table = parse_pair(SQUARE_STAR_TEXT)
     a = table.intern("a")
-    assert frozenset(q.adjacency[0]) == {(3, a)}
-    assert frozenset(q.adjacency[0]) == frozenset(q.adjacency[1]) == frozenset(q.adjacency[2])
+    assert frozenset(q.adjacency[0].items()) == {(3, a)}
+    assert (frozenset(q.adjacency[0].items()) == frozenset(q.adjacency[1].items())
+            == frozenset(q.adjacency[2].items()))
 
 
 def test_neighborhood_isolated_and_pendant_pair():
     g = build_graph(["A", "B"], [])
-    assert frozenset(g.adjacency[0]) == frozenset()
+    assert frozenset(g.adjacency[0].items()) == frozenset()
     g4, _, table = parse_pair(PENDANT_PAIR_TEXT)
-    assert frozenset(g4.adjacency[4]) == {(2, table.intern("a")), (3, table.intern("b"))}
+    assert frozenset(g4.adjacency[4].items()) == {(2, table.intern("a")), (3, table.intern("b"))}
     with pytest.raises(IndexError):
         g4.adjacency[99]
+
+
+def test_constructor_rejects_bad_edges():
+    # Graphs built without the parser (synth.random_graph, hand-built
+    # queries) rely on the constructor's own checks.
+    table = LabelTable()
+    A, a, b = table.intern("A"), table.intern("a"), table.intern("b")
+    with pytest.raises(ValueError, match="unknown vertex"):
+        LabeledGraph([A, A], [(0, 2, a)], table)
+    with pytest.raises(ValueError, match="unknown vertex"):
+        LabeledGraph([A, A], [(-1, 0, a)], table)
+    with pytest.raises(ValueError, match="self-loop"):
+        LabeledGraph([A, A], [(1, 1, a)], table)
+    with pytest.raises(ValueError, match="duplicate edge"):
+        LabeledGraph([A, A], [(0, 1, a), (1, 0, b)], table)
+
+
+def test_constructor_ignores_edge_order_and_orientation():
+    rng = random.Random(17)
+    for _ in range(40):
+        g, _ = random_pair(rng, max_n=9)
+        given = [(v, u, lab) if rng.random() < 0.5 else (u, v, lab) for u, v, lab in g.edges]
+        rng.shuffle(given)
+        h = LabeledGraph(g.vertex_labels, given, g.table)
+        assert h.edges == g.edges
+        assert h == g and hash(h) == hash(g)
+        assert h.adjacency == g.adjacency
+        assert vertex_partition(h) == vertex_partition(g)
+        # Each edge appears under both endpoints and nowhere else.
+        assert sorted(
+            (u, v, lab) for u in range(h.n) for v, lab in h.adjacency[u].items() if u < v
+        ) == list(g.edges)
+        assert all(h.adjacency[v][u] == lab for u, v, lab in g.edges)
+
+
+def test_adjacency_is_read_only():
+    g, _, _ = parse_pair(SQUARE_STAR_TEXT)
+    u, v, lab = g.edges[0]
+    with pytest.raises(TypeError):
+        g.adjacency[u][v] = lab
+    with pytest.raises(TypeError):
+        g.adjacency[u][g.n] = lab
+    with pytest.raises(TypeError):
+        del g.adjacency[u][v]
+    with pytest.raises(TypeError):
+        g.adjacency[u] = {}
+    assert g.adjacency[u][v] == g.adjacency[v][u] == lab
 
 
 def test_vertex_partition_square_star():

@@ -87,7 +87,7 @@ def recursive_order(g):
     def dfs(u):
         order.append(u)
         seen[u] = True
-        for v in sorted((v for v, _ in g.adjacency[u]), key=pos.__getitem__):
+        for v in sorted(g.adjacency[u], key=pos.__getitem__):
             if not seen[v]:
                 dfs(v)
 
