@@ -8,10 +8,8 @@ again, so the final upper bound is the exact distance regardless of w.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .bounds import make_heuristic
@@ -54,17 +52,18 @@ class SearchStats:
     passes: int = 0
     backtracks: int = 0
     max_open: int = 0
-    visit_counts: Counter = field(default_factory=Counter)
+    max_visits: int = 0
     ub_history: list[int] = field(default_factory=list)
 
 
 @dataclass
 class GedResult:
-    """Outcome of one engine run.
+    """Outcome of one engine run, returned by bss_ged and verify_within.
 
-    status 'exact' carries the distance; 'within_threshold' certifies
-    upper_bound <= the requested threshold without claiming exactness;
-    'above_bound' proves the distance is >= the initial bound;
+    status 'exact' carries the distance; 'above_bound' proves the distance
+    is >= the initial bound; 'within_threshold' ends decision mode (a
+    stop_threshold, as verify_within sets with initial_ub = threshold + 1)
+    and certifies upper_bound <= the threshold without claiming exactness;
     'budget_exhausted' reports the best upper bound found, if any, and in
     reason which budget ran out: 'nodes' or 'time'.
     """
@@ -122,7 +121,6 @@ class SearchRun:
         # Live nodes by id, one dict per tree depth; insertion leaves sit one
         # past layer |V_G|.
         self.open: list[dict[int, SearchNode]] = [{} for _ in range(g.n + 2)]
-        self.cache: dict[int, list[SearchNode]] = {}
         # The beam stack: one interval per layer of the current descent.
         self.bs: list[Interval] = [Interval(0, self.ub)]
 
@@ -138,35 +136,34 @@ class SearchRun:
     def expand_node(self, r: SearchNode, layer: int) -> list[SearchNode]:
         """Successors of r admitted by the current interval.
 
-        Generates and caches successors on first visit, then rereads the
-        cache. Successors at or above the upper bound, or already visited,
-        are pruned for good; if that prunes all of them, r itself leaves the
-        layer queue.
+        Generates successors into r.children on first visit, then rereads
+        them. Successors at or above the upper bound, or already expanded,
+        are pruned for good and their children dropped; if that prunes all
+        of them, r itself leaves the layer queue.
         """
-        self.stats.nodes_expanded += 1
-        self.stats.visit_counts[r.id] += 1
-        if not r.visited:
-            succ = self._generate(r)
-            self.stats.nodes_generated += len(succ)
-            if self.stats.nodes_generated > self.node_budget:
+        stats = self.stats
+        stats.nodes_expanded += 1
+        r.visits += 1
+        if r.visits > stats.max_visits:
+            stats.max_visits = r.visits
+        if r.children is None:
+            r.children = self._generate(r)
+            stats.nodes_generated += len(r.children)
+            if stats.nodes_generated > self.node_budget:
                 raise _BudgetExceeded("nodes")
-            self.cache[r.id] = succ
-            r.visited = True
-        else:
-            succ = self.cache.get(r.id, [])
         top = self.bs[-1]
         admitted = []
         all_safely_pruned = True
-        for n in succ:
-            if n.f >= self.ub or n.visited:
-                self.cache.pop(n.id, None)
+        for n in r.children:
+            if n.f >= self.ub or n.children is not None:
+                n.children = ()
             else:
                 all_safely_pruned = False
                 if top.f_min <= n.f < top.f_max:
                     admitted.append(n)
         if all_safely_pruned:
             self.open[layer].pop(r.id, None)
-            self.cache.pop(r.id, None)
+            r.children = ()
         return admitted
 
     def search_pass(self, layer: int):
@@ -177,14 +174,14 @@ class SearchRun:
         later pass can resume exactly there.
         """
         self.stats.passes += 1
-        pql = [(_priority(n), n) for n in self.open[layer].values()]
-        heapq.heapify(pql)
-        pqll: list[SearchNode] = []
-        while pql or pqll:
-            while pql:
+        # No priority changes while a layer drains, so one sort per layer
+        # gives the pop order.
+        pql = sorted(self.open[layer].values(), key=_priority)
+        while pql:
+            pqll: list[SearchNode] = []
+            for r in pql:
                 if self.deadline is not None and time.monotonic() > self.deadline:
                     raise _BudgetExceeded("time")
-                _, r = heapq.heappop(pql)
                 if r.complete:
                     if r.g < self.ub:
                         self.ub = r.g
@@ -193,15 +190,13 @@ class SearchRun:
                         self.stopped = True
                     return
                 pqll.extend(self.expand_node(r, layer))
+            pqll.sort(key=_priority)
             if len(pqll) > self.w:
-                pqll.sort(key=_priority)
                 self.bs[-1].f_max = pqll[self.w].f
-                pqll = pqll[: self.w]
+                del pqll[self.w:]
             layer += 1
             self.open[layer] = {n.id: n for n in pqll}
-            pql = [(_priority(n), n) for n in pqll]
-            heapq.heapify(pql)
-            pqll = []
+            pql = pqll
             self.bs.append(Interval(0, self.ub))
             live = sum(len(o) for o in self.open)
             if live > self.stats.max_open:

@@ -56,13 +56,16 @@ class LabeledGraph:
     - ``adjacency[u]``: a read-only neighbour -> edge-label mapping per
       vertex. It answers every edge lookup: ``v in adjacency[u]`` tests an
       edge and ``adjacency[u].get(v)`` reads its label, in either orientation.
+
+    The attributes cannot be reassigned or deleted, so ``==``, ``hash`` and
+    the two edge stores always agree.
     """
 
     __slots__ = ("vertex_labels", "edges", "adjacency", "table")
 
     def __init__(self, vertex_labels, edges, table: LabelTable):
-        self.vertex_labels = tuple(vertex_labels)
-        n = len(self.vertex_labels)
+        vertex_labels = tuple(vertex_labels)
+        n = len(vertex_labels)
         canon = []
         adj: list[dict[int, int]] = [{} for _ in range(n)]
         for u, v, lab in edges:
@@ -78,9 +81,20 @@ class LabeledGraph:
             adj[v][u] = lab
             canon.append((u, v, lab))
         canon.sort()
-        self.edges = tuple(canon)
-        self.adjacency = tuple(MappingProxyType(a) for a in adj)
-        self.table = table
+        init = object.__setattr__
+        init(self, "vertex_labels", vertex_labels)
+        init(self, "edges", tuple(canon))
+        init(self, "adjacency", tuple(MappingProxyType(a) for a in adj))
+        init(self, "table", table)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LabeledGraph is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"LabeledGraph is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return LabeledGraph, (self.vertex_labels, self.edges, self.table)
 
     @property
     def n(self) -> int:

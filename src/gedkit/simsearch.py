@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 from .bounds import GraphSummary, lb_from_summaries, summarize
 from .engine import (
-    ABOVE_BOUND,
     BUDGET_EXHAUSTED,
     DEFAULT_BEAM_WIDTH,
     DEFAULT_NODE_BUDGET,
@@ -94,43 +93,18 @@ def filter_candidates(db: GraphDatabase, query: LabeledGraph, tau: int) -> list[
     return [gid for gid, _ in _candidates(db, query, tau)]
 
 
-@dataclass(frozen=True)
-class VerifyOutcome:
-    """Result of one threshold-capped verification.
-
-    decision 'yes' carries a certified upper bound <= tau; 'no' proves the
-    distance exceeds tau; 'unknown' means the budget ran out first.
-    """
-
-    decision: str
-    bound: int | None
-    result: GedResult
-
-
 def verify_within(g: LabeledGraph, q: LabeledGraph, tau: int,
-                  w: int = DEFAULT_BEAM_WIDTH, node_budget: int = DEFAULT_NODE_BUDGET,
-                  time_limit: float | None = None) -> VerifyOutcome:
-    """Decide ged(g, q) <= tau with the engine capped at tau + 1.
+                  w: int = DEFAULT_BEAM_WIDTH, node_budget: int = DEFAULT_NODE_BUDGET) -> GedResult:
+    """Decide ged(g, q) <= tau: the engine in decision mode, capped at tau + 1.
 
     Starting the search with upper bound tau + 1 prunes everything beyond
     the threshold, and the first leaf at or under tau ends the run, so the
-    run never finishes with an exact distance.
+    status is 'within_threshold' (upper_bound <= tau), 'above_bound'
+    (ged > tau) or 'budget_exhausted', never 'exact'.
     """
     if tau < 0:
         raise ValueError("threshold must be >= 0")
-    result = bss_ged(
-        g, q, w,
-        node_budget=node_budget,
-        time_limit=time_limit,
-        initial_ub=tau + 1,
-        stop_threshold=tau,
-    )
-    if result.status == WITHIN_THRESHOLD:
-        return VerifyOutcome("yes", result.upper_bound, result)
-    if result.status == ABOVE_BOUND:
-        return VerifyOutcome("no", None, result)
-    assert result.status == BUDGET_EXHAUSTED
-    return VerifyOutcome("unknown", result.upper_bound, result)
+    return bss_ged(g, q, w, node_budget=node_budget, initial_ub=tau + 1, stop_threshold=tau)
 
 
 @dataclass(frozen=True)
@@ -150,8 +124,7 @@ class QueryResult:
 
 def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
                 w: int = DEFAULT_BEAM_WIDTH, threads: int = 1,
-                node_budget: int = DEFAULT_NODE_BUDGET,
-                time_limit: float | None = None) -> QueryResult:
+                node_budget: int = DEFAULT_NODE_BUDGET) -> QueryResult:
     """All graphs within distance tau of the query: filter, then verify.
 
     Candidates are verified in ascending lower-bound order; verification
@@ -163,8 +136,8 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
     candidates = [gid for gid, _ in kept]
     t1 = time.perf_counter()
 
-    def job(gid: int) -> tuple[int, VerifyOutcome]:
-        return gid, verify_within(db.graphs[gid], query, tau, w, node_budget, time_limit)
+    def job(gid: int) -> tuple[int, GedResult]:
+        return gid, verify_within(db.graphs[gid], query, tau, w, node_budget)
 
     if threads > 1 and len(candidates) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -175,10 +148,10 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
 
     matches = []
     unknowns = []
-    for gid, out in outcomes:
-        if out.decision == "yes":
-            matches.append(Match(gid, out.bound))
-        elif out.decision == "unknown":
+    for gid, res in outcomes:
+        if res.status == WITHIN_THRESHOLD:
+            matches.append(Match(gid, res.upper_bound))
+        elif res.status == BUDGET_EXHAUSTED:
             unknowns.append(gid)
     matches.sort(key=lambda m: m.graph_id)
     unknowns.sort()

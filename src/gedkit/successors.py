@@ -21,9 +21,13 @@ class SearchNode:
     layer is the tree depth: the number of extension steps from the root.
     Inner nodes at layer l hold exactly l mapping pairs; the final insertion
     leaf appends all remaining target vertices at once.
+
+    The search keeps its per-node state here: children is None until the
+    first expansion, then the generated successors, and () once the search
+    has no further use for them; visits counts the expansions.
     """
 
-    __slots__ = ("id", "layer", "mapping", "g", "h", "f", "visited", "complete")
+    __slots__ = ("id", "layer", "mapping", "g", "h", "f", "complete", "children", "visits")
 
     def __init__(self, node_id, layer, mapping, g, h, complete):
         self.id = node_id
@@ -32,8 +36,9 @@ class SearchNode:
         self.g = g
         self.h = h
         self.f = g + h
-        self.visited = False
         self.complete = complete
+        self.children = None
+        self.visits = 0
 
     def __repr__(self):
         return f"SearchNode(id={self.id}, layer={self.layer}, g={self.g}, h={self.h})"
@@ -47,7 +52,7 @@ def determine_order(g: LabeledGraph) -> tuple[int, ...]:
     """Processing order: DFS that always follows the smallest-ranked neighbor.
 
     The global rank sorts vertices by (degree ascending, id ascending);
-    the DFS restarts from the lowest-ranked unvisited vertex, so every
+    the DFS restarts from the lowest-ranked vertex not yet seen, so every
     component is covered.
     """
     rank = sorted(range(g.n), key=lambda u: (len(g.adjacency[u]), u))

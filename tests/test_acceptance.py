@@ -159,8 +159,7 @@ def test_criterion_09_search_engine_properties(sweep):
             res = bss_ged(pair.g, pair.q, 1)
             hist = res.stats.ub_history
             assert all(a > b for a, b in zip(hist, hist[1:]))
-            if res.stats.visit_counts:
-                assert max(res.stats.visit_counts.values()) <= pair.q.n + 3
+            assert res.stats.max_visits <= pair.q.n + 3
             assert bss_ged(pair.q, pair.g, 15).distance == pair.oracle.distance
 
         rng = random.Random(77)

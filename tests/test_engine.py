@@ -67,8 +67,7 @@ def test_visit_counts_bounded(small_sweep):
     for pair in small_sweep:
         for w in (1, 2):
             res = bss_ged(pair.g, pair.q, w)
-            if res.stats.visit_counts:
-                assert max(res.stats.visit_counts.values()) <= pair.q.n + 3
+            assert res.stats.max_visits <= pair.q.n + 3
 
 
 def test_symmetry(small_sweep):
@@ -184,7 +183,7 @@ def test_stats_shapes(square_star):
     assert s.nodes_generated >= s.nodes_expanded >= 1
     assert s.passes >= 1 and s.backtracks >= 1
     assert s.max_open >= 1
-    assert sum(s.visit_counts.values()) == s.nodes_expanded
+    assert 1 <= s.max_visits <= s.nodes_expanded
 
 
 # (source id, target id, beam width) -> (distance, nodes_expanded,
@@ -241,6 +240,28 @@ def test_search_tree_pinned_other_policies():
         got = (res.distance, s.nodes_expanded, s.nodes_generated, s.ub_history,
                s.passes, s.backtracks)
         assert got == want, (policy, a, b, w)
+
+
+# The most expansions of any one node in each pinned run, recorded with the
+# per-node-id visit Counter that max_visits replaced.
+PINNED_MAX_VISITS = {
+    (0, 1, 1): 9, (2, 3, 5): 8, (4, 5, 15): 1, (6, 7, 1): 10, (8, 9, 5): 8,
+    (10, 11, 15): 4, (12, 13, 1): 10, (14, 15, 5): 3, (16, 17, 15): 1, (18, 19, 1): 10,
+    ("basic", 0, 1, 1): 10, ("basic", 2, 3, 5): 8, ("basic", 4, 5, 15): 1,
+    ("basic", 14, 15, 5): 3, ("default", 0, 1, 1): 9, ("default", 2, 3, 5): 5,
+    ("default", 4, 5, 15): 5, ("default", 14, 15, 5): 3,
+}
+
+
+def test_max_visits_pinned():
+    entries, _ = random_graph_db(11, 20, 8, 10, 0.3, 5, 2)
+    graphs = dict(entries)
+    assert set(PINNED_MAX_VISITS) == set(PINNED_TREES) | set(PINNED_POLICY_TREES)
+    for key, want in PINNED_MAX_VISITS.items():
+        *policy, a, b, w = key
+        keywords = POLICY_KEYWORDS[policy[0]] if policy else {}
+        res = bss_ged(graphs[a], graphs[b], w, **keywords)
+        assert res.stats.max_visits == want, key
 
 
 def test_policies_agree_beyond_oracle():

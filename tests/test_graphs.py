@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 
@@ -161,6 +163,28 @@ def test_adjacency_is_read_only():
     with pytest.raises(TypeError):
         g.adjacency[u] = {}
     assert g.adjacency[u][v] == g.adjacency[v][u] == lab
+
+
+@pytest.mark.parametrize("attr", ["vertex_labels", "edges", "adjacency", "table"])
+def test_graph_attributes_are_read_only(attr):
+    g, q, _ = parse_pair(SQUARE_STAR_TEXT)
+    before = (g.vertex_labels, g.edges, g.adjacency, g.table, hash(g))
+    with pytest.raises(AttributeError):
+        setattr(g, attr, getattr(q, attr))
+    with pytest.raises(AttributeError):
+        delattr(g, attr)
+    assert (g.vertex_labels, g.edges, g.adjacency, g.table, hash(g)) == before
+    assert g != q
+
+
+def test_graph_copy_and_pickle():
+    g, _, _ = parse_pair(SQUARE_STAR_TEXT)
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and hash(twin) == hash(g)
+        assert [dict(a) for a in twin.adjacency] == [dict(a) for a in g.adjacency]
+        assert [twin.table.token(x) for x in twin.vertex_labels] == \
+            [g.table.token(x) for x in g.vertex_labels]
+    assert copy.copy(g).table is g.table
 
 
 def test_vertex_partition_square_star():

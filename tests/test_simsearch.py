@@ -4,6 +4,7 @@ import pytest
 
 from conftest import SQUARE_STAR_TEXT, build_graph, random_pair
 from gedkit.bounds import lb_from_summaries, summarize
+from gedkit.engine import ABOVE_BOUND, BUDGET_EXHAUSTED, WITHIN_THRESHOLD
 from gedkit.graphs import LabelTable, LabeledGraph, serialize_graph_db
 from gedkit.oracle import exhaustive_ged, is_isomorphic
 from gedkit.simsearch import (
@@ -52,9 +53,11 @@ def test_filter_never_drops_a_true_match(small_db):
 def test_verify_within_square_star(square_star):
     g, q = square_star
     yes = verify_within(g, q, 4)
-    assert yes.decision == "yes" and yes.bound <= 4
-    assert verify_within(g, q, 3).decision == "no"
-    assert verify_within(g, g, 0).decision == "yes"
+    assert yes.status == WITHIN_THRESHOLD and yes.upper_bound <= 4
+    assert yes.distance is None
+    no = verify_within(g, q, 3)
+    assert no.status == ABOVE_BOUND and no.upper_bound is None
+    assert verify_within(g, g, 0).status == WITHIN_THRESHOLD
 
 
 def test_verify_within_matches_oracle(small_sweep):
@@ -62,16 +65,16 @@ def test_verify_within_matches_oracle(small_sweep):
         want = pair.oracle.distance
         for tau in range(5):
             for w in (1, 15):
-                out = verify_within(pair.g, pair.q, tau, w)
-                assert out.decision == ("yes" if want <= tau else "no")
-                if out.decision == "yes":
-                    assert want <= out.bound <= tau
+                res = verify_within(pair.g, pair.q, tau, w)
+                assert res.status == (WITHIN_THRESHOLD if want <= tau else ABOVE_BOUND)
+                if res.status == WITHIN_THRESHOLD:
+                    assert want <= res.upper_bound <= tau
 
 
 def test_verify_within_unknown_on_budget(square_star):
     g, q = square_star
-    out = verify_within(g, q, 4, node_budget=1)
-    assert out.decision == "unknown"
+    res = verify_within(g, q, 4, node_budget=1)
+    assert res.status == BUDGET_EXHAUSTED and res.reason == "nodes"
 
 
 def test_range_query_tau_zero_finds_isomorphic(square_star):
@@ -153,7 +156,8 @@ def test_indexed_filter_equals_full_scan():
                 outcomes = {gid: verify_within(db.graphs[gid], query, tau) for gid in scan}
                 res = range_query(db, query, tau)
                 assert [(m.graph_id, m.bound) for m in res.matches] == sorted(
-                    (gid, out.bound) for gid, out in outcomes.items() if out.decision == "yes")
+                    (gid, out.upper_bound) for gid, out in outcomes.items()
+                    if out.status == WITHIN_THRESHOLD)
                 assert res.unknowns == []
                 assert res.candidate_count == len(scan)
                 assert res.filtered_count == len(db) - len(scan)
