@@ -9,6 +9,9 @@ from types import MappingProxyType
 # Reserved label id for dummy vertices; never handed out by interning.
 DUMMY_LABEL = 0
 
+# The adjacency of every isolated vertex: one shared read-only empty map.
+_NO_NEIGHBOURS = MappingProxyType({})
+
 
 class GraphFormatError(ValueError):
     """Raised on malformed graph database text; carries the offending line number."""
@@ -56,6 +59,7 @@ class LabeledGraph:
     - ``adjacency[u]``: a read-only neighbour -> edge-label mapping per
       vertex. It answers every edge lookup: ``v in adjacency[u]`` tests an
       edge and ``adjacency[u].get(v)`` reads its label, in either orientation.
+      All isolated vertices share one empty map.
 
     The attributes cannot be reassigned or deleted, so ``==``, ``hash`` and
     the two edge stores always agree.
@@ -84,7 +88,7 @@ class LabeledGraph:
         init = object.__setattr__
         init(self, "vertex_labels", vertex_labels)
         init(self, "edges", tuple(canon))
-        init(self, "adjacency", tuple(MappingProxyType(a) for a in adj))
+        init(self, "adjacency", tuple(MappingProxyType(a) if a else _NO_NEIGHBOURS for a in adj))
         init(self, "table", table)
 
     def __setattr__(self, name, value):

@@ -1,18 +1,23 @@
+import itertools
 import random
 from collections import Counter
 
 import reference_bounds as reference
 from conftest import build_graph, random_pair, unmapped_parts
 from gedkit.bounds import (
+    branch_bound,
     delta_bounds,
     h_for_mapping,
     lb_graph,
+    min_cost_assignment,
     remainder_bounds,
     summarize,
     lb_from_summaries,
 )
 from gedkit.graphs import LabelTable, LabeledGraph, vertex_partition
+from gedkit.engine import bss_ged
 from gedkit.mapping import GraphMapping, realize_edit_path
+from gedkit.oracle import count_complete_basic_mappings, exhaustive_ged
 from gedkit.successors import gen_succr, identity_order, make_root
 from gedkit.synth import random_graph
 
@@ -240,3 +245,73 @@ def test_pair_bound_size_corollary():
         assert lb_from_summaries(sq, sg) >= size_gap
         tight += lb_from_summaries(sg, sq) == size_gap
     assert tight >= 500
+
+
+def test_min_cost_assignment_matches_brute_force():
+    rng = random.Random(47)
+    for k in range(8):
+        for _ in range(4 if k == 7 else 12):
+            high = rng.choice((1, 3, 20))  # small ranges force ties
+            cost = [[rng.randint(0, high) for _ in range(k)] for _ in range(k)]
+            brute = min(sum(cost[i][p[i]] for i in range(k))
+                        for p in itertools.permutations(range(k)))
+            assert min_cost_assignment(cost) == brute, cost
+
+
+def test_branch_bound_below_oracle(sweep):
+    pairs = [(p.g, p.q, p.oracle.distance) for p in sweep]
+    rng = random.Random(48)
+    while len(pairs) < len(sweep) + 150:
+        # Up to 8 vertices, where the oracle stays cheap enough to run.
+        g, q = random_pair(rng, max_n=8, min_n=0)
+        if count_complete_basic_mappings(g.n, q.n) <= 50_000:
+            pairs.append((g, q, exhaustive_ged(g, q).distance))
+    assert max(max(g.n, q.n) for g, q, _ in pairs) == 8
+    tight = 0
+    for g, q, ged in pairs:
+        bound = branch_bound(g, q)
+        assert bound <= ged
+        tight += bound == ged
+    assert tight >= len(pairs) // 2
+
+
+def perturbed(rng: random.Random, g: LabeledGraph, edits: int, max_n: int) -> LabeledGraph:
+    """g after up to `edits` random relabels, edge deletions and insertions, and vertex insertions."""
+    labels = list(g.vertex_labels)
+    edges = {(u, v): lab for u, v, lab in g.edges}
+    vlabs = sorted(set(labels))
+    elabs = sorted(set(edges.values())) or vlabs
+    for _ in range(edits):
+        op = rng.randrange(4)
+        if op == 0:
+            labels[rng.randrange(len(labels))] = rng.choice(vlabs)
+        elif op == 1 and edges:
+            del edges[rng.choice(sorted(edges))]
+        elif op == 2:
+            u, v = sorted(rng.sample(range(len(labels)), 2))
+            edges[(u, v)] = rng.choice(elabs)
+        elif len(labels) < max_n:
+            labels.append(rng.choice(vlabs))
+    return LabeledGraph(labels, [(u, v, lab) for (u, v), lab in edges.items()], g.table)
+
+
+def test_branch_bound_below_bss_ged_on_larger_graphs():
+    # Beyond the oracle's reach. Near neighbours keep bss_ged fast, and they
+    # are the pairs similarity search has to verify.
+    rng = random.Random(49)
+    table = LabelTable()
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(9, 12), rng.choice((0.2, 0.3, 0.5)),
+                         rng.choice((2, 3, 5)), rng.choice((1, 2, 3)), table)
+        q = perturbed(rng, g, rng.randint(1, 8), 12)
+        assert branch_bound(g, q) <= bss_ged(g, q).distance
+
+
+def test_branch_bound_symmetric_and_empty():
+    rng = random.Random(50)
+    for _ in range(200):
+        g, q = random_pair(rng, max_n=10, min_n=0)
+        assert branch_bound(g, q) == branch_bound(q, g)
+        empty = LabeledGraph([], [], g.table)
+        assert branch_bound(g, empty) == branch_bound(empty, g) == g.n + g.m
+    assert branch_bound(empty, empty) == 0

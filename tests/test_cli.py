@@ -92,12 +92,37 @@ def test_search_json(square_star_db, tmp_path, capsys):
     assert ids == {0, 1}  # ged(G,G)=0 and ged(Q,G)=4
     assert all(m.keys() == {"id", "bound"} and m["bound"] <= 4 for m in payload["matches"])
     assert payload["filtered"] + payload["candidates"] == 2
+    assert payload["branch_refuted"] == 0
     assert payload["filter_s"] >= 0 and payload["verify_s"] >= 0
     code, payload = run_json(
         capsys,
         ["search", "--db", square_star_db, "--query", str(query), "--tau", "3", "--json"],
     )
     assert {m["id"] for m in payload["matches"]} == {0}
+
+
+def test_search_json_branch_refuted(pendant_pair_db, tmp_path, capsys):
+    # Graph 1 passes the pair bound (2 <= 3) but not the branch bound
+    # (4 > 3): it is a candidate that the engine never verifies.
+    query = tmp_path / "query.txt"
+    query.write_text(PENDANT_PAIR_TEXT.split("t # 1")[0])
+    code, payload = run_json(
+        capsys,
+        ["search", "--db", pendant_pair_db, "--query", str(query), "--tau", "3", "--json"],
+    )
+    assert code == 0
+    assert [m["id"] for m in payload["matches"]] == [0]
+    assert (payload["filtered"], payload["candidates"], payload["branch_refuted"]) == (0, 2, 1)
+
+
+def test_search_human(pendant_pair_db, tmp_path, capsys):
+    query = tmp_path / "query.txt"
+    query.write_text(PENDANT_PAIR_TEXT.split("t # 1")[0])
+    assert main(["search", "--db", pendant_pair_db, "--query", str(query), "--tau", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("1 matches within tau=3 (0 filtered, 2 candidates: "
+                               "1 refuted by branch bound, 1 verified, ")
+    assert lines[1:] == ["  graph 0: ged <= 0"]
 
 
 def test_search_threads_flag(square_star_db, tmp_path, capsys):

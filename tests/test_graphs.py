@@ -187,6 +187,24 @@ def test_graph_copy_and_pickle():
     assert copy.copy(g).table is g.table
 
 
+def test_isolated_vertices_share_one_empty_view():
+    g = build_graph(["A", "B", "A", "C"], [(0, 2, "x")])
+    iso1, iso2 = g.adjacency[1], g.adjacency[3]
+    assert iso1 is iso2 and len(iso1) == 0 and dict(iso1) == {}
+    with pytest.raises(TypeError):
+        iso1[0] = 1
+    with pytest.raises(TypeError):
+        del iso1[0]
+    assert dict(g.adjacency[0]) == {2: g.adjacency[0][2]}
+    twin = build_graph(["A", "B", "A", "C"], [(0, 2, "x")], g.table)
+    assert twin == g and hash(twin) == hash(g)
+    for copied in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert copied == g and hash(copied) == hash(g)
+        assert [dict(a) for a in copied.adjacency] == [dict(a) for a in g.adjacency]
+        assert copied.adjacency[3] is iso1
+    assert build_graph(["A", "B"], [], g.table) != build_graph(["A", "C"], [], g.table)
+
+
 def test_vertex_partition_square_star():
     _, q, _ = parse_pair(SQUARE_STAR_TEXT)
     part = vertex_partition(q)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import SQUARE_STAR_TEXT, build_graph, random_pair
-from gedkit.bounds import lb_from_summaries, summarize
+from gedkit.bounds import branch_bound, lb_from_summaries, summarize
 from gedkit.engine import ABOVE_BOUND, BUDGET_EXHAUSTED, WITHIN_THRESHOLD
 from gedkit.graphs import LabelTable, LabeledGraph, serialize_graph_db
 from gedkit.oracle import exhaustive_ged, is_isomorphic
@@ -139,6 +139,7 @@ def test_indexed_filter_equals_full_scan():
     # The size-bucket skip must not change the candidates, their order, their
     # bounds or anything range_query reports, against a scan of every graph.
     rng = random.Random(74)
+    total_refuted = 0
     for seed in range(4):
         density = rng.choice((0.1, 0.3, 0.5, 0.8))
         entries, table = random_graph_db(seed, 30, 0, 12, density, 3, 2)
@@ -161,6 +162,13 @@ def test_indexed_filter_equals_full_scan():
                 assert res.unknowns == []
                 assert res.candidate_count == len(scan)
                 assert res.filtered_count == len(db) - len(scan)
+                # The branch stage refutes only what the engine refutes too.
+                refuted = [gid for gid in scan if branch_bound(db.graphs[gid], query) > tau]
+                assert all(outcomes[gid].status == ABOVE_BOUND for gid in refuted)
+                assert res.branch_refuted == len(refuted)
+                assert res.branch_refuted <= res.candidate_count - len(res.matches)
+                total_refuted += res.branch_refuted
+    assert total_refuted > 0
 
 
 def test_database_from_text_round_trip(square_star):
