@@ -29,7 +29,7 @@ from .oracle import (
     exhaustive_ged,
     is_isomorphic,
 )
-from .simsearch import GraphDatabase, filter_candidates, range_query, verify_within
+from .simsearch import GraphDatabase, filter_candidates, range_query
 from .successors import (
     SearchNode,
     basic_gen_succr,
@@ -76,5 +76,4 @@ __all__ = [
     "realize_edit_path",
     "serialize_graph_db",
     "vertex_partition",
-    "verify_within",
 ]

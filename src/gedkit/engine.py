@@ -58,14 +58,14 @@ class SearchStats:
 
 @dataclass
 class GedResult:
-    """Outcome of one engine run, returned by bss_ged and verify_within.
+    """Outcome of one engine run, returned by bss_ged.
 
-    status 'exact' carries the distance; 'above_bound' proves the distance
-    is >= the initial bound; 'within_threshold' ends decision mode (a
-    stop_threshold, as verify_within sets with initial_ub = threshold + 1)
-    and certifies upper_bound <= the threshold without claiming exactness;
-    'budget_exhausted' reports the best upper bound found, if any, and in
-    reason which budget ran out: 'nodes' or 'time'.
+    In exact mode (no threshold) status 'exact' carries the distance. In
+    decision mode (threshold tau) 'within_threshold' certifies
+    upper_bound <= tau without claiming exactness, and 'above_bound' proves
+    the distance is > tau. In either mode 'budget_exhausted' reports the
+    best upper bound found, if any, and in reason which budget ran out:
+    'nodes' or 'time'.
     """
 
     status: str
@@ -85,14 +85,23 @@ def _priority(node: SearchNode):
 
 
 class SearchRun:
-    """State of a single beam-stack search over one graph pair."""
+    """State of a single beam-stack search over one graph pair.
+
+    With threshold None the run is exact: the upper bound starts above the
+    delete-everything/insert-everything path cost and the search runs until
+    the beam stack empties. With threshold tau it decides ged <= tau: the
+    upper bound starts at tau + 1, which prunes everything beyond tau, and
+    the first leaf accepted (the first entry of ub_history) ends the run.
+    """
 
     def __init__(self, g: LabeledGraph, q: LabeledGraph, w: int = DEFAULT_BEAM_WIDTH,
                  order_policy: str = "dfs", succ_policy: str = "reduced",
                  node_budget: int = DEFAULT_NODE_BUDGET, time_limit: float | None = None,
-                 initial_ub: int | None = None, stop_threshold: int | None = None):
+                 threshold: int | None = None):
         if w < 1:
             raise ValueError(f"beam width must be >= 1, got {w}")
+        if threshold is not None and threshold < 0:
+            raise ValueError(f"threshold must be >= 0, got {threshold}")
         if g.table is not q.table:
             raise ValueError("graphs must share one label table")
         self.g, self.q, self.w = g, q, w
@@ -109,12 +118,8 @@ class SearchRun:
         self.heuristic = make_heuristic(g, q)
         self.node_budget = node_budget
         self.deadline = None if time_limit is None else time.monotonic() + time_limit
-        # Strictly above the delete-everything/insert-everything path cost.
-        self.sentinel = g.n + q.n + g.m + q.m + 1
-        self.initial_ub = self.sentinel if initial_ub is None else initial_ub
-        self.ub = self.initial_ub
-        self.stop_threshold = stop_threshold
-        self.stopped = False
+        self.threshold = threshold
+        self.ub = g.n + q.n + g.m + q.m + 1 if threshold is None else threshold + 1
 
         self.ids = itertools.count()
         self.stats = SearchStats()
@@ -186,8 +191,6 @@ class SearchRun:
                     if r.g < self.ub:
                         self.ub = r.g
                         self.stats.ub_history.append(r.g)
-                    if self.stop_threshold is not None and self.ub <= self.stop_threshold:
-                        self.stopped = True
                     return
                 pqll.extend(self.expand_node(r, layer))
             pqll.sort(key=_priority)
@@ -215,33 +218,34 @@ class SearchRun:
         return True
 
     def run(self) -> GedResult:
+        decide = self.threshold is not None
         try:
             while self.bs:
                 self.search_pass(len(self.bs) - 1)
-                if self.stopped:
+                if decide and self.stats.ub_history:
                     return GedResult(WITHIN_THRESHOLD, None, self.ub, self.stats)
                 if not self.backtrack():
                     break
         except _BudgetExceeded as exc:
-            found = self.ub if self.ub < self.initial_ub else None
+            found = self.ub if self.stats.ub_history else None
             return GedResult(BUDGET_EXHAUSTED, None, found, self.stats, exc.reason)
-        if self.ub < self.initial_ub:
-            return GedResult(EXACT, self.ub, self.ub, self.stats)
-        return GedResult(ABOVE_BOUND, None, None, self.stats)
+        if decide:
+            return GedResult(ABOVE_BOUND, None, None, self.stats)
+        return GedResult(EXACT, self.ub, self.ub, self.stats)
 
 
 def bss_ged(g: LabeledGraph, q: LabeledGraph, w: int = DEFAULT_BEAM_WIDTH, *,
             order_policy: str = "dfs", succ_policy: str = "reduced",
             node_budget: int = DEFAULT_NODE_BUDGET, time_limit: float | None = None,
-            initial_ub: int | None = None, stop_threshold: int | None = None) -> GedResult:
-    """Exact GED via beam-stack search; see SearchRun for the knobs."""
+            threshold: int | None = None) -> GedResult:
+    """GED via beam-stack search: exact, or with a threshold the decision
+    ged <= threshold; see SearchRun for the knobs."""
     run = SearchRun(
         g, q, w,
         order_policy=order_policy,
         succ_policy=succ_policy,
         node_budget=node_budget,
         time_limit=time_limit,
-        initial_ub=initial_ub,
-        stop_threshold=stop_threshold,
+        threshold=threshold,
     )
     return run.run()

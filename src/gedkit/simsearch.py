@@ -38,8 +38,12 @@ class GraphDatabase:
 
     @classmethod
     def from_graphs(cls, entries: list[tuple[int, LabeledGraph]], table: LabelTable) -> "GraphDatabase":
-        graphs = dict(entries)
-        ids = [gid for gid, _ in entries]
+        graphs: dict[int, LabeledGraph] = {}
+        for gid, g in entries:
+            if gid in graphs:
+                raise ValueError(f"duplicate graph id {gid}")
+            graphs[gid] = g
+        ids = list(graphs)
         summaries = {gid: summarize(g) for gid, g in graphs.items()}
         size_index: dict[tuple[int, int], list[int]] = {}
         for pos, gid in enumerate(ids):
@@ -63,11 +67,12 @@ class GraphDatabase:
         return len(self.graphs)
 
 
-def _candidates(db: GraphDatabase, query: LabeledGraph, tau: int) -> list[tuple[int, int]]:
-    """(id, pair bound) of every graph the bound does not rule out, in db.ids order.
+def filter_candidates(db: GraphDatabase, query: LabeledGraph, tau: int) -> list[int]:
+    """Ids, in db.ids order, of the graphs the pair bound does not rule out.
 
     Size buckets with |n - n_q| + |m - m_q| > tau are skipped whole: every
     member's pair bound exceeds tau too, so the result equals a full scan.
+    The rest cannot be within tau of the query.
     """
     if tau < 0:
         raise ValueError("threshold must be >= 0")
@@ -80,31 +85,9 @@ def _candidates(db: GraphDatabase, query: LabeledGraph, tau: int) -> list[tuple[
     for (n, m), members in db.size_index.items():
         if abs(n - n_q) + abs(m - m_q) > tau:
             continue
-        for pos in members:
-            bound = lb_from_summaries(summaries[ids[pos]], qsum)
-            if bound <= tau:
-                hits.append((pos, bound))
+        hits.extend(pos for pos in members if lb_from_summaries(summaries[ids[pos]], qsum) <= tau)
     hits.sort()
-    return [(ids[pos], bound) for pos, bound in hits]
-
-
-def filter_candidates(db: GraphDatabase, query: LabeledGraph, tau: int) -> list[int]:
-    """Ids whose lower bound does not rule them out; the rest cannot match."""
-    return [gid for gid, _ in _candidates(db, query, tau)]
-
-
-def verify_within(g: LabeledGraph, q: LabeledGraph, tau: int,
-                  w: int = DEFAULT_BEAM_WIDTH, node_budget: int = DEFAULT_NODE_BUDGET) -> GedResult:
-    """Decide ged(g, q) <= tau: the engine in decision mode, capped at tau + 1.
-
-    Starting the search with upper bound tau + 1 prunes everything beyond
-    the threshold, and the first leaf at or under tau ends the run, so the
-    status is 'within_threshold' (upper_bound <= tau), 'above_bound'
-    (ged > tau) or 'budget_exhausted', never 'exact'.
-    """
-    if tau < 0:
-        raise ValueError("threshold must be >= 0")
-    return bss_ged(g, q, w, node_budget=node_budget, initial_ub=tau + 1, stop_threshold=tau)
+    return [ids[pos] for pos in hits]
 
 
 @dataclass(frozen=True)
@@ -130,17 +113,17 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
 
     The filter skips size buckets and applies the pair bound. Each candidate
     it keeps is then checked against the branch bound (lb_from_branches),
-    and only those the branch bound does not refute run the engine, in
-    ascending pair-bound order. candidate_count counts every graph the
-    filter kept, branch_refuted those of them the branch bound refuted, so
-    filtered_count + candidate_count == len(db). Verification jobs are
-    independent, so the result is the same for any thread count; the
-    branch stage's time counts in verify_s.
+    and only those the branch bound does not refute run the engine in
+    decision mode (bss_ged with threshold tau), in db.ids order.
+    candidate_count counts every graph the filter kept, branch_refuted those
+    of them the branch bound refuted, so filtered_count + candidate_count ==
+    len(db). Verification jobs are independent, so the result is the same
+    for any thread count; the branch stage's time counts in verify_s.
     """
+    if w < 1:
+        raise ValueError(f"beam width must be >= 1, got {w}")
     t0 = time.perf_counter()
-    kept = _candidates(db, query, tau)
-    kept.sort(key=lambda c: (c[1], c[0]))
-    candidates = [gid for gid, _ in kept]
+    candidates = filter_candidates(db, query, tau)
     t1 = time.perf_counter()
 
     qbranches = vertex_branches(query)
@@ -148,7 +131,7 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
                  if lb_from_branches(vertex_branches(db.graphs[gid]), qbranches) <= tau]
 
     def job(gid: int) -> tuple[int, GedResult]:
-        return gid, verify_within(db.graphs[gid], query, tau, w, node_budget)
+        return gid, bss_ged(db.graphs[gid], query, w, node_budget=node_budget, threshold=tau)
 
     if threads > 1 and len(survivors) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

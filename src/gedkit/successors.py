@@ -132,7 +132,7 @@ def _child(parent: SearchNode, g, q, u, z, heuristic, ids, parent_map, preimage)
     return SearchNode(next(ids), parent.layer + 1, mapping, gval, h, complete)
 
 
-def _insertion_leaf(parent: SearchNode, g, q, remaining: list[int], heuristic, ids) -> SearchNode:
+def _insertion_leaf(parent: SearchNode, g, q, remaining: list[int], ids) -> SearchNode:
     pairs = parent.mapping.pairs + tuple((None, z) for z in remaining)
     mapping = GraphMapping(pairs, g.n, q.n)
     gval = parent.g + leaf_completion_cost(g, q, parent.mapping.used_targets())
@@ -165,7 +165,7 @@ def _extend(r: SearchNode, g: LabeledGraph, q: LabeledGraph, classes: Sequence[S
             succ.append(_child(r, g, q, u, None, heuristic, ids, parent_map, preimage))
         return succ
     remaining = [z for z in range(q.n) if z not in preimage]
-    return [_insertion_leaf(r, g, q, remaining, heuristic, ids)]
+    return [_insertion_leaf(r, g, q, remaining, ids)]
 
 
 def basic_gen_succr(r: SearchNode, g: LabeledGraph, q: LabeledGraph, order: Sequence[int],

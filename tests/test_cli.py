@@ -282,3 +282,15 @@ def test_search_negative_tau_exit_code(square_star_db, tmp_path, capsys):
     query.write_text(SQUARE_STAR_TEXT.split("t # 1")[0])
     assert main(["search", "--db", square_star_db, "--query", str(query), "--tau", "-1"]) == 2
     assert "threshold" in capsys.readouterr().err
+
+
+def test_search_zero_beam_exit_code(square_star_db, tmp_path, capsys):
+    # A one-vertex query is too small for either graph at tau 0, so no
+    # candidate reaches the engine; the beam width is rejected anyway.
+    query = tmp_path / "query.txt"
+    query.write_text("t # 0\nv 0 A\n")
+    argv = ["search", "--db", square_star_db, "--query", str(query), "--tau", "0", "--json"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0 and payload["candidates"] == 0
+    assert main(argv + ["--beam", "0"]) == 2
+    assert "beam width" in capsys.readouterr().err

@@ -144,11 +144,11 @@ def test_time_limit():
 
 def test_initial_ub_modes(square_star):
     g, q = square_star  # ged = 4
-    res = bss_ged(g, q, 15, initial_ub=4)
+    res = bss_ged(g, q, 15, threshold=3)
     assert res.status == ABOVE_BOUND and res.distance is None
-    res = bss_ged(g, q, 15, initial_ub=5)
+    res = bss_ged(g, q, 15)
     assert res.status == EXACT and res.distance == 4
-    res = bss_ged(g, q, 15, initial_ub=5, stop_threshold=4)
+    res = bss_ged(g, q, 15, threshold=4)
     assert res.status == WITHIN_THRESHOLD and res.upper_bound <= 4
 
 
@@ -156,11 +156,61 @@ def test_capped_runs_match_oracle_decision(small_sweep):
     for pair in small_sweep[:25]:
         want = pair.oracle.distance
         for tau in range(0, 5):
-            res = bss_ged(pair.g, pair.q, 15, initial_ub=tau + 1, stop_threshold=tau)
+            res = bss_ged(pair.g, pair.q, 15, threshold=tau)
             if want <= tau:
                 assert res.status == WITHIN_THRESHOLD and res.upper_bound <= tau
             else:
                 assert res.status == ABOVE_BOUND
+
+
+def test_negative_threshold_rejected(square_star):
+    g, q = square_star
+    with pytest.raises(ValueError, match="threshold"):
+        bss_ged(g, q, threshold=-1)
+    with pytest.raises(ValueError, match="threshold"):
+        SearchRun(g, q, threshold=-1)
+
+
+# Decision-mode runs on the PINNED_TREES graphs, recorded from the wrapper
+# that started the engine at upper bound tau + 1 with a stop at tau:
+# (source id, target id, beam width, tau, node budget or None) ->
+# (status, upper_bound, reason, nodes_expanded, nodes_generated, passes,
+# backtracks, ub_history).
+PINNED_DECISIONS = {
+    (0, 1, 1, 12, None): (ABOVE_BOUND, None, None, 272, 1030, 106, 273, []),
+    (0, 1, 1, 13, None): (WITHIN_THRESHOLD, 13, None, 101, 350, 32, 92, [13]),
+    (0, 1, 5, 13, 150): (BUDGET_EXHAUSTED, None, "nodes", 24, 152, 1, 0, []),
+    (0, 1, 5, 15, None): (WITHIN_THRESHOLD, 15, None, 40, 188, 1, 0, [15]),
+    (2, 3, 1, 11, 150): (BUDGET_EXHAUSTED, None, "nodes", 39, 156, 14, 36, []),
+    (2, 3, 5, 11, None): (ABOVE_BOUND, None, None, 307, 1209, 24, 89, []),
+    (2, 3, 5, 12, None): (WITHIN_THRESHOLD, 12, None, 150, 546, 10, 29, [12]),
+    (2, 3, 5, 14, None): (WITHIN_THRESHOLD, 13, None, 41, 190, 1, 0, [13]),
+    (4, 5, 1, 11, None): (ABOVE_BOUND, None, None, 1, 11, 1, 2, []),
+    (4, 5, 1, 14, None): (WITHIN_THRESHOLD, 14, None, 66, 317, 22, 57, [14]),
+    (4, 5, 5, 13, 150): (BUDGET_EXHAUSTED, None, "nodes", 24, 151, 2, 3, []),
+    (10, 11, 1, 11, None): (ABOVE_BOUND, None, None, 243, 939, 90, 244, []),
+    (10, 11, 1, 12, 150): (WITHIN_THRESHOLD, 12, None, 24, 89, 7, 15, [12]),
+    (10, 11, 5, 14, None): (WITHIN_THRESHOLD, 12, None, 41, 190, 1, 0, [12]),
+    (14, 15, 1, 9, 150): (ABOVE_BOUND, None, None, 16, 65, 8, 17, []),
+    (14, 15, 5, 11, 150): (BUDGET_EXHAUSTED, None, "nodes", 38, 154, 3, 9, []),
+    (14, 15, 5, 12, None): (WITHIN_THRESHOLD, 12, None, 30, 140, 1, 0, [12]),
+    (16, 17, 1, 9, 150): (BUDGET_EXHAUSTED, None, "nodes", 40, 157, 15, 38, []),
+    (16, 17, 5, 7, None): (ABOVE_BOUND, None, None, 7, 49, 1, 4, []),
+    (16, 17, 5, 12, None): (WITHIN_THRESHOLD, 10, None, 33, 144, 1, 0, [10]),
+}
+
+
+def test_decision_mode_pinned():
+    entries, _ = random_graph_db(11, 20, 8, 10, 0.3, 5, 2)
+    graphs = dict(entries)
+    for (a, b, w, tau, budget), want in PINNED_DECISIONS.items():
+        budget_kw = {} if budget is None else {"node_budget": budget}
+        res = bss_ged(graphs[a], graphs[b], w, threshold=tau, **budget_kw)
+        s = res.stats
+        got = (res.status, res.upper_bound, res.reason, s.nodes_expanded, s.nodes_generated,
+               s.passes, s.backtracks, s.ub_history)
+        assert got == want, (a, b, w, tau, budget)
+        assert res.distance is None
 
 
 def test_rejects_bad_arguments(square_star):

@@ -4,15 +4,10 @@ import pytest
 
 from conftest import SQUARE_STAR_TEXT, build_graph, random_pair
 from gedkit.bounds import branch_bound, lb_from_summaries, summarize
-from gedkit.engine import ABOVE_BOUND, BUDGET_EXHAUSTED, WITHIN_THRESHOLD
+from gedkit.engine import ABOVE_BOUND, BUDGET_EXHAUSTED, WITHIN_THRESHOLD, bss_ged
 from gedkit.graphs import LabelTable, LabeledGraph, serialize_graph_db
 from gedkit.oracle import exhaustive_ged, is_isomorphic
-from gedkit.simsearch import (
-    GraphDatabase,
-    filter_candidates,
-    range_query,
-    verify_within,
-)
+from gedkit.simsearch import GraphDatabase, filter_candidates, range_query
 from gedkit.synth import random_graph, random_graph_db
 
 
@@ -52,12 +47,12 @@ def test_filter_never_drops_a_true_match(small_db):
 
 def test_verify_within_square_star(square_star):
     g, q = square_star
-    yes = verify_within(g, q, 4)
+    yes = bss_ged(g, q, threshold=4)
     assert yes.status == WITHIN_THRESHOLD and yes.upper_bound <= 4
     assert yes.distance is None
-    no = verify_within(g, q, 3)
+    no = bss_ged(g, q, threshold=3)
     assert no.status == ABOVE_BOUND and no.upper_bound is None
-    assert verify_within(g, g, 0).status == WITHIN_THRESHOLD
+    assert bss_ged(g, g, threshold=0).status == WITHIN_THRESHOLD
 
 
 def test_verify_within_matches_oracle(small_sweep):
@@ -65,7 +60,7 @@ def test_verify_within_matches_oracle(small_sweep):
         want = pair.oracle.distance
         for tau in range(5):
             for w in (1, 15):
-                res = verify_within(pair.g, pair.q, tau, w)
+                res = bss_ged(pair.g, pair.q, w, threshold=tau)
                 assert res.status == (WITHIN_THRESHOLD if want <= tau else ABOVE_BOUND)
                 if res.status == WITHIN_THRESHOLD:
                     assert want <= res.upper_bound <= tau
@@ -73,7 +68,7 @@ def test_verify_within_matches_oracle(small_sweep):
 
 def test_verify_within_unknown_on_budget(square_star):
     g, q = square_star
-    res = verify_within(g, q, 4, node_budget=1)
+    res = bss_ged(g, q, node_budget=1, threshold=4)
     assert res.status == BUDGET_EXHAUSTED and res.reason == "nodes"
 
 
@@ -154,7 +149,7 @@ def test_indexed_filter_equals_full_scan():
             for tau in range(9):
                 scan = [gid for gid in db.ids if lb[gid] <= tau]
                 assert filter_candidates(db, query, tau) == scan
-                outcomes = {gid: verify_within(db.graphs[gid], query, tau) for gid in scan}
+                outcomes = {gid: bss_ged(db.graphs[gid], query, threshold=tau) for gid in scan}
                 res = range_query(db, query, tau)
                 assert [(m.graph_id, m.bound) for m in res.matches] == sorted(
                     (gid, out.upper_bound) for gid, out in outcomes.items()
@@ -193,6 +188,24 @@ def test_negative_tau_rejected(small_db):
     with pytest.raises(ValueError):
         filter_candidates(db, query, -1)
     with pytest.raises(ValueError):
-        verify_within(db.graphs[0], query, -1)
+        bss_ged(db.graphs[0], query, threshold=-1)
     with pytest.raises(ValueError):
         range_query(db, query, -1)
+
+
+def test_duplicate_graph_id_rejected(square_star):
+    g, q = square_star
+    entries = [(0, g), (1, q), (2, g), (0, q)]
+    with pytest.raises(ValueError, match="duplicate graph id 0"):
+        GraphDatabase.from_graphs(entries, g.table)
+
+
+def test_beam_width_checked_without_candidates(small_db):
+    # A query no graph can match: the filter keeps nothing, so the engine
+    # never runs, and the beam width is still rejected.
+    db, _, _ = small_db
+    far = random_graph(random.Random(75), 12, 0.8, 3, 2, db.table)
+    assert filter_candidates(db, far, 0) == []
+    assert range_query(db, far, 0).candidate_count == 0
+    with pytest.raises(ValueError, match="beam width"):
+        range_query(db, far, 0, w=0)
