@@ -27,7 +27,6 @@ from .oracle import (
     OracleLimits,
     check_edit_path,
     exhaustive_ged,
-    is_isomorphic,
 )
 from .simsearch import GraphDatabase, filter_candidates, range_query
 from .successors import (
@@ -67,7 +66,6 @@ __all__ = [
     "filter_candidates",
     "gen_succr",
     "induced_structure",
-    "is_isomorphic",
     "label_multiset",
     "lb_graph",
     "parse_graph_db",

@@ -112,7 +112,7 @@ def cmd_search(args) -> int:
         _usage_error("query file contains no graph")
     _, query = queries[0]
     t0 = time.perf_counter()
-    res = range_query(db, query, args.tau, args.beam, threads=args.threads, node_budget=args.budget)
+    res = range_query(db, query, args.tau, args.beam, node_budget=args.budget)
     ms = (time.perf_counter() - t0) * 1000.0
     payload = {
         "matches": [{"id": m.graph_id, "bound": m.bound} for m in res.matches],
@@ -237,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--beam", type=int, default=DEFAULT_BEAM_WIDTH)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_search)

@@ -102,6 +102,10 @@ class SearchRun:
             raise ValueError(f"beam width must be >= 1, got {w}")
         if threshold is not None and threshold < 0:
             raise ValueError(f"threshold must be >= 0, got {threshold}")
+        if node_budget < 1:
+            raise ValueError(f"node budget must be >= 1, got {node_budget}")
+        if time_limit is not None and time_limit < 0:
+            raise ValueError(f"time limit must be >= 0, got {time_limit}")
         if g.table is not q.table:
             raise ValueError("graphs must share one label table")
         self.g, self.q, self.w = g, q, w

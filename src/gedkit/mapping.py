@@ -7,9 +7,6 @@ from dataclasses import dataclass
 
 from .graphs import LabeledGraph, VertexPartition
 
-# Dummy vertex marker inside mapping pairs.
-DUMMY = None
-
 
 @dataclass(frozen=True)
 class GraphMapping:

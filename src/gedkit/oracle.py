@@ -1,4 +1,5 @@
-"""Brute-force ground truth: exhaustive GED, isomorphism, and edit-path checking.
+"""Ground truth: exhaustive GED (capped by OracleLimits) and edit-path checking
+through the path's own mapping (uncapped, no isomorphism test).
 
 Everything here is deliberately independent of the reduced successor rules
 and the beam-stack engine, so it can certify them.
@@ -136,62 +137,19 @@ def exhaustive_ged(g: LabeledGraph, q: LabeledGraph, limits: OracleLimits | None
     return OracleResult(best_cost, mapping, enumerated)
 
 
-def is_isomorphic(g: LabeledGraph, q: LabeledGraph, limits: OracleLimits | None = None) -> bool:
-    """Label-preserving isomorphism test via backtracking with degree pruning."""
-    limits = limits or OracleLimits()
-    if g.n > limits.max_vertices or q.n > limits.max_vertices:
-        raise OracleLimitError(
-            f"isomorphism test limited to {limits.max_vertices} vertices"
-        )
-    if g.n != q.n or g.m != q.m:
-        return False
-    if sorted(g.vertex_labels) != sorted(q.vertex_labels):
-        return False
-    if sorted(lab for *_, lab in g.edges) != sorted(lab for *_, lab in q.edges):
-        return False
-    degs = lambda x: sorted((len(a) for a in x.adjacency), reverse=True)
-    if degs(g) != degs(q):
-        return False
-
-    order = sorted(range(g.n), key=lambda u: -len(g.adjacency[u]))
-    image = {}
-    used = [False] * q.n
-
-    def feasible(u: int, z: int) -> bool:
-        if g.vertex_labels[u] != q.vertex_labels[z]:
-            return False
-        if len(g.adjacency[u]) != len(q.adjacency[z]):
-            return False
-        for w, t in image.items():
-            if g.adjacency[u].get(w) != q.adjacency[z].get(t):
-                return False
-        return True
-
-    def rec(i: int) -> bool:
-        if i == len(order):
-            return True
-        u = order[i]
-        for z in range(q.n):
-            if used[z] or not feasible(u, z):
-                continue
-            image[u] = z
-            used[z] = True
-            if rec(i + 1):
-                return True
-            del image[u]
-            used[z] = False
-        return False
-
-    return rec(0)
-
-
 def check_edit_path(g: LabeledGraph, q: LabeledGraph, ops: list[dict],
-                    limits: OracleLimits | None = None) -> bool:
-    """Apply ops to g and test whether the result is isomorphic to q.
+                    mapping: GraphMapping) -> bool:
+    """Apply ops to g and test whether the result is q under the mapping.
 
     Validates applicability op by op: only isolated vertices may be deleted,
     inserted edges and vertices must be new, substituted items must exist.
+    The result must equal q under the ids realize_edit_path assigns: mapped
+    source u keeps id u for its target, inserted target y has id g.n + y.
+    Raises ValueError for an invalid, incomplete or wrongly sized mapping.
     """
+    mapping.validate()
+    if (mapping.n_source, mapping.n_target) != (g.n, q.n) or not mapping.is_complete():
+        raise ValueError(f"need a complete mapping between {g.n} and {q.n} vertices")
     verts: dict[int, int] = {u: lab for u, lab in enumerate(g.vertex_labels)}
     edges: dict[tuple[int, int], int] = {(u, v): lab for u, v, lab in g.edges}
     incident = {u: 0 for u in verts}
@@ -250,11 +208,8 @@ def check_edit_path(g: LabeledGraph, q: LabeledGraph, ops: list[dict],
         else:
             raise EditPathError(i, op, f"unknown operation {kind!r}")
 
-    ids = sorted(verts)
-    index = {u: i for i, u in enumerate(ids)}
-    result = LabeledGraph(
-        [verts[u] for u in ids],
-        [(index[u], index[v], lab) for (u, v), lab in edges.items()],
-        g.table,
-    )
-    return is_isomorphic(result, q, limits)
+    pre = {t: u for u, t in mapping.mapped_sources().items() if t is not None}
+    ident = [pre.get(y, g.n + y) for y in range(q.n)]
+    want_verts = {ident[y]: lab for y, lab in enumerate(q.vertex_labels)}
+    want_edges = {key(ident[a], ident[b]): lab for a, b, lab in q.edges}
+    return verts == want_verts and edges == want_edges

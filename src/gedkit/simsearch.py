@@ -122,6 +122,8 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
     """
     if w < 1:
         raise ValueError(f"beam width must be >= 1, got {w}")
+    if node_budget < 1:
+        raise ValueError(f"node budget must be >= 1, got {node_budget}")
     t0 = time.perf_counter()
     candidates = filter_candidates(db, query, tau)
     t1 = time.perf_counter()

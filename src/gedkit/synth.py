@@ -37,6 +37,8 @@ def random_graph_db(seed: int, count: int, n_min: int, n_max: int, density: floa
                     n_vertex_labels: int, n_edge_labels: int,
                     table: LabelTable | None = None):
     """Seed-deterministic database of `count` random graphs with ids 0..count-1."""
+    if count < 0:
+        raise ValueError(f"graph count must be >= 0, got {count}")
     if n_min < 0 or n_max < n_min:
         raise ValueError(f"bad vertex range [{n_min}, {n_max}]")
     rng = random.Random(seed)

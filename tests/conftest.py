@@ -89,6 +89,10 @@ def build_graph(labels: list[str], edges: list[tuple[int, int, str]],
     )
 
 
+def identity_mapping(g: LabeledGraph) -> GraphMapping:
+    return GraphMapping(tuple((u, u) for u in range(g.n)), g.n, g.n)
+
+
 def induced_subgraph(g: LabeledGraph, keep: list[int]) -> LabeledGraph:
     """The subgraph of g induced by keep, its vertices renumbered in that order."""
     index = {u: i for i, u in enumerate(keep)}

@@ -213,4 +213,4 @@ def test_criterion_11_edit_path_realization(sweep):
         for pair in sweep:
             ops = realize_edit_path(pair.oracle.mapping, pair.g, pair.q)
             assert len(ops) == pair.oracle.distance
-            assert check_edit_path(pair.g, pair.q, ops)
+            assert check_edit_path(pair.g, pair.q, ops, pair.oracle.mapping)

@@ -126,14 +126,15 @@ def test_search_human(pendant_pair_db, tmp_path, capsys):
 
 
 def test_search_threads_flag(square_star_db, tmp_path, capsys):
+    # The flag is gone: searches run on one thread and --threads is unknown.
     query = tmp_path / "query.txt"
     query.write_text(SQUARE_STAR_TEXT.split("t # 1")[0])
-    code, payload = run_json(
-        capsys,
-        ["search", "--db", square_star_db, "--query", str(query), "--tau", "4",
-         "--threads", "3", "--json"],
-    )
+    argv = ["search", "--db", square_star_db, "--query", str(query), "--tau", "4", "--json"]
+    code, payload = run_json(capsys, argv)
     assert code == 0 and {m["id"] for m in payload["matches"]} == {0, 1}
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", "3"])
+    assert exc.value.code == 2
 
 
 def test_gen_deterministic_and_dense(tmp_path, capsys):
@@ -294,3 +295,32 @@ def test_search_zero_beam_exit_code(square_star_db, tmp_path, capsys):
     assert code == 0 and payload["candidates"] == 0
     assert main(argv + ["--beam", "0"]) == 2
     assert "beam width" in capsys.readouterr().err
+
+
+def test_dist_bad_budget_exit_code(square_star_db, capsys):
+    for budget in ("0", "-5"):
+        assert main(["dist", square_star_db, "0", "1", "--budget", budget]) == 2
+        assert "node budget" in capsys.readouterr().err
+
+
+def test_bench_negative_time_limit_exit_code(square_star_db, capsys):
+    assert main(["bench", square_star_db, "--time-limit", "-1", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "time limit" in captured.err
+
+
+def test_gen_negative_count_exit_code(tmp_path, capsys):
+    out = tmp_path / "bad.txt"
+    assert main(["gen", str(out), "--count", "-1"]) == 2
+    assert "graph count" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_search_bad_budget_exit_code(square_star_db, tmp_path, capsys):
+    # Rejected whether or not any candidate reaches the engine.
+    query = tmp_path / "query.txt"
+    for text, tau in ((SQUARE_STAR_TEXT.split("t # 1")[0], "4"), ("t # 0\nv 0 A\n", "0")):
+        query.write_text(text)
+        argv = ["search", "--db", square_star_db, "--query", str(query), "--tau", tau]
+        assert main(argv + ["--budget", "-1"]) == 2
+        assert "node budget" in capsys.readouterr().err

@@ -226,6 +226,16 @@ def test_rejects_bad_arguments(square_star):
         bss_ged(g, other, 1)
 
 
+def test_rejects_bad_budgets(square_star):
+    g, q = square_star
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="node budget"):
+            bss_ged(g, q, node_budget=budget)
+    with pytest.raises(ValueError, match="time limit"):
+        SearchRun(g, q, time_limit=-1)
+    assert bss_ged(g, q, node_budget=1).reason == "nodes"
+
+
 def test_stats_shapes(square_star):
     g, q = square_star
     res = bss_ged(g, q, 15)

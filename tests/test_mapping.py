@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import all_complete_mappings, build_graph, random_pair
+from conftest import all_complete_mappings, build_graph, identity_mapping, random_pair
 from gedkit.graphs import vertex_partition
 from gedkit.mapping import (
     GraphMapping,
@@ -16,10 +16,6 @@ from gedkit.mapping import (
 )
 from gedkit.oracle import check_edit_path
 from gedkit.successors import extension_cost, leaf_completion_cost
-
-
-def identity_mapping(g):
-    return GraphMapping(tuple((u, u) for u in range(g.n)), g.n, g.n)
 
 
 @pytest.fixture
@@ -122,7 +118,7 @@ def test_example1_path_realization(example2):
     assert {(op["u"], op["v"]) for op in ops if op["op"] == "del_edge"} == {(0, 1), (0, 2)}
     sub = next(op for op in ops if op["op"] == "sub_vertex")
     assert sub["u"] == 0 and g.table.token(sub["label"]) == "A"
-    assert check_edit_path(g, q, ops)
+    assert check_edit_path(g, q, ops, psi)
 
 
 def test_edit_path_json_lines(example2):
@@ -171,7 +167,7 @@ def test_path_length_batch_and_incremental_costs_agree():
             ops = realize_edit_path(psi, g, q)
             assert len(ops) == total
             assert incremental_total(g, q, psi) == total
-            assert check_edit_path(g, q, ops)
+            assert check_edit_path(g, q, ops, psi)
 
 
 def test_equal_code_mappings_cost_the_same_exhaustively():

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from conftest import all_complete_mappings, build_graph, random_pair
+from conftest import all_complete_mappings, build_graph, identity_mapping, random_pair
+from gedkit.engine import bss_ged
 from gedkit.graphs import LabelTable, LabeledGraph
-from gedkit.mapping import edit_cost, realize_edit_path
+from gedkit.mapping import GraphMapping, edit_cost, realize_edit_path
 from gedkit.oracle import (
     EditPathError,
     OracleLimitError,
@@ -13,8 +14,20 @@ from gedkit.oracle import (
     check_edit_path,
     count_complete_basic_mappings,
     exhaustive_ged,
-    is_isomorphic,
 )
+from gedkit.synth import random_graph
+
+
+def renumbered(g, rng):
+    """g with its vertex ids shuffled: the same graph up to isomorphism."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    inv = {old: new for new, old in enumerate(perm)}
+    return LabeledGraph(
+        [g.vertex_labels[perm[i]] for i in range(g.n)],
+        [(inv[u], inv[v], lab) for u, v, lab in g.edges],
+        g.table,
+    )
 
 
 def test_square_star_distance(square_star):
@@ -53,8 +66,6 @@ def test_limits_refusal():
     a = build_graph(["A"] * 4, [], table)
     with pytest.raises(OracleLimitError):
         exhaustive_ged(a, a, tight)
-    with pytest.raises(OracleLimitError):
-        is_isomorphic(big, big)
 
 
 def test_oracle_minimum_over_all_mappings():
@@ -81,33 +92,34 @@ def test_oracle_symmetry_and_triangle(small_sweep):
         assert dac <= dab + dbc
 
 
-def test_is_isomorphic_basics(square_star):
+def test_zero_distance_basics(square_star):
     g, q = square_star
-    assert is_isomorphic(g, g)
-    assert not is_isomorphic(g, q)  # degree sequences differ
+    assert exhaustive_ged(g, g).distance == 0
+    assert exhaustive_ged(g, q).distance > 0  # degree sequences differ
 
 
-def test_is_isomorphic_under_renumbering():
+def test_zero_distance_under_renumbering():
     rng = random.Random(53)
     for _ in range(15):
         g, _ = random_pair(rng, max_n=7)
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        inv = {old: new for new, old in enumerate(perm)}
-        q = LabeledGraph(
-            [g.vertex_labels[perm[i]] for i in range(g.n)],
-            [(inv[u], inv[v], lab) for u, v, lab in g.edges],
-            g.table,
-        )
-        assert is_isomorphic(g, q)
+        assert exhaustive_ged(g, renumbered(g, rng)).distance == 0
 
 
-def test_is_isomorphic_label_sensitivity():
+def test_zero_distance_label_sensitivity():
     g = build_graph(["A", "B"], [(0, 1, "x")])
     t = g.table
-    assert not is_isomorphic(g, build_graph(["A", "A"], [(0, 1, "x")], t))
-    assert not is_isomorphic(g, build_graph(["A", "B"], [(0, 1, "y")], t))
-    assert is_isomorphic(g, build_graph(["B", "A"], [(0, 1, "x")], t))
+    assert exhaustive_ged(g, build_graph(["A", "A"], [(0, 1, "x")], t)).distance > 0
+    assert exhaustive_ged(g, build_graph(["A", "B"], [(0, 1, "y")], t)).distance > 0
+    assert exhaustive_ged(g, build_graph(["B", "A"], [(0, 1, "x")], t)).distance == 0
+
+
+def test_engine_zero_distance_past_oracle_cap():
+    # bss_ged answers ged == 0 where exhaustive_ged refuses the size.
+    rng = random.Random(54)
+    table = LabelTable()
+    for n in range(9, 15):
+        g = random_graph(rng, n, 0.3, 4, 2, table)
+        assert bss_ged(g, renumbered(g, rng)).distance == 0
 
 
 def test_check_edit_path_example1(square_star):
@@ -119,36 +131,128 @@ def test_check_edit_path_example1(square_star):
         {"op": "sub_vertex", "u": 0, "label": table.intern("A")},
         {"op": "ins_edge", "u": 0, "v": 3, "label": table.intern("a")},
     ]
-    assert check_edit_path(g, q, ops)
+    assert check_edit_path(g, q, ops, identity_mapping(g))
 
 
 def test_check_edit_path_empty_ops(square_star):
     g, _ = square_star
-    assert check_edit_path(g, g, [])
+    assert check_edit_path(g, g, [], identity_mapping(g))
 
 
 def test_check_edit_path_rejects_inapplicable(square_star):
     g, q = square_star
+    psi = identity_mapping(g)
     with pytest.raises(EditPathError, match="not isolated"):
-        check_edit_path(g, q, [{"op": "del_vertex", "u": 0}])
+        check_edit_path(g, q, [{"op": "del_vertex", "u": 0}], psi)
     with pytest.raises(EditPathError, match="duplicate edge"):
-        check_edit_path(g, q, [{"op": "ins_edge", "u": 0, "v": 1, "label": 1}])
+        check_edit_path(g, q, [{"op": "ins_edge", "u": 0, "v": 1, "label": 1}], psi)
     with pytest.raises(EditPathError, match="does not exist"):
-        check_edit_path(g, q, [{"op": "del_edge", "u": 1, "v": 2}])
+        check_edit_path(g, q, [{"op": "del_edge", "u": 1, "v": 2}], psi)
     with pytest.raises(EditPathError, match="unknown operation"):
-        check_edit_path(g, q, [{"op": "recolor", "u": 0}])
+        check_edit_path(g, q, [{"op": "recolor", "u": 0}], psi)
     with pytest.raises(EditPathError, match="already exists"):
-        check_edit_path(g, q, [{"op": "ins_vertex", "u": 0, "label": 1}])
+        check_edit_path(g, q, [{"op": "ins_vertex", "u": 0, "label": 1}], psi)
 
 
 def test_realized_optimal_paths_verify(small_sweep):
     for pair in small_sweep[:30]:
         ops = realize_edit_path(pair.oracle.mapping, pair.g, pair.q)
         assert len(ops) == pair.oracle.distance
-        assert check_edit_path(pair.g, pair.q, ops)
+        assert check_edit_path(pair.g, pair.q, ops, pair.oracle.mapping)
 
 
 def test_wrong_path_detected(square_star):
     g, q = square_star
     # Deleting one edge of G does not produce Q.
-    assert not check_edit_path(g, q, [{"op": "del_edge", "u": 0, "v": 1}])
+    assert not check_edit_path(g, q, [{"op": "del_edge", "u": 0, "v": 1}], identity_mapping(g))
+
+
+def random_complete_mapping(rng, n_g, n_q):
+    """A uniformly shuffled complete mapping: k matched pairs, the other
+    sources deleted and the other targets inserted."""
+    k = rng.randint(0, min(n_g, n_q))
+    sources = rng.sample(range(n_g), n_g)
+    targets = rng.sample(range(n_q), n_q)
+    pairs = list(zip(sources[:k], targets[:k]))
+    pairs += [(u, None) for u in sources[k:]]
+    pairs += [(None, y) for y in targets[k:]]
+    return GraphMapping(tuple(pairs), n_g, n_q)
+
+
+def swap_fixes(q, a, b):
+    """Whether exchanging target vertices a and b maps q onto itself."""
+    perm = list(range(q.n))
+    perm[a], perm[b] = b, a
+    edges = {(min(u, v), max(u, v)): lab for u, v, lab in q.edges}
+    moved = {(min(perm[u], perm[v]), max(perm[u], perm[v])): lab for (u, v), lab in edges.items()}
+    return q.vertex_labels[a] == q.vertex_labels[b] and moved == edges
+
+
+def verifies(g, q, ops, psi):
+    try:
+        return check_edit_path(g, q, ops, psi)
+    except EditPathError:
+        return False
+
+
+def test_check_edit_path_property_up_to_40_vertices():
+    # Realized paths verify at sizes far past the exhaustive oracle's cap;
+    # dropping any one op, or swapping two targets in a way that changes
+    # the target graph, makes the check fail.
+    rng = random.Random(55)
+    table = LabelTable()
+    swaps_checked = 0
+    for _ in range(300):
+        density = rng.choice((0.1, 0.2, 0.3))
+        g = random_graph(rng, rng.randint(0, 40), density, 3, 2, table)
+        q = random_graph(rng, rng.randint(0, 40), density, 3, 2, table)
+        psi = random_complete_mapping(rng, g.n, q.n)
+        ops = realize_edit_path(psi, g, q)
+        assert len(ops) == edit_cost(psi, g, q).total
+        assert check_edit_path(g, q, ops, psi)
+
+        for i in rng.sample(range(len(ops)), min(3, len(ops))):
+            assert not verifies(g, q, ops[:i] + ops[i + 1:], psi)
+
+        mapped = [i for i, (s, _) in enumerate(psi.pairs) if s is not None]
+        if not mapped:
+            continue
+        i = rng.choice(mapped)
+        others = [j for j in mapped if psi.pairs[j][1] != psi.pairs[i][1]]
+        if not others:
+            continue
+        j = rng.choice(others)
+        (s1, t1), (s2, t2) = psi.pairs[i], psi.pairs[j]
+        pairs = list(psi.pairs)
+        pairs[i], pairs[j] = (s1, t2), (s2, t1)
+        swapped = GraphMapping(tuple(pairs), g.n, q.n)
+        same_target = t1 is not None and t2 is not None and swap_fixes(q, t1, t2)
+        assert verifies(g, q, ops, swapped) == same_target
+        swaps_checked += 1
+    assert swaps_checked > 200
+
+
+def test_check_edit_path_follows_the_mapping(square_star):
+    # Q's leaves 0, 1, 2 are interchangeable, so the example path also
+    # verifies with two leaf targets swapped, but not with a leaf and the
+    # centre swapped.
+    g, q = square_star
+    a = g.table.intern("a")
+    ops = [
+        {"op": "del_edge", "u": 0, "v": 1},
+        {"op": "del_edge", "u": 0, "v": 2},
+        {"op": "sub_vertex", "u": 0, "label": g.table.intern("A")},
+        {"op": "ins_edge", "u": 0, "v": 3, "label": a},
+    ]
+    assert check_edit_path(g, q, ops, GraphMapping(((0, 1), (1, 0), (2, 2), (3, 3)), 4, 4))
+    assert not check_edit_path(g, q, ops, GraphMapping(((0, 3), (1, 1), (2, 2), (3, 0)), 4, 4))
+
+
+def test_check_edit_path_rejects_bad_mappings(square_star):
+    g, q = square_star
+    with pytest.raises(ValueError, match="repeated target"):
+        check_edit_path(g, q, [], GraphMapping(((0, 0), (1, 0), (2, 2), (3, 3)), 4, 4))
+    with pytest.raises(ValueError, match="complete mapping"):
+        check_edit_path(g, q, [], GraphMapping(((0, 0), (1, 1), (2, 2)), 4, 4))
+    with pytest.raises(ValueError, match="complete mapping"):
+        check_edit_path(g, q, [], GraphMapping(((0, 0), (1, 1), (2, 2), (3, 3), (None, 4)), 4, 5))
