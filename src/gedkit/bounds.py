@@ -310,6 +310,196 @@ def branch_bound(g: LabeledGraph, q: LabeledGraph) -> int:
     return lb_from_branches(vertex_branches(g), vertex_branches(q))
 
 
-def make_heuristic(g: LabeledGraph, q: LabeledGraph):
-    """Bind h_for_mapping to a graph pair for use by successor generators."""
-    return lambda mapping: h_for_mapping(mapping, g, q)
+def _source_side(g: LabeledGraph, sources: Sequence[int]) -> tuple:
+    """The source half of remainder_bounds once `sources` are mapped.
+
+    Returns (n_g, label counts, edge-label counts, non-increasing degrees of
+    the unmapped part, {source: (outer size, outer edge-label counts)},
+    number of outer source vertices).
+    """
+    mapped = [False] * g.n
+    for s in sources:
+        mapped[s] = True
+    counts: dict[int, int] = {}
+    n_g = 0
+    for u, lab in enumerate(g.vertex_labels):
+        if not mapped[u]:
+            n_g += 1
+            counts[lab] = counts.get(lab, 0) + 1
+    ecounts: dict[int, int] = {}
+    deg = [0] * g.n
+    for u, v, lab in g.edges:
+        if not (mapped[u] or mapped[v]):
+            ecounts[lab] = ecounts.get(lab, 0) + 1
+            deg[u] += 1
+            deg[v] += 1
+    deg.sort(reverse=True)
+    outer = {}
+    a_g: set[int] = set()
+    adj_g = g.adjacency
+    for s in sources:
+        c: dict[int, int] = {}
+        size = 0
+        adj = adj_g[s]
+        for v in adj:
+            if not mapped[v]:
+                size += 1
+                lab = adj[v]
+                c[lab] = c.get(lab, 0) + 1
+                a_g.add(v)
+        outer[s] = (size, c)
+    return n_g, counts, ecounts, deg, outer, len(a_g)
+
+
+class PairHeuristic:
+    """h for one graph pair: per mapping, or for all children of one parent.
+
+    Called on a mapping it is h_for_mapping, the per-mapping reference.
+    children() gives the same values for every child of one parent in one
+    pass. The source half depends only on which sources are mapped, and
+    sources are mapped in a fixed order, so within one run it depends only
+    on the depth: it is kept per depth, at most |V_G| + 1 entries, and
+    rebuilt when a different source sequence reaches that depth. The target
+    half is the parent's, computed once; each child's is the parent's with
+    one target z used, applied in O(deg z) plus one degree sort.
+    """
+
+    __slots__ = ("g", "q", "_n_q", "_sources")
+
+    def __init__(self, g: LabeledGraph, q: LabeledGraph):
+        self.g, self.q = g, q
+        self._n_q = q.n
+        self._sources: list[tuple | None] = [None] * (g.n + 1)
+
+    def __call__(self, mapping: GraphMapping) -> int:
+        return h_for_mapping(mapping, self.g, self.q)
+
+    def children(self, parent_map: dict[int, int | None], preimage: dict[int, int],
+                 u: int, targets: Sequence[int | None]) -> list[int]:
+        """h of each child that extends the parent by (u, z), z in targets.
+
+        parent_map and preimage are the parent's source -> target and
+        target -> source maps; None in targets is the dummy child. Equals
+        max(remainder_bounds(child mapping)) child by child.
+        """
+        q, n_q = self.q, self._n_q
+        key = (*parent_map, u)
+        entry = self._sources[len(key)]
+        if entry is None or entry[0] != key:
+            entry = self._sources[len(key)] = (key, _source_side(self.g, key))
+        n_g, s_counts, s_ecounts, deg_g, outer, a_g = entry[1]
+
+        # The parent's target half, met with the children's source half.
+        used = [False] * n_q
+        for t in preimage:
+            used[t] = True
+        qlabels = q.vertex_labels
+        t_counts: dict[int, int] = {}
+        for v, lab in enumerate(qlabels):
+            if not used[v]:
+                t_counts[lab] = t_counts.get(lab, 0) + 1
+        vinter = multiset_intersection_size(t_counts, s_counts)
+        t_ecounts: dict[int, int] = {}
+        deg_q = [0] * n_q
+        m_q = 0
+        for a, b, lab in q.edges:
+            if not (used[a] or used[b]):
+                m_q += 1
+                deg_q[a] += 1
+                deg_q[b] += 1
+                t_ecounts[lab] = t_ecounts.get(lab, 0) + 1
+        einter = multiset_intersection_size(t_ecounts, s_ecounts)
+
+        # Outer edges of the parent's pairs, keyed by target for the
+        # children's updates: (source size, source counts, target size,
+        # target counts, shared labels).
+        n_q -= len(preimage)
+        adj_q = q.adjacency
+        sum_max = sum_tgt = sum_src = 0
+        a_q: set[int] = set()
+        outer_of: dict[int, tuple] = {}
+        for w, t in parent_map.items():
+            size_u, c_u = outer[w]
+            size_t = inter = 0
+            if t is not None:
+                d: dict[int, int] = {}
+                adj = adj_q[t]
+                for v in adj:
+                    if not used[v]:
+                        size_t += 1
+                        a_q.add(v)
+                        lab = adj[v]
+                        d[lab] = d.get(lab, 0) + 1
+                inter = multiset_intersection_size(d, c_u)
+                outer_of[t] = (size_u, c_u, size_t, d, inter)
+            sum_max += (size_u if size_u > size_t else size_t) - inter
+            sum_tgt += size_t - inter
+            sum_src += size_u - inter
+        n_aq = len(a_q)
+        size_new, c_new = outer[u]
+
+        hs = []
+        sorted_q = None
+        for z in targets:
+            if z is None:
+                # The target half stays the parent's; u's outer edges are
+                # all paid for.
+                if sorted_q is None:
+                    sorted_q = sorted(deg_q, reverse=True)
+                base = _pair_bound(n_g, n_q, vinter, deg_g, sorted_q, m_q, einter)
+                lb1 = base + sum_max + size_new
+                lb2 = base + sum_tgt + (a_g - n_aq if a_g > n_aq else 0)
+                lb3 = base + sum_src + size_new + (n_aq - a_g if n_aq > a_g else 0)
+            else:
+                # Removing one target unit of a label shrinks an
+                # intersection sum(min(T, S)) iff T <= S for that label.
+                lab = qlabels[z]
+                vi = vinter - 1 if t_counts[lab] <= s_counts.get(lab, 0) else vinter
+                deg = deg_q.copy()
+                deg[z] = 0
+                m, ei = m_q, einter
+                smax, stgt, ssrc = sum_max, sum_tgt, sum_src
+                n_aq_z = n_aq - 1 if z in a_q else n_aq
+                gone: dict[int, int] = {}
+                size_z = 0
+                d_z: dict[int, int] = {}
+                adj = adj_q[z]
+                for v in adj:
+                    lab = adj[v]
+                    if used[v]:
+                        # The pair of used neighbour v loses its outer edge to z.
+                        size_u, c_u, size_t, d, inter = outer_of[v]
+                        cut = 1 if d[lab] <= c_u.get(lab, 0) else 0
+                        smax += ((size_u if size_u >= size_t else size_t - 1)
+                                 - (size_u if size_u > size_t else size_t) + cut)
+                        stgt += cut - 1
+                        ssrc += cut
+                    else:
+                        # Edge z-v leaves the unmapped part and becomes an
+                        # outer edge of the new pair (u, z).
+                        m -= 1
+                        deg[v] -= 1
+                        k = gone.get(lab, 0)
+                        if t_ecounts[lab] - k <= s_ecounts.get(lab, 0):
+                            ei -= 1
+                        gone[lab] = k + 1
+                        size_z += 1
+                        d_z[lab] = d_z.get(lab, 0) + 1
+                        if v not in a_q:
+                            n_aq_z += 1
+                inter = multiset_intersection_size(d_z, c_new)
+                smax += (size_new if size_new > size_z else size_z) - inter
+                stgt += size_z - inter
+                ssrc += size_new - inter
+                deg.sort(reverse=True)
+                base = _pair_bound(n_g, n_q - 1, vi, deg_g, deg, m, ei)
+                lb1 = base + smax
+                lb2 = base + stgt + (a_g - n_aq_z if a_g > n_aq_z else 0)
+                lb3 = base + ssrc + (n_aq_z - a_g if n_aq_z > a_g else 0)
+            hs.append(max(lb1, lb2, lb3))
+        return hs
+
+
+def make_heuristic(g: LabeledGraph, q: LabeledGraph) -> PairHeuristic:
+    """Bind the heuristic to a graph pair for use by successor generators."""
+    return PairHeuristic(g, q)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .bounds import make_heuristic
 from .graphs import LabeledGraph, vertex_partition
+from .mapping import GraphMapping, edit_cost
 from .successors import (
     SearchNode,
     basic_gen_succr,
@@ -65,7 +66,8 @@ class GedResult:
     upper_bound <= tau without claiming exactness, and 'above_bound' proves
     the distance is > tau. In either mode 'budget_exhausted' reports the
     best upper bound found, if any, and in reason which budget ran out:
-    'nodes' or 'time'.
+    'nodes' or 'time'. mapping is the complete mapping whose edit cost is
+    upper_bound, or None when no leaf was accepted.
     """
 
     status: str
@@ -73,6 +75,7 @@ class GedResult:
     upper_bound: int | None
     stats: SearchStats
     reason: str | None = None
+    mapping: GraphMapping | None = None
 
     @property
     def is_exact(self) -> bool:
@@ -92,6 +95,7 @@ class SearchRun:
     the beam stack empties. With threshold tau it decides ged <= tau: the
     upper bound starts at tau + 1, which prunes everything beyond tau, and
     the first leaf accepted (the first entry of ub_history) ends the run.
+    Every accepted leaf is checked against the edit cost of its mapping.
     """
 
     def __init__(self, g: LabeledGraph, q: LabeledGraph, w: int = DEFAULT_BEAM_WIDTH,
@@ -124,6 +128,7 @@ class SearchRun:
         self.deadline = None if time_limit is None else time.monotonic() + time_limit
         self.threshold = threshold
         self.ub = g.n + q.n + g.m + q.m + 1 if threshold is None else threshold + 1
+        self.best: GraphMapping | None = None  # the leaf mapping that set self.ub
 
         self.ids = itertools.count()
         self.stats = SearchStats()
@@ -193,8 +198,7 @@ class SearchRun:
                     raise _BudgetExceeded("time")
                 if r.complete:
                     if r.g < self.ub:
-                        self.ub = r.g
-                        self.stats.ub_history.append(r.g)
+                        self.accept(r)
                     return
                 pqll.extend(self.expand_node(r, layer))
             pqll.sort(key=_priority)
@@ -208,6 +212,19 @@ class SearchRun:
             live = sum(len(o) for o in self.open)
             if live > self.stats.max_open:
                 self.stats.max_open = live
+
+    def accept(self, leaf: SearchNode):
+        """Make a leaf's g the upper bound once its mapping confirms it.
+
+        The check runs once per ub_history entry and is an explicit raise,
+        so it also holds under python -O.
+        """
+        cost = edit_cost(leaf.mapping, self.g, self.q).total
+        if cost != leaf.g:
+            raise RuntimeError(f"leaf {leaf.id} has g = {leaf.g} but its mapping costs {cost}")
+        self.ub = leaf.g
+        self.best = leaf.mapping
+        self.stats.ub_history.append(leaf.g)
 
     def backtrack(self) -> bool:
         """Pop exhausted intervals and shift the surviving top; False when done."""
@@ -226,16 +243,16 @@ class SearchRun:
         try:
             while self.bs:
                 self.search_pass(len(self.bs) - 1)
-                if decide and self.stats.ub_history:
-                    return GedResult(WITHIN_THRESHOLD, None, self.ub, self.stats)
+                if decide and self.best is not None:
+                    return GedResult(WITHIN_THRESHOLD, None, self.ub, self.stats, mapping=self.best)
                 if not self.backtrack():
                     break
         except _BudgetExceeded as exc:
-            found = self.ub if self.stats.ub_history else None
-            return GedResult(BUDGET_EXHAUSTED, None, found, self.stats, exc.reason)
+            found = None if self.best is None else self.ub
+            return GedResult(BUDGET_EXHAUSTED, None, found, self.stats, exc.reason, self.best)
         if decide:
             return GedResult(ABOVE_BOUND, None, None, self.stats)
-        return GedResult(EXACT, self.ub, self.ub, self.stats)
+        return GedResult(EXACT, self.ub, self.ub, self.stats, mapping=self.best)
 
 
 def bss_ged(g: LabeledGraph, q: LabeledGraph, w: int = DEFAULT_BEAM_WIDTH, *,

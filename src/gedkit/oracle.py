@@ -137,12 +137,24 @@ def exhaustive_ged(g: LabeledGraph, q: LabeledGraph, limits: OracleLimits | None
     return OracleResult(best_cost, mapping, enumerated)
 
 
+# The fields each edit operation must carry besides "op".
+_OP_FIELDS = {
+    "del_edge": ("u", "v"),
+    "ins_edge": ("u", "v", "label"),
+    "sub_edge": ("u", "v", "label"),
+    "del_vertex": ("u",),
+    "ins_vertex": ("u", "label"),
+    "sub_vertex": ("u", "label"),
+}
+
+
 def check_edit_path(g: LabeledGraph, q: LabeledGraph, ops: list[dict],
                     mapping: GraphMapping) -> bool:
     """Apply ops to g and test whether the result is q under the mapping.
 
-    Validates applicability op by op: only isolated vertices may be deleted,
-    inserted edges and vertices must be new, substituted items must exist.
+    Validates applicability op by op: each op must carry its fields, only
+    isolated vertices may be deleted, inserted edges and vertices must be
+    new, substituted items must exist.
     The result must equal q under the ids realize_edit_path assigns: mapped
     source u keeps id u for its target, inserted target y has id g.n + y.
     Raises ValueError for an invalid, incomplete or wrongly sized mapping.
@@ -162,6 +174,11 @@ def check_edit_path(g: LabeledGraph, q: LabeledGraph, ops: list[dict],
 
     for i, op in enumerate(ops):
         kind = op.get("op")
+        if kind not in _OP_FIELDS:
+            raise EditPathError(i, op, f"unknown operation {kind!r}")
+        for name in _OP_FIELDS[kind]:
+            if name not in op:
+                raise EditPathError(i, op, f"missing field {name!r}")
         if kind == "del_edge":
             k = key(op["u"], op["v"])
             if k not in edges:
@@ -200,13 +217,11 @@ def check_edit_path(g: LabeledGraph, q: LabeledGraph, ops: list[dict],
             if u not in verts:
                 raise EditPathError(i, op, "vertex does not exist")
             verts[u] = op["label"]
-        elif kind == "sub_edge":
+        else:  # sub_edge
             k = key(op["u"], op["v"])
             if k not in edges:
                 raise EditPathError(i, op, "edge does not exist")
             edges[k] = op["label"]
-        else:
-            raise EditPathError(i, op, f"unknown operation {kind!r}")
 
     pre = {t: u for u, t in mapping.mapped_sources().items() if t is not None}
     ident = [pre.get(y, g.n + y) for y in range(q.n)]

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
+from .bounds import PairHeuristic
 from .graphs import LabeledGraph, VertexPartition
 from .mapping import GraphMapping
 
 # Fallback id source for nodes created outside an engine run (tests, tools).
 _GLOBAL_IDS = itertools.count()
-
-Heuristic = Callable[[GraphMapping], int]
 
 
 class SearchNode:
@@ -122,16 +121,6 @@ def leaf_completion_cost(g: LabeledGraph, q: LabeledGraph, used_targets: set[int
     return cost
 
 
-def _child(parent: SearchNode, g, q, u, z, heuristic, ids, parent_map, preimage) -> SearchNode:
-    delta = extension_cost(g, q, parent_map, u, z, preimage)
-    mapping = GraphMapping(parent.mapping.pairs + ((u, z),), g.n, q.n)
-    used = len(preimage) + (1 if z is not None else 0)
-    complete = parent.layer + 1 == g.n and used == q.n
-    gval = parent.g + delta
-    h = heuristic(mapping) if heuristic and not complete else 0
-    return SearchNode(next(ids), parent.layer + 1, mapping, gval, h, complete)
-
-
 def _insertion_leaf(parent: SearchNode, g, q, remaining: list[int], ids) -> SearchNode:
     pairs = parent.mapping.pairs + tuple((None, z) for z in remaining)
     mapping = GraphMapping(pairs, g.n, q.n)
@@ -140,7 +129,7 @@ def _insertion_leaf(parent: SearchNode, g, q, remaining: list[int], ids) -> Sear
 
 
 def _extend(r: SearchNode, g: LabeledGraph, q: LabeledGraph, classes: Sequence[Sequence[int]],
-            dummy_only_when_forced: bool, order: Sequence[int], heuristic: Heuristic | None,
+            dummy_only_when_forced: bool, order: Sequence[int], heuristic: PairHeuristic | None,
             ids) -> list[SearchNode]:
     """Successors of r: the smallest unmapped member of each target class,
     then the dummy target.
@@ -148,34 +137,53 @@ def _extend(r: SearchNode, g: LabeledGraph, q: LabeledGraph, classes: Sequence[S
     With dummy_only_when_forced the dummy is offered only while more source
     than target vertices remain unmapped, otherwise always. Once every source
     vertex is processed, a single leaf inserts all remaining target vertices.
+    The heuristic bounds all children in one call.
     """
     if ids is None:
         ids = _GLOBAL_IDS
     parent_map = r.mapping.mapped_sources()
     preimage = {a: w for w, a in parent_map.items() if a is not None}
-    depth = len(r.mapping.pairs)
-    if depth < g.n:
-        u = order[depth]
-        succ = []
-        for members in classes:
-            z = next((v for v in members if v not in preimage), None)
-            if z is not None:
-                succ.append(_child(r, g, q, u, z, heuristic, ids, parent_map, preimage))
-        if not dummy_only_when_forced or g.n - depth > q.n - len(preimage):
-            succ.append(_child(r, g, q, u, None, heuristic, ids, parent_map, preimage))
-        return succ
-    remaining = [z for z in range(q.n) if z not in preimage]
-    return [_insertion_leaf(r, g, q, remaining, ids)]
+    pairs = r.mapping.pairs
+    depth = len(pairs)
+    n_g, n_q = g.n, q.n
+    if depth >= n_g:
+        remaining = [z for z in range(n_q) if z not in preimage]
+        return [_insertion_leaf(r, g, q, remaining, ids)]
+    u = order[depth]
+    used = len(preimage)
+    # Children are complete only on the last layer once every target is
+    # used: all real children at once, or the dummy alone.
+    last = depth + 1 == n_g
+    kids = []
+    for members in classes:
+        for z in members:
+            if z not in preimage:
+                kids.append((z, last and used + 1 == n_q))
+                break
+    if not dummy_only_when_forced or n_g - depth > n_q - used:
+        kids.append((None, last and used == n_q))
+    pending = [z for z, complete in kids if not complete]
+    hs = None
+    if heuristic is not None and pending:
+        hs = iter(heuristic.children(parent_map, preimage, u, pending))
+    layer = r.layer + 1
+    succ = []
+    for z, complete in kids:
+        delta = extension_cost(g, q, parent_map, u, z, preimage)
+        h = 0 if complete or hs is None else next(hs)
+        succ.append(SearchNode(next(ids), layer, GraphMapping(pairs + ((u, z),), n_g, n_q),
+                               r.g + delta, h, complete))
+    return succ
 
 
 def basic_gen_succr(r: SearchNode, g: LabeledGraph, q: LabeledGraph, order: Sequence[int],
-                    heuristic: Heuristic | None = None, ids=None) -> list[SearchNode]:
+                    heuristic: PairHeuristic | None = None, ids=None) -> list[SearchNode]:
     """All successors of r: one per unmapped target plus a dummy, no reduction."""
     return _extend(r, g, q, [(z,) for z in range(q.n)], False, order, heuristic, ids)
 
 
 def gen_succr(r: SearchNode, g: LabeledGraph, q: LabeledGraph, part: VertexPartition,
-              order: Sequence[int], heuristic: Heuristic | None = None, ids=None) -> list[SearchNode]:
+              order: Sequence[int], heuristic: PairHeuristic | None = None, ids=None) -> list[SearchNode]:
     """Reduced successors of r: class minima only, dummy only when forced.
 
     Per class of isomorphic target vertices, only the smallest unmapped
@@ -186,7 +194,7 @@ def gen_succr(r: SearchNode, g: LabeledGraph, q: LabeledGraph, part: VertexParti
     return _extend(r, g, q, part.classes, True, order, heuristic, ids)
 
 
-def make_root(g: LabeledGraph, q: LabeledGraph, heuristic: Heuristic | None = None, ids=None) -> SearchNode:
+def make_root(g: LabeledGraph, q: LabeledGraph, heuristic: PairHeuristic | None = None, ids=None) -> SearchNode:
     if ids is None:
         ids = _GLOBAL_IDS
     mapping = GraphMapping((), g.n, q.n)
@@ -198,7 +206,7 @@ def make_root(g: LabeledGraph, q: LabeledGraph, heuristic: Heuristic | None = No
 def enumerate_search_tree(g: LabeledGraph, q: LabeledGraph, reduced: bool = True,
                           order: Sequence[int] | None = None,
                           part: VertexPartition | None = None,
-                          heuristic: Heuristic | None = None):
+                          heuristic: PairHeuristic | None = None):
     """Fully expand the search tree without pruning.
 
     Returns (layer_counts, leaves): node counts for layers 0..|V_G| and all

@@ -13,12 +13,19 @@ from gedkit.bounds import (
     remainder_bounds,
     summarize,
     lb_from_summaries,
+    make_heuristic,
 )
 from gedkit.graphs import LabelTable, LabeledGraph, vertex_partition
 from gedkit.engine import bss_ged
 from gedkit.mapping import GraphMapping, realize_edit_path
 from gedkit.oracle import count_complete_basic_mappings, exhaustive_ged
-from gedkit.successors import gen_succr, identity_order, make_root
+from gedkit.successors import (
+    basic_gen_succr,
+    determine_order,
+    gen_succr,
+    identity_order,
+    make_root,
+)
 from gedkit.synth import random_graph
 
 
@@ -120,14 +127,68 @@ def test_admissibility_on_full_reduced_trees():
         assert node.g + node.h <= best
         return best
 
-    from gedkit.bounds import make_heuristic
-
     for _ in range(12):
         g, q = random_pair(rng, max_n=5)
         part = vertex_partition(q)
         heuristic = make_heuristic(g, q)
         root = make_root(g, q, heuristic)
         check(root, g, q, part, identity_order(g), heuristic)
+
+
+def test_batched_child_bounds_equal_remainder_bounds():
+    # The successor generators bound all children of a parent in one
+    # PairHeuristic.children call; each child's h must equal the reference
+    # max(remainder_bounds) on its own mapping. Small pairs are expanded in
+    # full, larger ones along random root-to-leaf descents. One shared
+    # heuristic serves both orders, so its per-depth source cache is also
+    # rebuilt when the source sequence changes.
+    rng = random.Random(97)
+    seen = Counter()
+
+    def check(kids, g, q):
+        for c in kids:
+            if not c.complete:
+                assert c.h == max(remainder_bounds(c.mapping, g, q)), (g, q, c.mapping.pairs)
+                seen["children"] += 1
+                seen["dummy"] += c.mapping.pairs[-1][1] is None
+
+    for trial in range(48):
+        table = LabelTable()
+        n_g, n_q = rng.randint(0, 12), rng.randint(0, 12)
+        if trial < 24:
+            n_g, n_q = min(n_g, 5), min(n_q, 5)
+        alphabet = 1 if trial % 3 == 0 else rng.choice((2, 5))
+        density = rng.choice((0.1, 0.3, 0.6))
+        g = random_graph(rng, n_g, density, alphabet, rng.choice((1, 2)), table)
+        q = random_graph(rng, n_q, density, alphabet, rng.choice((1, 2)), table)
+        seen["source bigger"] += n_g > n_q
+        seen["target bigger"] += n_g < n_q
+        seen["isolated"] += any(not g.adjacency[u] for u in range(n_g))
+        seen["one label"] += alphabet == 1
+        heuristic = make_heuristic(g, q)
+        part = vertex_partition(q)
+        for order in (identity_order(g), determine_order(g)):
+            for reduced in (True, False):
+                def successors(node):
+                    if reduced:
+                        return gen_succr(node, g, q, part, order, heuristic)
+                    return basic_gen_succr(node, g, q, order, heuristic)
+
+                root = make_root(g, q, heuristic)
+                if trial < 24:
+                    stack = [root]
+                    while stack:
+                        kids = successors(stack.pop())
+                        check(kids, g, q)
+                        stack.extend(c for c in kids if not c.complete)
+                    continue
+                for _ in range(4):
+                    node = root
+                    while not node.complete:
+                        kids = successors(node)
+                        check(kids, g, q)
+                        node = rng.choice(kids)
+    assert min(seen.values()) > 0 and seen["children"] > 10_000, seen
 
 
 def renumber(g: LabeledGraph, perm: list[int]) -> LabeledGraph:

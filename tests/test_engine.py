@@ -12,7 +12,10 @@ from gedkit.engine import (
     SearchRun,
     bss_ged,
 )
+from gedkit import successors
 from gedkit.graphs import LabelTable
+from gedkit.mapping import edit_cost, realize_edit_path
+from gedkit.oracle import check_edit_path
 from gedkit.synth import random_graph_db
 
 WIDTHS = (1, 2, 15, 50)
@@ -161,6 +164,50 @@ def test_capped_runs_match_oracle_decision(small_sweep):
                 assert res.status == WITHIN_THRESHOLD and res.upper_bound <= tau
             else:
                 assert res.status == ABOVE_BOUND
+
+
+def test_result_mapping_certifies_distance(small_sweep):
+    for pair in small_sweep:
+        res = bss_ged(pair.g, pair.q, 2)
+        psi = res.mapping
+        psi.validate()
+        assert psi.is_complete() and (psi.n_source, psi.n_target) == (pair.g.n, pair.q.n)
+        assert edit_cost(psi, pair.g, pair.q).total == res.distance == pair.oracle.distance
+        assert check_edit_path(pair.g, pair.q, realize_edit_path(psi, pair.g, pair.q), psi)
+
+
+def test_decision_mapping_within_threshold(small_sweep):
+    seen = set()
+    for pair in small_sweep[:25]:
+        for tau in range(0, 5):
+            res = bss_ged(pair.g, pair.q, 15, threshold=tau)
+            seen.add(res.status)
+            if res.status == WITHIN_THRESHOLD:
+                assert res.mapping.is_complete()
+                assert edit_cost(res.mapping, pair.g, pair.q).total == res.upper_bound <= tau
+            else:
+                assert res.mapping is None
+    assert seen == {WITHIN_THRESHOLD, ABOVE_BOUND}
+
+
+def test_budget_exhausted_keeps_the_best_mapping():
+    entries, _ = random_graph_db(11, 20, 8, 10, 0.3, 5, 2)
+    g, q = dict(entries)[0], dict(entries)[1]
+    res = bss_ged(g, q, 1, node_budget=100)
+    assert res.status == BUDGET_EXHAUSTED and len(res.stats.ub_history) > 1
+    assert edit_cost(res.mapping, g, q).total == res.upper_bound == res.stats.ub_history[-1]
+    res = bss_ged(g, q, 1, node_budget=5)
+    assert res.upper_bound is None and res.mapping is None
+
+
+def test_leaf_with_wrong_g_is_refused(square_star, monkeypatch):
+    # A successor generator that overcharges one operation per step yields
+    # leaves whose g disagrees with their mapping's edit cost.
+    g, q = square_star
+    exact = successors.extension_cost
+    monkeypatch.setattr(successors, "extension_cost", lambda *args: exact(*args) + 1)
+    with pytest.raises(RuntimeError, match="mapping costs"):
+        bss_ged(g, q)
 
 
 def test_negative_threshold_rejected(square_star):

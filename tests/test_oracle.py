@@ -154,6 +154,24 @@ def test_check_edit_path_rejects_inapplicable(square_star):
         check_edit_path(g, q, [{"op": "ins_vertex", "u": 0, "label": 1}], psi)
 
 
+@pytest.mark.parametrize("op, field", [
+    pytest.param({"op": "del_edge", "u": 0}, "v", id="del_edge"),
+    pytest.param({"op": "ins_edge", "u": 0, "v": 3}, "label", id="ins_edge"),
+    pytest.param({"op": "sub_edge", "u": 0, "v": 1}, "label", id="sub_edge"),
+    pytest.param({"op": "del_vertex"}, "u", id="del_vertex"),
+    pytest.param({"op": "ins_vertex", "u": 9}, "label", id="ins_vertex"),
+    pytest.param({"op": "sub_vertex", "u": 0}, "label", id="sub_vertex"),
+])
+def test_check_edit_path_missing_field(square_star, op, field):
+    # Every other field is present and applicable, so only the missing one
+    # can stop the op; the error names it and the op's index.
+    g, q = square_star
+    ops = [{"op": "sub_vertex", "u": 1, "label": g.table.intern("A")}, op]
+    with pytest.raises(EditPathError, match=f"op 1 .*missing field '{field}'") as exc:
+        check_edit_path(g, q, ops, identity_mapping(g))
+    assert exc.value.index == 1
+
+
 def test_realized_optimal_paths_verify(small_sweep):
     for pair in small_sweep[:30]:
         ops = realize_edit_path(pair.oracle.mapping, pair.g, pair.q)
