@@ -17,8 +17,6 @@ from .graphs import (
 from .mapping import (
     GraphMapping,
     EditCostBreakdown,
-    canonical_code,
-    code_compare,
     edit_cost,
     induced_structure,
     realize_edit_path,
@@ -54,9 +52,7 @@ __all__ = [
     "VertexPartition",
     "basic_gen_succr",
     "bss_ged",
-    "canonical_code",
     "check_edit_path",
-    "code_compare",
     "degree_sequence",
     "delta_bounds",
     "determine_order",

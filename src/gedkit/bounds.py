@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graphs import (
     LabeledGraph,
@@ -93,113 +93,6 @@ def lb_from_summaries(a: GraphSummary, b: GraphSummary) -> int:
 def lb_graph(g: LabeledGraph, q: LabeledGraph) -> int:
     """Lower bound on ged(g, q) from label multisets and degree sequences."""
     return lb_from_summaries(summarize(g), summarize(q))
-
-
-def h_for_mapping(mapping: GraphMapping, g: LabeledGraph, q: LabeledGraph) -> int:
-    return max(remainder_bounds(mapping, g, q))
-
-
-def remainder_bounds(mapping: GraphMapping, g: LabeledGraph, q: LabeledGraph) -> tuple[int, int, int]:
-    """The three remainder bounds below a partial mapping; h is their max.
-
-    Each starts from the pair bound on the unmapped parts and adds, per
-    mapped vertex, the cheapest reconciliation of its outer edges; the last
-    two trade per-vertex tightness for a global outer-vertex correction.
-
-    Costs O(|V| + |E|) per call over flat lists and plain dicts, reading
-    mapping.pairs directly and building no per-call container classes.
-    tests/reference_bounds.py keeps the Counter-based original that tests
-    compare it against.
-    """
-    pairs = mapping.pairs
-    mapped = [False] * g.n
-    used = [False] * q.n
-    for u, t in pairs:
-        if u is not None:
-            mapped[u] = True
-        if t is not None:
-            used[t] = True
-
-    # Multiset intersections count the source side into a dict, then let the
-    # target side consume it: every consumed unit is one shared label.
-    counts: dict[int, int] = {}
-    n_g = 0
-    for u, lab in enumerate(g.vertex_labels):
-        if not mapped[u]:
-            n_g += 1
-            counts[lab] = counts.get(lab, 0) + 1
-    n_q = vinter = 0
-    for v, lab in enumerate(q.vertex_labels):
-        if not used[v]:
-            n_q += 1
-            c = counts.get(lab)
-            if c:
-                counts[lab] = c - 1
-                vinter += 1
-
-    # Edges of the unmapped induced parts. Mapped vertices keep degree 0,
-    # which does not change the degree-sequence deltas.
-    counts = {}
-    deg_g = [0] * g.n
-    for u, v, lab in g.edges:
-        if not (mapped[u] or mapped[v]):
-            counts[lab] = counts.get(lab, 0) + 1
-            deg_g[u] += 1
-            deg_g[v] += 1
-    deg_q = [0] * q.n
-    m_q = einter = 0
-    for u, v, lab in q.edges:
-        if not (used[u] or used[v]):
-            m_q += 1
-            deg_q[u] += 1
-            deg_q[v] += 1
-            c = counts.get(lab)
-            if c:
-                counts[lab] = c - 1
-                einter += 1
-    deg_g.sort(reverse=True)
-    deg_q.sort(reverse=True)
-    base = _pair_bound(n_g, n_q, vinter, deg_g, deg_q, m_q, einter)
-
-    # Outer edges: from each mapped vertex to the unmapped part. Neighbours
-    # are read by key, with a label lookup only where one is needed: on
-    # these short read-only views that is cheaper than .items().
-    sum_max = sum_tgt = sum_src = 0
-    a_g: set[int] = set()
-    a_q: set[int] = set()
-    adj_g, adj_q = g.adjacency, q.adjacency
-    for u, t in pairs:
-        if u is None:
-            continue
-        counts = {}
-        size_u = 0
-        adj = adj_g[u]
-        for v in adj:
-            if not mapped[v]:
-                size_u += 1
-                lab = adj[v]
-                counts[lab] = counts.get(lab, 0) + 1
-                a_g.add(v)
-        size_t = inter = 0
-        if t is not None:
-            adj = adj_q[t]
-            for v in adj:
-                if not used[v]:
-                    size_t += 1
-                    a_q.add(v)
-                    lab = adj[v]
-                    c = counts.get(lab)
-                    if c:
-                        counts[lab] = c - 1
-                        inter += 1
-        sum_max += max(size_u, size_t) - inter
-        sum_tgt += size_t - inter
-        sum_src += size_u - inter
-
-    lb1 = base + sum_max
-    lb2 = base + sum_tgt + max(0, len(a_g) - len(a_q))
-    lb3 = base + sum_src + max(0, len(a_q) - len(a_g))
-    return lb1, lb2, lb3
 
 
 Branch = tuple[int, tuple[int, ...]]
@@ -311,7 +204,7 @@ def branch_bound(g: LabeledGraph, q: LabeledGraph) -> int:
 
 
 def _source_side(g: LabeledGraph, sources: Sequence[int]) -> tuple:
-    """The source half of remainder_bounds once `sources` are mapped.
+    """The source half of the remainder bounds once `sources` are mapped.
 
     Returns (n_g, label counts, edge-label counts, non-increasing degrees of
     the unmapped part, {source: (outer size, outer edge-label counts)},
@@ -351,28 +244,103 @@ def _source_side(g: LabeledGraph, sources: Sequence[int]) -> tuple:
     return n_g, counts, ecounts, deg, outer, len(a_g)
 
 
+def _target_side(q: LabeledGraph, targets: Iterable[int],
+                 pairs: Iterable[tuple[int, int | None]], outer: dict) -> tuple:
+    """The target half of the remainder bounds once `targets` are used.
+
+    pairs are the mapped (source, target or None) pairs, outer the source
+    half's outer edges. Returns (used flags, label counts, edge-label
+    counts, degrees of the unused part by vertex, m_q, the outer-edge sums
+    (max, target, source), the outer target vertices, {target: (source
+    size, source counts, target size, target counts, shared labels)}).
+    """
+    used = [False] * q.n
+    for t in targets:
+        used[t] = True
+    counts: dict[int, int] = {}
+    for v, lab in enumerate(q.vertex_labels):
+        if not used[v]:
+            counts[lab] = counts.get(lab, 0) + 1
+    ecounts: dict[int, int] = {}
+    deg = [0] * q.n
+    m_q = 0
+    for a, b, lab in q.edges:
+        if not (used[a] or used[b]):
+            m_q += 1
+            deg[a] += 1
+            deg[b] += 1
+            ecounts[lab] = ecounts.get(lab, 0) + 1
+    # Outer edges, from each pair to the unmapped part. Neighbours are read
+    # by key: on these short read-only views that beats .items().
+    adj_q = q.adjacency
+    sum_max = sum_tgt = sum_src = 0
+    a_q: set[int] = set()
+    outer_of: dict[int, tuple] = {}
+    for w, t in pairs:
+        size_u, c_u = outer[w]
+        size_t = inter = 0
+        if t is not None:
+            d: dict[int, int] = {}
+            adj = adj_q[t]
+            for v in adj:
+                if not used[v]:
+                    size_t += 1
+                    a_q.add(v)
+                    lab = adj[v]
+                    d[lab] = d.get(lab, 0) + 1
+            inter = multiset_intersection_size(d, c_u)
+            outer_of[t] = (size_u, c_u, size_t, d, inter)
+        sum_max += (size_u if size_u > size_t else size_t) - inter
+        sum_tgt += size_t - inter
+        sum_src += size_u - inter
+    return used, counts, ecounts, deg, m_q, (sum_max, sum_tgt, sum_src), a_q, outer_of
+
+
+def remainder_bounds(mapping: GraphMapping, g: LabeledGraph, q: LabeledGraph) -> tuple[int, int, int]:
+    """The three remainder bounds below a partial mapping; h is their max.
+
+    Each starts from the pair bound on the unmapped parts and adds, per
+    mapped vertex, the cheapest reconciliation of its outer edges; the last
+    two trade per-vertex tightness for a global outer-vertex correction.
+    An insertion pair (None, t), anywhere in the mapping, only marks t used.
+
+    Built from the same source and target halves as PairHeuristic.children,
+    in O(|V| + |E|). tests/reference_bounds.py keeps an independent
+    Counter-based original that tests compare both against.
+    """
+    pairs = [(u, t) for u, t in mapping.pairs if u is not None]
+    targets = [t for _, t in mapping.pairs if t is not None]
+    n_g, s_counts, s_ecounts, deg_g, outer, a_g = _source_side(g, [u for u, _ in pairs])
+    _, t_counts, t_ecounts, deg_q, m_q, sums, a_q, _ = _target_side(q, targets, pairs, outer)
+    deg_q.sort(reverse=True)
+    base = _pair_bound(n_g, q.n - len(targets), multiset_intersection_size(t_counts, s_counts),
+                       deg_g, deg_q, m_q, multiset_intersection_size(t_ecounts, s_ecounts))
+    n_aq = len(a_q)
+    return (base + sums[0], base + sums[1] + max(0, a_g - n_aq), base + sums[2] + max(0, n_aq - a_g))
+
+
 class PairHeuristic:
     """h for one graph pair: per mapping, or for all children of one parent.
 
-    Called on a mapping it is h_for_mapping, the per-mapping reference.
-    children() gives the same values for every child of one parent in one
-    pass. The source half depends only on which sources are mapped, and
-    sources are mapped in a fixed order, so within one run it depends only
-    on the depth: it is kept per depth, at most |V_G| + 1 entries, and
+    Called on a mapping it returns max(remainder_bounds(mapping)); the
+    engine calls it only at the root. children() gives the same values for
+    every child of one parent in one pass. Both compose _source_side and
+    _target_side. The source half depends only on which sources are mapped,
+    and sources are mapped in a fixed order, so within one run it depends
+    only on the depth: it is kept per depth, at most |V_G| + 1 entries, and
     rebuilt when a different source sequence reaches that depth. The target
     half is the parent's, computed once; each child's is the parent's with
     one target z used, applied in O(deg z) plus one degree sort.
     """
 
-    __slots__ = ("g", "q", "_n_q", "_sources")
+    __slots__ = ("g", "q", "_sources")
 
     def __init__(self, g: LabeledGraph, q: LabeledGraph):
         self.g, self.q = g, q
-        self._n_q = q.n
         self._sources: list[tuple | None] = [None] * (g.n + 1)
 
     def __call__(self, mapping: GraphMapping) -> int:
-        return h_for_mapping(mapping, self.g, self.q)
+        return max(remainder_bounds(mapping, self.g, self.q))
 
     def children(self, parent_map: dict[int, int | None], preimage: dict[int, int],
                  u: int, targets: Sequence[int | None]) -> list[int]:
@@ -382,61 +350,22 @@ class PairHeuristic:
         target -> source maps; None in targets is the dummy child. Equals
         max(remainder_bounds(child mapping)) child by child.
         """
-        q, n_q = self.q, self._n_q
+        q = self.q
         key = (*parent_map, u)
         entry = self._sources[len(key)]
         if entry is None or entry[0] != key:
             entry = self._sources[len(key)] = (key, _source_side(self.g, key))
         n_g, s_counts, s_ecounts, deg_g, outer, a_g = entry[1]
-
         # The parent's target half, met with the children's source half.
-        used = [False] * n_q
-        for t in preimage:
-            used[t] = True
-        qlabels = q.vertex_labels
-        t_counts: dict[int, int] = {}
-        for v, lab in enumerate(qlabels):
-            if not used[v]:
-                t_counts[lab] = t_counts.get(lab, 0) + 1
+        used, t_counts, t_ecounts, deg_q, m_q, sums, a_q, outer_of = _target_side(
+            q, preimage, parent_map.items(), outer)
+        sum_max, sum_tgt, sum_src = sums
         vinter = multiset_intersection_size(t_counts, s_counts)
-        t_ecounts: dict[int, int] = {}
-        deg_q = [0] * n_q
-        m_q = 0
-        for a, b, lab in q.edges:
-            if not (used[a] or used[b]):
-                m_q += 1
-                deg_q[a] += 1
-                deg_q[b] += 1
-                t_ecounts[lab] = t_ecounts.get(lab, 0) + 1
         einter = multiset_intersection_size(t_ecounts, s_ecounts)
-
-        # Outer edges of the parent's pairs, keyed by target for the
-        # children's updates: (source size, source counts, target size,
-        # target counts, shared labels).
-        n_q -= len(preimage)
-        adj_q = q.adjacency
-        sum_max = sum_tgt = sum_src = 0
-        a_q: set[int] = set()
-        outer_of: dict[int, tuple] = {}
-        for w, t in parent_map.items():
-            size_u, c_u = outer[w]
-            size_t = inter = 0
-            if t is not None:
-                d: dict[int, int] = {}
-                adj = adj_q[t]
-                for v in adj:
-                    if not used[v]:
-                        size_t += 1
-                        a_q.add(v)
-                        lab = adj[v]
-                        d[lab] = d.get(lab, 0) + 1
-                inter = multiset_intersection_size(d, c_u)
-                outer_of[t] = (size_u, c_u, size_t, d, inter)
-            sum_max += (size_u if size_u > size_t else size_t) - inter
-            sum_tgt += size_t - inter
-            sum_src += size_u - inter
+        n_q = q.n - len(preimage)
         n_aq = len(a_q)
         size_new, c_new = outer[u]
+        qlabels, adj_q = q.vertex_labels, q.adjacency
 
         hs = []
         sorted_q = None
@@ -498,8 +427,3 @@ class PairHeuristic:
                 lb3 = base + ssrc + (n_aq_z - a_g if n_aq_z > a_g else 0)
             hs.append(max(lb1, lb2, lb3))
         return hs
-
-
-def make_heuristic(g: LabeledGraph, q: LabeledGraph) -> PairHeuristic:
-    """Bind the heuristic to a graph pair for use by successor generators."""
-    return PairHeuristic(g, q)

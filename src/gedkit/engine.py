@@ -12,7 +12,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 
-from .bounds import make_heuristic
+from .bounds import PairHeuristic
 from .graphs import LabeledGraph, vertex_partition
 from .mapping import GraphMapping, edit_cost
 from .successors import (
@@ -123,7 +123,7 @@ class SearchRun:
             raise ValueError(f"unknown successor policy {succ_policy!r}")
         self.succ_policy = succ_policy
         self.part = vertex_partition(q)
-        self.heuristic = make_heuristic(g, q)
+        self.heuristic = PairHeuristic(g, q)
         self.node_budget = node_budget
         self.deadline = None if time_limit is None else time.monotonic() + time_limit
         self.threshold = threshold

@@ -1,11 +1,10 @@
-"""Graph mappings, their induced edit cost, canonical codes, and edit paths."""
+"""Graph mappings, their induced edit cost, and edit paths."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .graphs import LabeledGraph, VertexPartition
+from .graphs import LabeledGraph
 
 
 @dataclass(frozen=True)
@@ -89,27 +88,6 @@ def edit_cost(psi: GraphMapping, g: LabeledGraph, q: LabeledGraph) -> EditCostBr
     return EditCostBreakdown(c_d=c_d, c_i=c_i, c_s=c_s)
 
 
-def canonical_code(psi: GraphMapping, part: VertexPartition) -> tuple[int, ...]:
-    """Per-pair sequence of target class indices; dummies get lambda_q + 1."""
-    return tuple(part.class_index(t) for _, t in psi.pairs)
-
-
-def code_compare(psi: GraphMapping, other: GraphMapping, part: VertexPartition) -> int:
-    """Order two equal-code mappings by their target ids, first difference wins.
-
-    Returns -1, 0, or 1. Raises ValueError when the canonical codes differ,
-    since the order is only defined within one code class.
-    """
-    if canonical_code(psi, part) != canonical_code(other, part):
-        raise ValueError("code_compare requires mappings with equal canonical codes")
-    for (_, t1), (_, t2) in zip(psi.pairs, other.pairs):
-        if t1 is None or t2 is None:
-            continue  # equal codes put dummies at the same positions
-        if t1 != t2:
-            return -1 if t1 < t2 else 1
-    return 0
-
-
 def realize_edit_path(psi: GraphMapping, g: LabeledGraph, q: LabeledGraph) -> list[dict]:
     """Concrete edit operation list realizing a complete mapping.
 
@@ -151,14 +129,3 @@ def realize_edit_path(psi: GraphMapping, g: LabeledGraph, q: LabeledGraph) -> li
                 pa, pb = pb, pa
             ops.append({"op": "ins_edge", "u": pa, "v": pb, "label": lab})
     return ops
-
-
-def edit_path_to_json(ops: list[dict], g: LabeledGraph) -> str:
-    """Serialize an edit path as JSON lines, label ids rendered as tokens."""
-    lines = []
-    for op in ops:
-        rec = dict(op)
-        if "label" in rec:
-            rec["label"] = g.table.token(rec["label"])
-        lines.append(json.dumps(rec))
-    return "\n".join(lines)

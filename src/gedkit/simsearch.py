@@ -42,6 +42,10 @@ class GraphDatabase:
         for gid, g in entries:
             if gid in graphs:
                 raise ValueError(f"duplicate graph id {gid}")
+            if g.table is not table:
+                # Label ids are compared across graphs, so every graph must
+                # be interned in the database's table.
+                raise ValueError(f"graph {gid} does not share the database's label table")
             graphs[gid] = g
         ids = list(graphs)
         summaries = {gid: summarize(g) for gid, g in graphs.items()}

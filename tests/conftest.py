@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from gedkit.graphs import LabelTable, LabeledGraph, parse_graph_db
+from gedkit.graphs import LabelTable, LabeledGraph, VertexPartition, parse_graph_db
 from gedkit.mapping import GraphMapping
 from gedkit.oracle import OracleResult, exhaustive_ged
 from gedkit.synth import random_graph
@@ -91,6 +91,29 @@ def build_graph(labels: list[str], edges: list[tuple[int, int, str]],
 
 def identity_mapping(g: LabeledGraph) -> GraphMapping:
     return GraphMapping(tuple((u, u) for u in range(g.n)), g.n, g.n)
+
+
+# Canonical codes of the paper's reduction claims: the reduced generator
+# keeps exactly one mapping per code, the first under code_compare.
+def canonical_code(psi: GraphMapping, part: VertexPartition) -> tuple[int, ...]:
+    """Per-pair sequence of target class indices; dummies get lambda_q + 1."""
+    return tuple(part.class_index(t) for _, t in psi.pairs)
+
+
+def code_compare(psi: GraphMapping, other: GraphMapping, part: VertexPartition) -> int:
+    """Order two equal-code mappings by their target ids, first difference wins.
+
+    Returns -1, 0, or 1. Raises ValueError when the canonical codes differ,
+    since the order is only defined within one code class.
+    """
+    if canonical_code(psi, part) != canonical_code(other, part):
+        raise ValueError("code_compare requires mappings with equal canonical codes")
+    for (_, t1), (_, t2) in zip(psi.pairs, other.pairs):
+        if t1 is None or t2 is None:
+            continue  # equal codes put dummies at the same positions
+        if t1 != t2:
+            return -1 if t1 < t2 else 1
+    return 0
 
 
 def induced_subgraph(g: LabeledGraph, keep: list[int]) -> LabeledGraph:

@@ -1,8 +1,11 @@
 """Slow reference implementations of the lower bounds in gedkit.bounds.
 
 These are the Counter-based originals of `lb_from_summaries` and
-`remainder_bounds`, kept unchanged so that tests can require the flat
-versions in the package to return identical values.
+`remainder_bounds`, kept unchanged and independent of the package's code.
+Tests require the package's flat `lb_from_summaries` and `remainder_bounds`,
+and every child bound of `PairHeuristic.children`, to return identical
+values. The package's `remainder_bounds` and `children` share their source
+and target halves, so only this module can serve as their oracle.
 """
 
 from __future__ import annotations

@@ -8,12 +8,12 @@ import random
 import time
 from contextlib import contextmanager
 
-from conftest import SQUARE_STAR_TEXT, unmapped_parts
-from gedkit.bounds import lb_graph, make_heuristic, remainder_bounds
+from conftest import SQUARE_STAR_TEXT, canonical_code, unmapped_parts
+from gedkit.bounds import PairHeuristic, lb_graph, remainder_bounds
 from gedkit.cli import main
 from gedkit.engine import bss_ged
 from gedkit.graphs import LabelTable, vertex_partition
-from gedkit.mapping import GraphMapping, canonical_code, edit_cost, realize_edit_path
+from gedkit.mapping import GraphMapping, edit_cost, realize_edit_path
 from gedkit.oracle import check_edit_path, exhaustive_ged
 from gedkit.simsearch import GraphDatabase, filter_candidates, range_query
 from gedkit.successors import (
@@ -127,7 +127,7 @@ def test_criterion_07_bound_soundness(sweep):
             if pair.g.n > 5 or pair.q.n > 5:
                 continue
             part = vertex_partition(pair.q)
-            heuristic = make_heuristic(pair.g, pair.q)
+            heuristic = PairHeuristic(pair.g, pair.q)
             root = make_root(pair.g, pair.q, heuristic)
             assert best_completion(root, pair.g, pair.q, part,
                                    identity_order(pair.g), heuristic) == pair.oracle.distance

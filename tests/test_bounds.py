@@ -5,15 +5,14 @@ from collections import Counter
 import reference_bounds as reference
 from conftest import build_graph, random_pair, unmapped_parts
 from gedkit.bounds import (
+    PairHeuristic,
     branch_bound,
     delta_bounds,
-    h_for_mapping,
     lb_graph,
     min_cost_assignment,
     remainder_bounds,
     summarize,
     lb_from_summaries,
-    make_heuristic,
 )
 from gedkit.graphs import LabelTable, LabeledGraph, vertex_partition
 from gedkit.engine import bss_ged
@@ -89,16 +88,16 @@ def test_h_example5(pendant_pair):
     g, q = pendant_pair
     mapping = as_mapping(((0, 0), (1, 1)), g, q)
     assert remainder_bounds(mapping, g, q) == (2, 2, 3)
-    assert h_for_mapping(mapping, g, q) == 3
+    assert PairHeuristic(g, q)(mapping) == 3
 
 
 def test_h_at_root_and_leaf(square_star, pendant_pair):
     for g, q in (square_star, pendant_pair):
         root = as_mapping((), g, q)
-        assert h_for_mapping(root, g, q) == lb_graph(g, q)
+        assert PairHeuristic(g, q)(root) == lb_graph(g, q)
     g, q = square_star
     leaf = as_mapping(((0, 0), (1, 1), (2, 2), (3, 3)), g, q)
-    assert h_for_mapping(leaf, g, q) == 0
+    assert PairHeuristic(g, q)(leaf) == 0
 
 
 def test_h_with_dummy_target(pendant_pair):
@@ -130,25 +129,27 @@ def test_admissibility_on_full_reduced_trees():
     for _ in range(12):
         g, q = random_pair(rng, max_n=5)
         part = vertex_partition(q)
-        heuristic = make_heuristic(g, q)
+        heuristic = PairHeuristic(g, q)
         root = make_root(g, q, heuristic)
         check(root, g, q, part, identity_order(g), heuristic)
 
 
 def test_batched_child_bounds_equal_remainder_bounds():
     # The successor generators bound all children of a parent in one
-    # PairHeuristic.children call; each child's h must equal the reference
-    # max(remainder_bounds) on its own mapping. Small pairs are expanded in
-    # full, larger ones along random root-to-leaf descents. One shared
-    # heuristic serves both orders, so its per-depth source cache is also
-    # rebuilt when the source sequence changes.
+    # PairHeuristic.children call; each child's h must equal the
+    # independent reference max(remainder_bounds) on its own mapping: the
+    # package's remainder_bounds shares its halves with children, so it
+    # cannot serve as the oracle. Small pairs are expanded in full, larger
+    # ones along random root-to-leaf descents. One shared heuristic serves
+    # both orders, so its per-depth source cache is also rebuilt when the
+    # source sequence changes.
     rng = random.Random(97)
     seen = Counter()
 
     def check(kids, g, q):
         for c in kids:
             if not c.complete:
-                assert c.h == max(remainder_bounds(c.mapping, g, q)), (g, q, c.mapping.pairs)
+                assert c.h == max(reference.remainder_bounds(c.mapping, g, q)), (g, q, c.mapping.pairs)
                 seen["children"] += 1
                 seen["dummy"] += c.mapping.pairs[-1][1] is None
 
@@ -165,7 +166,7 @@ def test_batched_child_bounds_equal_remainder_bounds():
         seen["target bigger"] += n_g < n_q
         seen["isolated"] += any(not g.adjacency[u] for u in range(n_g))
         seen["one label"] += alphabet == 1
-        heuristic = make_heuristic(g, q)
+        heuristic = PairHeuristic(g, q)
         part = vertex_partition(q)
         for order in (identity_order(g), determine_order(g)):
             for reduced in (True, False):
@@ -241,7 +242,7 @@ def test_h_never_negative_and_zero_when_done():
         from conftest import all_complete_mappings
 
         for psi in all_complete_mappings(g, q):
-            assert h_for_mapping(psi, g, q) == 0
+            assert PairHeuristic(g, q)(psi) == 0
 
 
 def random_mapping(rng: random.Random, g: LabeledGraph, q: LabeledGraph) -> GraphMapping:

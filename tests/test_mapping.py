@@ -1,16 +1,19 @@
-import json
 import random
 
 import pytest
 
-from conftest import all_complete_mappings, build_graph, identity_mapping, random_pair
+from conftest import (
+    all_complete_mappings,
+    build_graph,
+    canonical_code,
+    code_compare,
+    identity_mapping,
+    random_pair,
+)
 from gedkit.graphs import vertex_partition
 from gedkit.mapping import (
     GraphMapping,
-    canonical_code,
-    code_compare,
     edit_cost,
-    edit_path_to_json,
     induced_structure,
     realize_edit_path,
 )
@@ -119,15 +122,6 @@ def test_example1_path_realization(example2):
     sub = next(op for op in ops if op["op"] == "sub_vertex")
     assert sub["u"] == 0 and g.table.token(sub["label"]) == "A"
     assert check_edit_path(g, q, ops, psi)
-
-
-def test_edit_path_json_lines(example2):
-    g, q, psi = example2
-    text = edit_path_to_json(realize_edit_path(psi, g, q), g)
-    records = [json.loads(line) for line in text.splitlines()]
-    assert all(r["op"] in {"del_edge", "ins_edge", "del_vertex", "ins_vertex",
-                           "sub_vertex", "sub_edge"} for r in records)
-    assert any(r.get("label") == "A" for r in records)
 
 
 def test_mapping_validation():

@@ -200,6 +200,20 @@ def test_duplicate_graph_id_rejected(square_star):
         GraphDatabase.from_graphs(entries, g.table)
 
 
+def test_foreign_label_table_rejected():
+    # 'A' is id 2 in the stored graph's own table but id 1 in the database's,
+    # so comparing ids would make the filter drop this exact match.
+    own = LabelTable()
+    own.intern("B")
+    stored = build_graph(["A"], [], own)
+    table = LabelTable()
+    query = build_graph(["A"], [], table)
+    assert stored.vertex_labels != query.vertex_labels
+    with pytest.raises(ValueError, match="label table"):
+        GraphDatabase.from_graphs([(0, stored)], table)
+    assert GraphDatabase.from_graphs([(0, query)], table).ids == [0]
+
+
 def test_beam_width_checked_without_candidates(small_db):
     # A query no graph can match: the filter keeps nothing, so the engine
     # never runs, and the beam width is still rejected.

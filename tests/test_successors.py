@@ -1,8 +1,16 @@
 import random
 
-from conftest import PENDANT_PAIR_TEXT, all_complete_mappings, build_graph, parse_pair, random_pair
+from conftest import (
+    PENDANT_PAIR_TEXT,
+    all_complete_mappings,
+    build_graph,
+    canonical_code,
+    code_compare,
+    parse_pair,
+    random_pair,
+)
 from gedkit.graphs import vertex_partition
-from gedkit.mapping import canonical_code, code_compare, edit_cost
+from gedkit.mapping import edit_cost
 from gedkit.successors import (
     basic_gen_succr,
     determine_order,
