@@ -8,8 +8,6 @@ from .graphs import (
     LabelTable,
     LabeledGraph,
     VertexPartition,
-    degree_sequence,
-    label_multiset,
     parse_graph_db,
     serialize_graph_db,
     vertex_partition,
@@ -53,7 +51,6 @@ __all__ = [
     "basic_gen_succr",
     "bss_ged",
     "check_edit_path",
-    "degree_sequence",
     "delta_bounds",
     "determine_order",
     "edit_cost",
@@ -62,7 +59,6 @@ __all__ = [
     "filter_candidates",
     "gen_succr",
     "induced_structure",
-    "label_multiset",
     "lb_graph",
     "parse_graph_db",
     "predicted_layer_count",

@@ -2,17 +2,11 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
-from .graphs import (
-    LabeledGraph,
-    degree_sequence,
-    label_multiset,
-    multiset_intersection_size,
-)
+from .graphs import LabeledGraph, multiset_intersection_size, require_shared_table
 from .mapping import GraphMapping
 
 
@@ -44,30 +38,61 @@ def _pair_bound(n_g: int, n_q: int, vinter: int, degs_g: Sequence[int],
     return max(n_g, n_q) - vinter + max(d1 + d2, d1 + m_q - einter)
 
 
-def delta_bounds(g: LabeledGraph, q: LabeledGraph) -> tuple[int, int]:
-    """Lower bounds on edge deletions and insertions from degree sequences."""
-    return _deltas(degree_sequence(g), degree_sequence(q))
+def _remainder(g: LabeledGraph, removed: Iterable[int]) -> tuple:
+    """Count what is left of g once the `removed` vertices are taken out.
+
+    One pass over the vertices and one over the edges. Returns (removed
+    flags, vertex count, label counts, edge-label counts, degrees by vertex,
+    edge count); a removed vertex has degree 0. Every pair bound, on whole
+    graphs or on the remainders below a search node, is built from these.
+    """
+    gone = [False] * g.n
+    for v in removed:
+        gone[v] = True
+    n = 0
+    counts: dict[int, int] = {}
+    for v, lab in enumerate(g.vertex_labels):
+        if not gone[v]:
+            n += 1
+            counts[lab] = counts.get(lab, 0) + 1
+    m = 0
+    ecounts: dict[int, int] = {}
+    deg = [0] * g.n
+    for a, b, lab in g.edges:
+        if not (gone[a] or gone[b]):
+            m += 1
+            deg[a] += 1
+            deg[b] += 1
+            ecounts[lab] = ecounts.get(lab, 0) + 1
+    return gone, n, counts, ecounts, deg, m
 
 
 @dataclass(frozen=True)
 class GraphSummary:
-    """Per-graph inputs of the pair bound, precomputable for databases."""
+    """Per-graph inputs of the pair bound, precomputable for databases.
+
+    vertex_labels and edge_labels map each label to its positive count;
+    degrees is the non-increasing degree sequence.
+    """
 
     n: int
     m: int
-    vertex_labels: Counter
-    edge_labels: Counter
+    vertex_labels: dict[int, int]
+    edge_labels: dict[int, int]
     degrees: tuple[int, ...]
 
 
 def summarize(g: LabeledGraph) -> GraphSummary:
-    return GraphSummary(
-        n=g.n,
-        m=g.m,
-        vertex_labels=label_multiset(g, "vertices"),
-        edge_labels=label_multiset(g, "edges"),
-        degrees=degree_sequence(g),
-    )
+    """The whole graph's remainder: nothing removed, degrees sorted."""
+    _, n, counts, ecounts, deg, m = _remainder(g, ())
+    deg.sort(reverse=True)
+    return GraphSummary(n, m, counts, ecounts, tuple(deg))
+
+
+def delta_bounds(g: LabeledGraph, q: LabeledGraph) -> tuple[int, int]:
+    """Lower bounds on edge deletions and insertions from degree sequences."""
+    require_shared_table(g, q)
+    return _deltas(summarize(g).degrees, summarize(q).degrees)
 
 
 def lb_from_summaries(a: GraphSummary, b: GraphSummary) -> int:
@@ -92,6 +117,7 @@ def lb_from_summaries(a: GraphSummary, b: GraphSummary) -> int:
 
 def lb_graph(g: LabeledGraph, q: LabeledGraph) -> int:
     """Lower bound on ged(g, q) from label multisets and degree sequences."""
+    require_shared_table(g, q)
     return lb_from_summaries(summarize(g), summarize(q))
 
 
@@ -200,32 +226,19 @@ def lb_from_branches(a: Sequence[Branch], b: Sequence[Branch]) -> int:
 
 def branch_bound(g: LabeledGraph, q: LabeledGraph) -> int:
     """Lower bound on ged(g, q) from vertex branches (see lb_from_branches)."""
+    require_shared_table(g, q)
     return lb_from_branches(vertex_branches(g), vertex_branches(q))
 
 
 def _source_side(g: LabeledGraph, sources: Sequence[int]) -> tuple:
     """The source half of the remainder bounds once `sources` are mapped.
 
-    Returns (n_g, label counts, edge-label counts, non-increasing degrees of
-    the unmapped part, {source: (outer size, outer edge-label counts)},
-    number of outer source vertices).
+    Counts the unmapped part with _remainder and adds each source's outer
+    edges. Returns (n_g, label counts, edge-label counts, non-increasing
+    degrees of the unmapped part, {source: (outer size, outer edge-label
+    counts)}, number of outer source vertices).
     """
-    mapped = [False] * g.n
-    for s in sources:
-        mapped[s] = True
-    counts: dict[int, int] = {}
-    n_g = 0
-    for u, lab in enumerate(g.vertex_labels):
-        if not mapped[u]:
-            n_g += 1
-            counts[lab] = counts.get(lab, 0) + 1
-    ecounts: dict[int, int] = {}
-    deg = [0] * g.n
-    for u, v, lab in g.edges:
-        if not (mapped[u] or mapped[v]):
-            ecounts[lab] = ecounts.get(lab, 0) + 1
-            deg[u] += 1
-            deg[v] += 1
+    mapped, n_g, counts, ecounts, deg, _ = _remainder(g, sources)
     deg.sort(reverse=True)
     outer = {}
     a_g: set[int] = set()
@@ -248,28 +261,15 @@ def _target_side(q: LabeledGraph, targets: Iterable[int],
                  pairs: Iterable[tuple[int, int | None]], outer: dict) -> tuple:
     """The target half of the remainder bounds once `targets` are used.
 
-    pairs are the mapped (source, target or None) pairs, outer the source
-    half's outer edges. Returns (used flags, label counts, edge-label
-    counts, degrees of the unused part by vertex, m_q, the outer-edge sums
-    (max, target, source), the outer target vertices, {target: (source
-    size, source counts, target size, target counts, shared labels)}).
+    Counts the unused part with _remainder and meets each pair's target
+    outer edges with the source half's: pairs are the mapped (source,
+    target or None) pairs, outer the source half's outer edges. Returns
+    (used flags, label counts, edge-label counts, degrees of the unused part
+    by vertex, m_q, the outer-edge sums (max, target, source), the outer
+    target vertices, {target: (source size, source counts, target size,
+    target counts, shared labels)}).
     """
-    used = [False] * q.n
-    for t in targets:
-        used[t] = True
-    counts: dict[int, int] = {}
-    for v, lab in enumerate(q.vertex_labels):
-        if not used[v]:
-            counts[lab] = counts.get(lab, 0) + 1
-    ecounts: dict[int, int] = {}
-    deg = [0] * q.n
-    m_q = 0
-    for a, b, lab in q.edges:
-        if not (used[a] or used[b]):
-            m_q += 1
-            deg[a] += 1
-            deg[b] += 1
-            ecounts[lab] = ecounts.get(lab, 0) + 1
+    used, _, counts, ecounts, deg, m_q = _remainder(q, targets)
     # Outer edges, from each pair to the unmapped part. Neighbours are read
     # by key: on these short read-only views that beats .items().
     adj_q = q.adjacency

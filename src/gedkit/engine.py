@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .bounds import PairHeuristic
-from .graphs import LabeledGraph, vertex_partition
+from .graphs import LabeledGraph, require_shared_table, vertex_partition
 from .mapping import GraphMapping, edit_cost
 from .successors import (
     SearchNode,
@@ -110,8 +110,7 @@ class SearchRun:
             raise ValueError(f"node budget must be >= 1, got {node_budget}")
         if time_limit is not None and time_limit < 0:
             raise ValueError(f"time limit must be >= 0, got {time_limit}")
-        if g.table is not q.table:
-            raise ValueError("graphs must share one label table")
+        require_shared_table(g, q)
         self.g, self.q, self.w = g, q, w
         if order_policy == "dfs":
             self.order = determine_order(g)

@@ -1,8 +1,7 @@
-"""Labeled-graph data model: label interning, parsing, and per-graph summaries."""
+"""Labeled-graph data model: label interning, parsing, and vertex partitions."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -164,25 +163,21 @@ def vertex_partition(q: LabeledGraph) -> VertexPartition:
     )
 
 
-def degree_sequence(g: LabeledGraph) -> tuple[int, ...]:
-    """Vertex degrees sorted non-increasing."""
-    return tuple(sorted((len(a) for a in g.adjacency), reverse=True))
+def require_shared_table(g: LabeledGraph, q: LabeledGraph) -> None:
+    """Raise ValueError unless g and q intern labels in the same table.
 
-
-def label_multiset(g: LabeledGraph, which: str) -> Counter:
-    """Multiset of vertex or edge labels ('vertices' or 'edges')."""
-    if which == "vertices":
-        return Counter(g.vertex_labels)
-    if which == "edges":
-        return Counter(lab for _, _, lab in g.edges)
-    raise ValueError(f"which must be 'vertices' or 'edges', got {which!r}")
+    Label ids from two tables are not comparable, so every pairwise bound,
+    cost or search needs one table.
+    """
+    if g.table is not q.table:
+        raise ValueError("graphs must share one label table")
 
 
 def multiset_intersection_size(a: dict, b: dict) -> int:
     """Size of the multiset intersection: sum over labels of min counts.
 
-    Takes label -> positive count mappings (Counter or dict) and walks the
-    smaller one, building no intermediate multiset.
+    Takes label -> positive count dicts and walks the smaller one, building
+    no intermediate multiset.
     """
     if len(a) > len(b):
         a, b = b, a

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, require_shared_table
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,7 @@ def induced_structure(psi: GraphMapping, g: LabeledGraph, q: LabeledGraph):
 
 def edit_cost(psi: GraphMapping, g: LabeledGraph, q: LabeledGraph) -> EditCostBreakdown:
     """Cost of the edit path induced by a complete mapping (batch formula)."""
+    require_shared_table(g, q)
     tgt = psi.mapped_sources()
     v_h, e_h = induced_structure(psi, g, q)
     c_d = (g.n - len(v_h)) + (g.m - len(e_h))
@@ -96,6 +97,7 @@ def realize_edit_path(psi: GraphMapping, g: LabeledGraph, q: LabeledGraph) -> li
     insertions before edges touching them. Inserted target vertex y receives
     the fresh id g.n + y. The list length equals edit_cost(psi).total.
     """
+    require_shared_table(g, q)
     tgt = psi.mapped_sources()
     v_h, e_h = induced_structure(psi, g, q)
     ops: list[dict] = []

@@ -1,5 +1,6 @@
-"""Ground truth: exhaustive GED (capped by OracleLimits) and edit-path checking
-through the path's own mapping (uncapped, no isomorphism test).
+"""Ground truth: exhaustive GED (capped at OracleLimits().max_vertices vertices
+per graph) and edit-path checking through the path's own mapping (uncapped,
+no isomorphism test).
 
 Everything here is deliberately independent of the reduced successor rules
 and the beam-stack engine, so it can certify them.
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, require_shared_table
 from .mapping import GraphMapping
 
 
@@ -29,8 +30,10 @@ class EditPathError(ValueError):
 
 @dataclass(frozen=True)
 class OracleLimits:
+    """The oracle's size cap. At 8 vertices a side the unreduced tree has
+    count_complete_basic_mappings(8, 8) = 1,441,729 leaves."""
+
     max_vertices: int = 8
-    max_mappings: int = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -48,23 +51,17 @@ def count_complete_basic_mappings(n_g: int, n_q: int) -> int:
     )
 
 
-def exhaustive_ged(g: LabeledGraph, q: LabeledGraph, limits: OracleLimits | None = None) -> OracleResult:
+def exhaustive_ged(g: LabeledGraph, q: LabeledGraph) -> OracleResult:
     """Minimum edit cost over every complete mapping, found by full enumeration.
 
     Walks the unreduced successor tree with no pruning, accumulating the edit
-    cost pair by pair, and keeps the cheapest complete mapping. Refuses
-    inputs whose vertex count or mapping count exceeds the limits.
+    cost pair by pair, and keeps the cheapest complete mapping. Refuses a
+    graph with more than OracleLimits().max_vertices vertices.
     """
-    limits = limits or OracleLimits()
-    if g.n > limits.max_vertices or q.n > limits.max_vertices:
-        raise OracleLimitError(
-            f"oracle limited to {limits.max_vertices} vertices, got {g.n} and {q.n}"
-        )
-    total = count_complete_basic_mappings(g.n, q.n)
-    if total > limits.max_mappings:
-        raise OracleLimitError(f"{total} mappings exceed the cap {limits.max_mappings}")
-    if g.table is not q.table:
-        raise ValueError("graphs must share one label table")
+    cap = OracleLimits().max_vertices
+    if g.n > cap or q.n > cap:
+        raise OracleLimitError(f"oracle limited to {cap} vertices, got {g.n} and {q.n}")
+    require_shared_table(g, q)
 
     n_g, n_q = g.n, q.n
     gl, ql = g.vertex_labels, q.vertex_labels

@@ -7,7 +7,7 @@ import math
 from typing import Sequence
 
 from .bounds import PairHeuristic
-from .graphs import LabeledGraph, VertexPartition
+from .graphs import LabeledGraph, VertexPartition, vertex_partition
 from .mapping import GraphMapping
 
 # Fallback id source for nodes created outside an engine run (tests, tools).
@@ -81,12 +81,13 @@ def determine_order(g: LabeledGraph) -> tuple[int, ...]:
 
 
 def extension_cost(g: LabeledGraph, q: LabeledGraph, parent_map: dict[int, int | None],
-                   u: int, z: int | None, preimage: dict[int, int] | None = None) -> int:
+                   u: int, z: int | None, preimage: dict[int, int]) -> int:
     """Edit-cost delta of appending the pair (u -> z) to a partial mapping.
 
     Counts the vertex operation for u plus every edge operation that becomes
     decidable once u is mapped: source edges to already-mapped vertices and
-    target edges between z and already-used targets.
+    target edges between z and already-used targets. preimage is the
+    target -> source inverse of parent_map's real pairs.
     """
     adj_u = g.adjacency[u]
     if z is None:
@@ -103,8 +104,6 @@ def extension_cost(g: LabeledGraph, q: LabeledGraph, parent_map: dict[int, int |
         a = parent_map[w]
         if a is None or adj_z.get(a) != adj_u[w]:
             cost += 1
-    if preimage is None:
-        preimage = {a: w for w, a in parent_map.items() if a is not None}
     for b in adj_z:
         w = preimage.get(b)
         if w is not None and w not in adj_u:
@@ -204,23 +203,18 @@ def make_root(g: LabeledGraph, q: LabeledGraph, heuristic: PairHeuristic | None 
 
 
 def enumerate_search_tree(g: LabeledGraph, q: LabeledGraph, reduced: bool = True,
-                          order: Sequence[int] | None = None,
-                          part: VertexPartition | None = None,
-                          heuristic: PairHeuristic | None = None):
-    """Fully expand the search tree without pruning.
+                          order: Sequence[int] | None = None):
+    """Fully expand the search tree without pruning or bounds (h = 0).
 
     Returns (layer_counts, leaves): node counts for layers 0..|V_G| and all
     complete-mapping leaf nodes. Intended for verification and inspection on
     small graphs; the tree is exponential.
     """
-    from .graphs import vertex_partition
-
     if order is None:
         order = identity_order(g)
-    if part is None:
-        part = vertex_partition(q)
+    part = vertex_partition(q)
     ids = itertools.count()
-    root = make_root(g, q, heuristic, ids)
+    root = make_root(g, q, ids=ids)
     layer_counts = [0] * (g.n + 1)
     leaves: list[SearchNode] = []
     stack = [root]
@@ -232,9 +226,9 @@ def enumerate_search_tree(g: LabeledGraph, q: LabeledGraph, reduced: bool = True
             leaves.append(node)
             continue
         if reduced:
-            stack.extend(gen_succr(node, g, q, part, order, heuristic, ids))
+            stack.extend(gen_succr(node, g, q, part, order, ids=ids))
         else:
-            stack.extend(basic_gen_succr(node, g, q, order, heuristic, ids))
+            stack.extend(basic_gen_succr(node, g, q, order, ids=ids))
     return layer_counts, leaves
 
 

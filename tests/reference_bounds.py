@@ -1,11 +1,12 @@
 """Slow reference implementations of the lower bounds in gedkit.bounds.
 
-These are the Counter-based originals of `lb_from_summaries` and
-`remainder_bounds`, kept unchanged and independent of the package's code.
-Tests require the package's flat `lb_from_summaries` and `remainder_bounds`,
-and every child bound of `PairHeuristic.children`, to return identical
-values. The package's `remainder_bounds` and `children` share their source
-and target halves, so only this module can serve as their oracle.
+These are the Counter-based originals of `summarize`, `lb_from_summaries`
+and `remainder_bounds`, kept unchanged and independent of the package's
+code. Tests require the package's `summarize`, its flat
+`lb_from_summaries` and `remainder_bounds`, and every child bound of
+`PairHeuristic.children`, to return identical values. The package's
+`summarize`, `remainder_bounds` and `children` all read one remainder
+counting pass, so only this module can serve as their oracle.
 """
 
 from __future__ import annotations
@@ -17,8 +18,18 @@ from gedkit.graphs import LabeledGraph
 from gedkit.mapping import GraphMapping
 
 
-def multiset_intersection_size(a: Counter, b: Counter) -> int:
-    return sum((a & b).values())
+def multiset_intersection_size(a: dict, b: dict) -> int:
+    return sum((Counter(a) & Counter(b)).values())
+
+
+def summarize(g: LabeledGraph) -> GraphSummary:
+    return GraphSummary(
+        n=g.n,
+        m=g.m,
+        vertex_labels=Counter(g.vertex_labels),
+        edge_labels=Counter(lab for _, _, lab in g.edges),
+        degrees=tuple(sorted((len(a) for a in g.adjacency), reverse=True)),
+    )
 
 
 def _deltas(degs_g: tuple[int, ...], degs_q: tuple[int, ...]) -> tuple[int, int]:

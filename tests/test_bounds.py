@@ -2,6 +2,8 @@ import itertools
 import random
 from collections import Counter
 
+import pytest
+
 import reference_bounds as reference
 from conftest import build_graph, random_pair, unmapped_parts
 from gedkit.bounds import (
@@ -16,7 +18,7 @@ from gedkit.bounds import (
 )
 from gedkit.graphs import LabelTable, LabeledGraph, vertex_partition
 from gedkit.engine import bss_ged
-from gedkit.mapping import GraphMapping, realize_edit_path
+from gedkit.mapping import GraphMapping, edit_cost, realize_edit_path
 from gedkit.oracle import count_complete_basic_mappings, exhaustive_ged
 from gedkit.successors import (
     basic_gen_succr,
@@ -30,6 +32,22 @@ from gedkit.synth import random_graph
 
 def as_mapping(pairs, g, q):
     return GraphMapping(pairs, g.n, q.n)
+
+
+@pytest.mark.parametrize("pairwise", [
+    lb_graph, branch_bound, delta_bounds,
+    lambda g, q: edit_cost(GraphMapping(((0, 0),), 1, 1), g, q),
+    lambda g, q: realize_edit_path(GraphMapping(((0, 0),), 1, 1), g, q),
+], ids=["lb_graph", "branch_bound", "delta_bounds", "edit_cost", "realize_edit_path"])
+def test_pairwise_calls_need_one_label_table(pairwise):
+    # One 'A' vertex each, interned as id 2 in one table and id 1 in the
+    # other: compared as raw ids, the labels would differ although ged is 0.
+    t1, t2 = LabelTable(), LabelTable()
+    t1.intern("X")
+    g = LabeledGraph([t1.intern("A")], [], t1)
+    q = LabeledGraph([t2.intern("A")], [], t2)
+    with pytest.raises(ValueError, match="graphs must share one label table"):
+        pairwise(g, q)
 
 
 def test_delta_bounds_identical(square_star):
@@ -226,6 +244,21 @@ def test_edge_operation_counts_cover_target_edges(small_sweep):
             (Counter(lab for *_, lab in g.edges) & Counter(lab for *_, lab in q.edges)).values()
         )
         assert shared + gamma2 + gamma3 >= q.m
+
+
+def test_summarize_matches_reference():
+    # Graphs of 0-12 vertices; sparse graphs have isolated vertices (density
+    # 0.05 rounds to no edge below 7 vertices), and n = 0 is the empty graph.
+    rng = random.Random(48)
+    table = LabelTable()
+    sizes = isolated = 0
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(0, 12), rng.choice((0.05, 0.1, 0.3, 0.8)),
+                         rng.choice((1, 2, 5)), rng.choice((1, 2, 5)), table)
+        assert summarize(g) == reference.summarize(g)
+        sizes |= 1 << g.n
+        isolated += 0 in summarize(g).degrees
+    assert sizes == (1 << 13) - 1 and isolated >= 100
 
 
 def test_lb_from_summaries_matches_lb_graph():

@@ -10,13 +10,12 @@ from gedkit.graphs import (
     GraphFormatError,
     LabelTable,
     LabeledGraph,
-    degree_sequence,
-    label_multiset,
     multiset_intersection_size,
     parse_graph_db,
     serialize_graph_db,
     vertex_partition,
 )
+from gedkit.bounds import summarize
 from gedkit.mapping import edit_cost
 from conftest import all_complete_mappings
 
@@ -32,8 +31,8 @@ def test_parse_minimal_record():
 
 def test_parse_square_star_g_degrees():
     g, q, _ = parse_pair(SQUARE_STAR_TEXT)
-    assert degree_sequence(g) == (2, 2, 2, 2)
-    assert degree_sequence(q) == (3, 1, 1, 1)
+    assert summarize(g).degrees == (2, 2, 2, 2)
+    assert summarize(q).degrees == (3, 1, 1, 1)
 
 
 def test_parse_self_loop_rejected():
@@ -247,7 +246,7 @@ def test_partition_members_swap_invariant():
 
 
 def test_degree_sequences():
-    assert degree_sequence(build_graph(["A"] * 3, [])) == (0, 0, 0)
+    assert summarize(build_graph(["A"] * 3, [])).degrees == (0, 0, 0)
     g4, _, _ = parse_pair(PENDANT_PAIR_TEXT)
     # Oracle: count incident edges per vertex straight off the edge list.
     counts = Counter()
@@ -256,19 +255,16 @@ def test_degree_sequences():
         counts[v] += 1
     expected = tuple(sorted((counts[u] for u in range(g4.n)), reverse=True))
     assert expected == (3, 2, 2, 2, 1)
-    assert degree_sequence(g4) == expected
+    assert summarize(g4).degrees == expected
 
 
 def test_label_multisets_square_star():
     g, _, table = parse_pair(SQUARE_STAR_TEXT)
-    vs = label_multiset(g, "vertices")
-    assert vs == Counter({table.intern("A"): 2, table.intern("B"): 1, table.intern("C"): 1})
-    es = label_multiset(g, "edges")
-    assert es == Counter({table.intern("a"): 2, table.intern("b"): 2})
-    empty = build_graph([], [])
-    assert label_multiset(empty, "vertices") == Counter()
-    with pytest.raises(ValueError):
-        label_multiset(g, "both")
+    s = summarize(g)
+    assert s.vertex_labels == {table.intern("A"): 2, table.intern("B"): 1, table.intern("C"): 1}
+    assert s.edge_labels == {table.intern("a"): 2, table.intern("b"): 2}
+    empty = summarize(build_graph([], []))
+    assert empty.vertex_labels == {} and empty.edge_labels == {}
 
 
 def test_multiset_intersection_properties():

@@ -137,12 +137,15 @@ def test_mapping_validation():
 def incremental_total(g, q, psi):
     """Accumulate the cost pair by pair, the way the search engine does."""
     assigned = {}
+    preimage = {}
     total = 0
     for s, t in psi.pairs:
         if s is None:
             break
-        total += extension_cost(g, q, assigned, s, t)
+        total += extension_cost(g, q, assigned, s, t, preimage)
         assigned[s] = t
+        if t is not None:
+            preimage[t] = s
     used = {t for t in assigned.values() if t is not None}
     if len(used) < q.n:
         total += leaf_completion_cost(g, q, used)

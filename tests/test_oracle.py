@@ -10,7 +10,6 @@ from gedkit.mapping import GraphMapping, edit_cost, realize_edit_path
 from gedkit.oracle import (
     EditPathError,
     OracleLimitError,
-    OracleLimits,
     check_edit_path,
     count_complete_basic_mappings,
     exhaustive_ged,
@@ -62,10 +61,6 @@ def test_limits_refusal():
         exhaustive_ged(big, small)
     with pytest.raises(OracleLimitError):
         exhaustive_ged(small, big)
-    tight = OracleLimits(max_vertices=8, max_mappings=10)
-    a = build_graph(["A"] * 4, [], table)
-    with pytest.raises(OracleLimitError):
-        exhaustive_ged(a, a, tight)
 
 
 def test_oracle_minimum_over_all_mappings():

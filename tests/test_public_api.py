@@ -19,7 +19,6 @@ PUBLIC_API = [
     "basic_gen_succr",
     "bss_ged",
     "check_edit_path",
-    "degree_sequence",
     "delta_bounds",
     "determine_order",
     "edit_cost",
@@ -28,7 +27,6 @@ PUBLIC_API = [
     "filter_candidates",
     "gen_succr",
     "induced_structure",
-    "label_multiset",
     "lb_graph",
     "parse_graph_db",
     "predicted_layer_count",
