@@ -3,7 +3,6 @@
 from .bounds import delta_bounds, lb_graph
 from .engine import DEFAULT_BEAM_WIDTH, GedResult, SearchRun, bss_ged
 from .graphs import (
-    DUMMY_LABEL,
     GraphFormatError,
     LabelTable,
     LabeledGraph,
@@ -36,7 +35,6 @@ from .successors import (
 
 __all__ = [
     "DEFAULT_BEAM_WIDTH",
-    "DUMMY_LABEL",
     "EditCostBreakdown",
     "GedResult",
     "GraphDatabase",

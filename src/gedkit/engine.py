@@ -1,9 +1,10 @@
 """Beam-stack search for exact GED.
 
 Iterated beam search: each pass descends layer by layer keeping at most w
-nodes, recording on a stack the cost interval it actually covered. Nodes cut
-by the beam are recovered later by shifting the top interval and searching
-again, so the final upper bound is the exact distance regardless of w.
+nodes, pushing each layer's beam on a stack with the cost interval it
+actually covered. Nodes cut by the beam are recovered later by shifting the
+top interval and searching again, so the final upper bound is the exact
+distance regardless of w.
 """
 
 from __future__ import annotations
@@ -39,9 +40,11 @@ class _BudgetExceeded(Exception):
 
 
 @dataclass
-class Interval:
-    """Half-open cost interval [f_min, f_max) admitted for one layer."""
+class Layer:
+    """One beam-stack entry: a layer's beam and the half-open cost interval
+    [f_min, f_max) admitted for its successors."""
 
+    nodes: list[SearchNode]
     f_min: int
     f_max: int
 
@@ -108,7 +111,7 @@ class SearchRun:
             raise ValueError(f"threshold must be >= 0, got {threshold}")
         if node_budget < 1:
             raise ValueError(f"node budget must be >= 1, got {node_budget}")
-        if time_limit is not None and time_limit < 0:
+        if time_limit is not None and not time_limit >= 0:
             raise ValueError(f"time limit must be >= 0, got {time_limit}")
         require_shared_table(g, q)
         self.g, self.q, self.w = g, q, w
@@ -131,28 +134,23 @@ class SearchRun:
 
         self.ids = itertools.count()
         self.stats = SearchStats()
-        # Live nodes by id, one dict per tree depth; insertion leaves sit one
-        # past layer |V_G|.
-        self.open: list[dict[int, SearchNode]] = [{} for _ in range(g.n + 2)]
-        # The beam stack: one interval per layer of the current descent.
-        self.bs: list[Interval] = [Interval(0, self.ub)]
-
         root = make_root(g, q, self.heuristic, self.ids)
         self.stats.nodes_generated += 1
-        self.open[0][root.id] = root
+        # The beam stack: entry i holds layer i of the current descent.
+        self.bs: list[Layer] = [Layer([root], 0, self.ub)]
 
     def _generate(self, r: SearchNode) -> list[SearchNode]:
         if self.succ_policy == "reduced":
             return gen_succr(r, self.g, self.q, self.part, self.order, self.heuristic, self.ids)
         return basic_gen_succr(r, self.g, self.q, self.order, self.heuristic, self.ids)
 
-    def expand_node(self, r: SearchNode, layer: int) -> list[SearchNode]:
+    def expand_node(self, r: SearchNode) -> list[SearchNode]:
         """Successors of r admitted by the current interval.
 
         Generates successors into r.children on first visit, then rereads
         them. Successors at or above the upper bound, or already expanded,
         are pruned for good and their children dropped; if that prunes all
-        of them, r itself leaves the layer queue.
+        of them, r itself is pruned and no later pass expands it.
         """
         stats = self.stats
         stats.nodes_expanded += 1
@@ -175,12 +173,11 @@ class SearchRun:
                 if top.f_min <= n.f < top.f_max:
                     admitted.append(n)
         if all_safely_pruned:
-            self.open[layer].pop(r.id, None)
             r.children = ()
         return admitted
 
-    def search_pass(self, layer: int):
-        """One beam descent from `layer`; returns after the first leaf pop.
+    def search_pass(self):
+        """One beam descent from the top entry; returns after the first leaf pop.
 
         Keeps the best w successors per layer; when more were generated, the
         current interval's right edge records the cheapest node cut, so a
@@ -188,8 +185,9 @@ class SearchRun:
         """
         self.stats.passes += 1
         # No priority changes while a layer drains, so one sort per layer
-        # gives the pop order.
-        pql = sorted(self.open[layer].values(), key=_priority)
+        # gives the pop order. Nodes pruned since their entry was pushed
+        # (children == ()) stay in it but are never expanded again.
+        pql = sorted((n for n in self.bs[-1].nodes if n.children != ()), key=_priority)
         while pql:
             pqll: list[SearchNode] = []
             for r in pql:
@@ -199,16 +197,14 @@ class SearchRun:
                     if r.g < self.ub:
                         self.accept(r)
                     return
-                pqll.extend(self.expand_node(r, layer))
+                pqll.extend(self.expand_node(r))
             pqll.sort(key=_priority)
             if len(pqll) > self.w:
                 self.bs[-1].f_max = pqll[self.w].f
                 del pqll[self.w:]
-            layer += 1
-            self.open[layer] = {n.id: n for n in pqll}
+            self.bs.append(Layer(pqll, 0, self.ub))
             pql = pqll
-            self.bs.append(Interval(0, self.ub))
-            live = sum(len(o) for o in self.open)
+            live = sum(len(entry.nodes) for entry in self.bs)
             if live > self.stats.max_open:
                 self.stats.max_open = live
 
@@ -226,7 +222,7 @@ class SearchRun:
         self.stats.ub_history.append(leaf.g)
 
     def backtrack(self) -> bool:
-        """Pop exhausted intervals and shift the surviving top; False when done."""
+        """Pop exhausted entries and shift the surviving top's interval; False when done."""
         while self.bs and self.bs[-1].f_max >= self.ub:
             self.bs.pop()
             self.stats.backtracks += 1
@@ -241,7 +237,7 @@ class SearchRun:
         decide = self.threshold is not None
         try:
             while self.bs:
-                self.search_pass(len(self.bs) - 1)
+                self.search_pass()
                 if decide and self.best is not None:
                     return GedResult(WITHIN_THRESHOLD, None, self.ub, self.stats, mapping=self.best)
                 if not self.backtrack():

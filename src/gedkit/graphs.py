@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
-
-# Reserved label id for dummy vertices; never handed out by interning.
-DUMMY_LABEL = 0
 
 # The adjacency of every isolated vertex: one shared read-only empty map.
 _NO_NEIGHBOURS = MappingProxyType({})
@@ -23,13 +20,12 @@ class GraphFormatError(ValueError):
 class LabelTable:
     """Session-wide string-to-id interning for vertex and edge labels.
 
-    Id 0 is reserved for the dummy label and can never be produced by
-    intern(). Graphs are only comparable when built against the same table.
+    Graphs are only comparable when built against the same table.
     """
 
     def __init__(self):
         self._ids: dict[str, int] = {}
-        self._tokens: list[str] = ["<dummy>"]
+        self._tokens: list[str] = []
 
     def intern(self, token: str) -> int:
         lid = self._ids.get(token)
@@ -41,9 +37,6 @@ class LabelTable:
 
     def token(self, label_id: int) -> str:
         return self._tokens[label_id]
-
-    def __len__(self) -> int:
-        return len(self._tokens)
 
 
 class LabeledGraph:
@@ -124,26 +117,14 @@ class VertexPartition:
     """Equivalence classes of isomorphic vertices of a target graph.
 
     Two vertices share a class iff they carry the same label and the same
-    labeled neighborhood. Classes are ordered by their smallest member, and
-    class indices are 1-based; index lambda_q + 1 is reserved for dummies.
+    labeled neighborhood. Classes are ordered by their smallest member.
     """
 
     classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...] = field(repr=False)
 
     @property
     def lambda_q(self) -> int:
         return len(self.classes)
-
-    @property
-    def dummy_class(self) -> int:
-        return len(self.classes) + 1
-
-    def class_index(self, v: int | None) -> int:
-        """1-based class of vertex v; dummies (None) map to lambda_q + 1."""
-        if v is None:
-            return self.dummy_class
-        return self.class_of[v]
 
 
 def vertex_partition(q: LabeledGraph) -> VertexPartition:
@@ -153,14 +134,7 @@ def vertex_partition(q: LabeledGraph) -> VertexPartition:
         key = (q.vertex_labels[v], frozenset(q.adjacency[v].items()))
         groups.setdefault(key, []).append(v)
     classes = sorted(groups.values(), key=lambda c: c[0])
-    class_of = [0] * q.n
-    for idx, members in enumerate(classes, start=1):
-        for v in members:
-            class_of[v] = idx
-    return VertexPartition(
-        classes=tuple(tuple(c) for c in classes),
-        class_of=tuple(class_of),
-    )
+    return VertexPartition(tuple(tuple(c) for c in classes))
 
 
 def require_shared_table(g: LabeledGraph, q: LabeledGraph) -> None:

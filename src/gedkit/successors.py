@@ -111,7 +111,7 @@ def extension_cost(g: LabeledGraph, q: LabeledGraph, parent_map: dict[int, int |
     return cost
 
 
-def leaf_completion_cost(g: LabeledGraph, q: LabeledGraph, used_targets: set[int]) -> int:
+def leaf_completion_cost(q: LabeledGraph, used_targets: set[int]) -> int:
     """Cost of inserting every remaining target vertex and its edges."""
     cost = q.n - len(used_targets)
     for a, b, _ in q.edges:
@@ -123,7 +123,7 @@ def leaf_completion_cost(g: LabeledGraph, q: LabeledGraph, used_targets: set[int
 def _insertion_leaf(parent: SearchNode, g, q, remaining: list[int], ids) -> SearchNode:
     pairs = parent.mapping.pairs + tuple((None, z) for z in remaining)
     mapping = GraphMapping(pairs, g.n, q.n)
-    gval = parent.g + leaf_completion_cost(g, q, parent.mapping.used_targets())
+    gval = parent.g + leaf_completion_cost(q, parent.mapping.used_targets())
     return SearchNode(next(ids), parent.layer + 1, mapping, gval, 0, True)
 
 

@@ -96,8 +96,9 @@ def identity_mapping(g: LabeledGraph) -> GraphMapping:
 # Canonical codes of the paper's reduction claims: the reduced generator
 # keeps exactly one mapping per code, the first under code_compare.
 def canonical_code(psi: GraphMapping, part: VertexPartition) -> tuple[int, ...]:
-    """Per-pair sequence of target class indices; dummies get lambda_q + 1."""
-    return tuple(part.class_index(t) for _, t in psi.pairs)
+    """Per-pair sequence of 1-based target class indices; dummies get lambda_q + 1."""
+    class_of = {v: i for i, members in enumerate(part.classes, start=1) for v in members}
+    return tuple(class_of.get(t, part.lambda_q + 1) for _, t in psi.pairs)
 
 
 def code_compare(psi: GraphMapping, other: GraphMapping, part: VertexPartition) -> int:

@@ -304,9 +304,12 @@ def test_dist_bad_budget_exit_code(square_star_db, capsys):
 
 
 def test_bench_negative_time_limit_exit_code(square_star_db, capsys):
-    assert main(["bench", square_star_db, "--time-limit", "-1", "--json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "time limit" in captured.err
+    # NaN passes a `< 0` check and then never expires, so it is rejected too.
+    for limit in ("-1", "nan"):
+        argv = ["bench", square_star_db, "--queries", "0", "--targets", "1", "--time-limit", limit]
+        assert main(argv + ["--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "time limit" in captured.err
 
 
 def test_gen_negative_count_exit_code(tmp_path, capsys):

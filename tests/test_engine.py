@@ -87,22 +87,31 @@ def test_empty_graphs():
     assert bss_ged(g, empty, 1).distance == 3
 
 
+def _check_stack(run):
+    for i, entry in enumerate(run.bs):
+        assert 0 <= entry.f_min <= entry.f_max
+        assert len(entry.nodes) <= run.w
+        assert all(n.layer == i for n in entry.nodes)
+
+
 def test_interval_discipline_stepped(square_star):
     g, q = square_star
     run = SearchRun(g, q, 1)
     passes = 0
     while run.bs:
-        run.search_pass(len(run.bs) - 1)
+        run.search_pass()
         passes += 1
-        for item in run.bs:
-            assert 0 <= item.f_min <= item.f_max
+        _check_stack(run)
         if not run.backtrack():
             break
-        for item in run.bs:
-            assert 0 <= item.f_min <= item.f_max
+        _check_stack(run)
         assert run.bs[-1].f_max == run.ub
     assert run.ub == 4
     assert passes == run.stats.passes
+    assert run.bs == []
+    run = SearchRun(g, q, 2)
+    assert run.run().distance == 4
+    assert run.bs == []
 
 
 def test_w1_expands_at_most_one_node_per_layer_per_pass(pendant_pair):
@@ -278,8 +287,9 @@ def test_rejects_bad_budgets(square_star):
     for budget in (0, -5):
         with pytest.raises(ValueError, match="node budget"):
             bss_ged(g, q, node_budget=budget)
-    with pytest.raises(ValueError, match="time limit"):
-        SearchRun(g, q, time_limit=-1)
+    for limit in (-1, float("nan")):
+        with pytest.raises(ValueError, match="time limit"):
+            SearchRun(g, q, time_limit=limit)
     assert bss_ged(g, q, node_budget=1).reason == "nodes"
 
 

@@ -209,9 +209,6 @@ def test_vertex_partition_square_star():
     part = vertex_partition(q)
     assert part.classes == ((0, 1, 2), (3,))
     assert part.lambda_q == 2
-    assert part.dummy_class == 3
-    assert [part.class_index(v) for v in range(4)] == [1, 1, 1, 2]
-    assert part.class_index(None) == 3
 
 
 def test_vertex_partition_distinct_and_empty():
@@ -276,9 +273,8 @@ def test_multiset_intersection_properties():
         assert multiset_intersection_size(a, a) == sum(a.values())
 
 
-def test_dummy_label_reserved():
+def test_label_interning():
     table = LabelTable()
     ids = [table.intern(tok) for tok in ["x", "y", "x", "z"]]
-    assert 0 not in ids
     assert ids[0] == ids[2]
     assert len({ids[0], ids[1], ids[3]}) == 3

@@ -148,7 +148,7 @@ def incremental_total(g, q, psi):
             preimage[t] = s
     used = {t for t in assigned.values() if t is not None}
     if len(used) < q.n:
-        total += leaf_completion_cost(g, q, used)
+        total += leaf_completion_cost(q, used)
     return total
 
 

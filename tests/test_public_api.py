@@ -4,7 +4,6 @@ import gedkit
 
 PUBLIC_API = [
     "DEFAULT_BEAM_WIDTH",
-    "DUMMY_LABEL",
     "EditCostBreakdown",
     "GedResult",
     "GraphDatabase",
