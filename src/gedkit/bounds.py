@@ -130,13 +130,20 @@ def vertex_branches(g: LabeledGraph) -> list[Branch]:
     return [(lab, tuple(sorted(adj[u].values()))) for u, lab in enumerate(g.vertex_labels)]
 
 
-def min_cost_assignment(cost: Sequence[Sequence[int]]) -> int:
+def min_cost_assignment(cost: Sequence[Sequence[int]], cap: int | None = None) -> int:
     """Minimum total cost of a perfect assignment on a square integer matrix.
 
     The Hungarian method with row and column potentials, O(k^3): row i is
     added to the matching along a shortest augmenting path in reduced costs,
     after which the potentials keep every reduced cost non-negative. None
     stands for an unreached column, so the arithmetic stays integral.
+
+    After row i is added, -col_pot[0] is the optimum over rows 1..i alone:
+    the first i steps are the whole method on that i-row matrix. With costs
+    >= 0 a row subset's optimum never exceeds the full one, so the value
+    only grows. Given a cap, the solve stops after the first row that lifts
+    it above the cap, and returns it: the optimum when the optimum is <= cap,
+    otherwise a value in (cap, optimum].
     """
     k = len(cost)
     row_pot = [0] * (k + 1)
@@ -172,10 +179,37 @@ def min_cost_assignment(cost: Sequence[Sequence[int]]) -> int:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-    return sum(cost[match[j] - 1][j - 1] for j in range(1, k + 1))
+        if cap is not None and -col_pot[0] > cap:
+            break
+    return -col_pot[0]
 
 
-def lb_from_branches(a: Sequence[Branch], b: Sequence[Branch]) -> int:
+def _branch_row(branch: Branch, targets: Sequence[Branch]) -> list[int]:
+    """Doubled substitution costs of one source branch against each target branch."""
+    la, ea = branch
+    da = len(ea)
+    row = []
+    for lb, eb in targets:
+        db = len(eb)
+        # Sorted-merge intersection of the two edge-label multisets: on
+        # these short tuples it beats Counter intersections by a third.
+        inter = i = j = 0
+        while i < da and j < db:
+            x, y = ea[i], eb[j]
+            if x == y:
+                inter += 1
+                i += 1
+                j += 1
+            elif x < y:
+                i += 1
+            else:
+                j += 1
+        row.append((2 if la != lb else 0) + (da if da > db else db) - inter)
+    return row
+
+
+def lb_from_branches(a: Sequence[Branch], b: Sequence[Branch], tau: int | None = None,
+                     rows: dict[Branch, list[int]] | None = None) -> int:
     """The branch lower bound on ged from two graphs' vertex branches.
 
     Costs are doubled to stay integral. Mapping branch u to branch v costs
@@ -195,33 +229,41 @@ def lb_from_branches(a: Sequence[Branch], b: Sequence[Branch]) -> int:
     A substitution never costs more than a deletion plus an insertion, so a
     max(n_a, n_b)-square matrix padded with deletions or insertions reaches
     the minimum over all assignments.
+
+    A row depends only on its source branch and on b, so rows maps source
+    branches to their unpadded rows against this b and is filled as rows
+    are built; a caller that keeps b fixed may pass one dict to every call.
+    Padding goes onto a copy, so a stored row serves graphs of any size.
+
+    Given tau, the result is the bound when the bound is <= tau, and
+    otherwise some admissible value > tau, reached with the least work:
+    - Minima. A perfect assignment takes exactly one entry in each row and
+      one in each column, so it costs at least the sum of the row minima
+      and at least the sum of the column minima. Halving and rounding up
+      keep that order, so their max, halved and rounded up, is admissible;
+      it ends the call when it exceeds tau.
+    - A capped solve (min_cost_assignment with cap 2 tau). Its value is the
+      optimum when that is <= 2 tau, and otherwise in (2 tau, optimum];
+      halved and rounded up, it is > tau exactly when the bound is.
     """
+    if rows is None:
+        rows = {}
     k = max(len(a), len(b))
-    insert_row = [2 + len(eb) for _, eb in b] + [0] * (k - len(b))
+    pad = k - len(b)
     cost = []
-    for la, ea in a:
-        da = len(ea)
-        row = []
-        for lb, eb in b:
-            db = len(eb)
-            # Sorted-merge intersection of the two edge-label multisets: on
-            # these short tuples it beats Counter intersections by a third.
-            inter = i = j = 0
-            while i < da and j < db:
-                x, y = ea[i], eb[j]
-                if x == y:
-                    inter += 1
-                    i += 1
-                    j += 1
-                elif x < y:
-                    i += 1
-                else:
-                    j += 1
-            row.append((2 if la != lb else 0) + (da if da > db else db) - inter)
-        row += [2 + da] * (k - len(b))
-        cost.append(row)
-    cost += [insert_row] * (k - len(a))
-    return -(-min_cost_assignment(cost) // 2)
+    for branch in a:
+        row = rows.get(branch)
+        if row is None:
+            row = rows[branch] = _branch_row(branch, b)
+        cost.append(row + [2 + len(branch[1])] * pad)
+    if len(a) < k:
+        cost += [[2 + len(eb) for _, eb in b]] * (k - len(a))
+    if tau is None:
+        return -(-min_cost_assignment(cost) // 2)
+    low = max(sum(map(min, cost)), sum(map(min, zip(*cost))))
+    if low > 2 * tau:
+        return -(-low // 2)
+    return -(-min_cost_assignment(cost, 2 * tau) // 2)
 
 
 def branch_bound(g: LabeledGraph, q: LabeledGraph) -> int:

@@ -116,13 +116,17 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
     """All graphs within distance tau of the query: filter, then verify.
 
     The filter skips size buckets and applies the pair bound. Each candidate
-    it keeps is then checked against the branch bound (lb_from_branches),
-    and only those the branch bound does not refute run the engine in
-    decision mode (bss_ged with threshold tau), in db.ids order.
+    it keeps is then checked against the branch bound (lb_from_branches
+    given tau: cost rows, row and column minima, then a capped solve), and
+    only those the branch bound does not refute run the engine in decision
+    mode (bss_ged with threshold tau), in db.ids order. A cost row depends
+    only on a candidate vertex's branch and the query's branches, so one
+    dict of rows by branch is made when the branch stage starts, shared by
+    every candidate of this query, and dropped when the call returns.
     candidate_count counts every graph the filter kept, branch_refuted those
     of them the branch bound refuted, so filtered_count + candidate_count ==
     len(db). Verification jobs are independent, so the result is the same
-    for any thread count; the branch stage's time counts in verify_s.
+    for any thread count; verify_s times the branch stage and the engine.
     """
     if w < 1:
         raise ValueError(f"beam width must be >= 1, got {w}")
@@ -133,8 +137,9 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
     t1 = time.perf_counter()
 
     qbranches = vertex_branches(query)
+    rows: dict = {}
     survivors = [gid for gid in candidates
-                 if lb_from_branches(vertex_branches(db.graphs[gid]), qbranches) <= tau]
+                 if lb_from_branches(vertex_branches(db.graphs[gid]), qbranches, tau, rows) <= tau]
 
     def job(gid: int) -> tuple[int, GedResult]:
         return gid, bss_ged(db.graphs[gid], query, w, node_budget=node_budget, threshold=tau)

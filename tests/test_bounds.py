@@ -10,11 +10,13 @@ from gedkit.bounds import (
     PairHeuristic,
     branch_bound,
     delta_bounds,
+    lb_from_branches,
     lb_graph,
     min_cost_assignment,
     remainder_bounds,
     summarize,
     lb_from_summaries,
+    vertex_branches,
 )
 from gedkit.graphs import LabelTable, LabeledGraph, vertex_partition
 from gedkit.engine import bss_ged
@@ -352,6 +354,56 @@ def test_min_cost_assignment_matches_brute_force():
                         for p in itertools.permutations(range(k)))
             assert min_cost_assignment(cost) == brute, cost
 
+
+
+def test_capped_assignment_matches_brute_force():
+    # Below the cap the optimum itself; above it, a value in (cap, optimum].
+    rng = random.Random(51)
+    capped = 0
+    for k in range(7):
+        for _ in range(1 if k == 0 else 10):
+            high = rng.choice((1, 3, 12))
+            cost = [[rng.randint(0, high) for _ in range(k)] for _ in range(k)]
+            brute = min(sum(cost[i][p[i]] for i in range(k))
+                        for p in itertools.permutations(range(k)))
+            for cap in range(41):
+                got = min_cost_assignment(cost, cap)
+                if brute <= cap:
+                    assert got == brute, (cost, cap)
+                else:
+                    assert cap < got <= brute, (cost, cap)
+                    capped += got < brute
+    assert capped > 0
+
+
+def test_branch_stage_decides_like_full_bound():
+    # Given tau, lb_from_branches must refute exactly when the full bound
+    # exceeds tau, and equal it otherwise. One row dict per query serves
+    # candidates of every size, so padding that leaked into a stored row
+    # would change later candidates' bounds.
+    rng = random.Random(52)
+    table = LabelTable()
+    refuted = kept = 0
+    for _ in range(30):
+        density, vlab, elab = rng.choice((0.2, 0.5, 0.8)), rng.choice((1, 2, 4)), rng.choice((1, 2, 3))
+        graphs = [random_graph(rng, rng.randint(0, 9), density, vlab, elab, table) for _ in range(12)]
+        graphs.append(LabeledGraph([], [], table))
+        query = rng.choice(graphs)
+        qb = vertex_branches(query)
+        rows = {}
+        for g in graphs:
+            gb = vertex_branches(g)
+            full = lb_from_branches(gb, qb)
+            for tau in range(7):
+                for staged in (lb_from_branches(gb, qb, tau, rows), lb_from_branches(gb, qb, tau)):
+                    if full <= tau:
+                        assert staged == full
+                    else:
+                        assert tau < staged <= full
+                refuted += full > tau
+                kept += full <= tau
+        assert all(len(row) == len(qb) for row in rows.values())
+    assert refuted > 100 and kept > 100
 
 def test_branch_bound_below_oracle(sweep):
     pairs = [(p.g, p.q, p.oracle.distance) for p in sweep]
