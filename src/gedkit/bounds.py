@@ -372,7 +372,8 @@ class PairHeuristic:
     only on the depth: it is kept per depth, at most |V_G| + 1 entries, and
     rebuilt when a different source sequence reaches that depth. The target
     half is the parent's, computed once; each child's is the parent's with
-    one target z used, applied in O(deg z) plus one degree sort.
+    its target z used, applied in O(deg z) plus one degree sort, and the
+    dummy child takes the same update with nothing used.
     """
 
     __slots__ = ("g", "q", "_sources")
@@ -410,62 +411,55 @@ class PairHeuristic:
         qlabels, adj_q = q.vertex_labels, q.adjacency
 
         hs = []
-        sorted_q = None
         for z in targets:
-            if z is None:
-                # The target half stays the parent's; u's outer edges are
-                # all paid for.
-                if sorted_q is None:
-                    sorted_q = sorted(deg_q, reverse=True)
-                base = _pair_bound(n_g, n_q, vinter, deg_g, sorted_q, m_q, einter)
-                lb1 = base + sum_max + size_new
-                lb2 = base + sum_tgt + (a_g - n_aq if a_g > n_aq else 0)
-                lb3 = base + sum_src + size_new + (n_aq - a_g if n_aq > a_g else 0)
-            else:
+            deg = deg_q.copy()
+            m, ei, vi, n_aq_z = m_q, einter, vinter, n_aq
+            smax, stgt, ssrc = sum_max, sum_tgt, sum_src
+            gone: dict[int, int] = {}
+            size_z = 0
+            d_z: dict[int, int] = {}
+            # The dummy child (z None) takes the same update with no target
+            # used and no neighbours.
+            adj = ()
+            if z is not None:
                 # Removing one target unit of a label shrinks an
                 # intersection sum(min(T, S)) iff T <= S for that label.
                 lab = qlabels[z]
                 vi = vinter - 1 if t_counts[lab] <= s_counts.get(lab, 0) else vinter
-                deg = deg_q.copy()
                 deg[z] = 0
-                m, ei = m_q, einter
-                smax, stgt, ssrc = sum_max, sum_tgt, sum_src
                 n_aq_z = n_aq - 1 if z in a_q else n_aq
-                gone: dict[int, int] = {}
-                size_z = 0
-                d_z: dict[int, int] = {}
                 adj = adj_q[z]
-                for v in adj:
-                    lab = adj[v]
-                    if used[v]:
-                        # The pair of used neighbour v loses its outer edge to z.
-                        size_u, c_u, size_t, d, inter = outer_of[v]
-                        cut = 1 if d[lab] <= c_u.get(lab, 0) else 0
-                        smax += ((size_u if size_u >= size_t else size_t - 1)
-                                 - (size_u if size_u > size_t else size_t) + cut)
-                        stgt += cut - 1
-                        ssrc += cut
-                    else:
-                        # Edge z-v leaves the unmapped part and becomes an
-                        # outer edge of the new pair (u, z).
-                        m -= 1
-                        deg[v] -= 1
-                        k = gone.get(lab, 0)
-                        if t_ecounts[lab] - k <= s_ecounts.get(lab, 0):
-                            ei -= 1
-                        gone[lab] = k + 1
-                        size_z += 1
-                        d_z[lab] = d_z.get(lab, 0) + 1
-                        if v not in a_q:
-                            n_aq_z += 1
-                inter = multiset_intersection_size(d_z, c_new)
-                smax += (size_new if size_new > size_z else size_z) - inter
-                stgt += size_z - inter
-                ssrc += size_new - inter
-                deg.sort(reverse=True)
-                base = _pair_bound(n_g, n_q - 1, vi, deg_g, deg, m, ei)
-                lb1 = base + smax
-                lb2 = base + stgt + (a_g - n_aq_z if a_g > n_aq_z else 0)
-                lb3 = base + ssrc + (n_aq_z - a_g if n_aq_z > a_g else 0)
+            for v in adj:
+                lab = adj[v]
+                if used[v]:
+                    # The pair of used neighbour v loses its outer edge to z.
+                    size_u, c_u, size_t, d, inter = outer_of[v]
+                    cut = 1 if d[lab] <= c_u.get(lab, 0) else 0
+                    smax += ((size_u if size_u >= size_t else size_t - 1)
+                             - (size_u if size_u > size_t else size_t) + cut)
+                    stgt += cut - 1
+                    ssrc += cut
+                else:
+                    # Edge z-v leaves the unmapped part and becomes an
+                    # outer edge of the new pair (u, z).
+                    m -= 1
+                    deg[v] -= 1
+                    k = gone.get(lab, 0)
+                    if t_ecounts[lab] - k <= s_ecounts.get(lab, 0):
+                        ei -= 1
+                    gone[lab] = k + 1
+                    size_z += 1
+                    d_z[lab] = d_z.get(lab, 0) + 1
+                    if v not in a_q:
+                        n_aq_z += 1
+            inter = multiset_intersection_size(d_z, c_new)
+            smax += (size_new if size_new > size_z else size_z) - inter
+            stgt += size_z - inter
+            ssrc += size_new - inter
+            deg.sort(reverse=True)
+            base = _pair_bound(n_g, n_q if z is None else n_q - 1, vi, deg_g, deg, m, ei)
+            lb1 = base + smax
+            lb2 = base + stgt + (a_g - n_aq_z if a_g > n_aq_z else 0)
+            lb3 = base + ssrc + (n_aq_z - a_g if n_aq_z > a_g else 0)
             hs.append(max(lb1, lb2, lb3))
         return hs

@@ -9,7 +9,6 @@ distance regardless of w.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -85,6 +84,24 @@ class GedResult:
         return self.status == EXACT
 
 
+def check_search_args(w: int = DEFAULT_BEAM_WIDTH, node_budget: int = DEFAULT_NODE_BUDGET,
+                      threshold: int | None = None, time_limit: float | None = None):
+    """Raise ValueError unless the search arguments are in range.
+
+    w and threshold must be ints, w >= 1 and threshold >= 0; node_budget
+    must be >= 1 and time_limit >= 0. Each bound is tested as `not x >= k`,
+    so NaN fails it.
+    """
+    if not isinstance(w, int) or not w >= 1:
+        raise ValueError(f"beam width must be an int >= 1, got {w!r}")
+    if threshold is not None and (not isinstance(threshold, int) or not threshold >= 0):
+        raise ValueError(f"threshold must be an int >= 0, got {threshold!r}")
+    if not node_budget >= 1:
+        raise ValueError(f"node budget must be >= 1, got {node_budget!r}")
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time limit must be >= 0, got {time_limit!r}")
+
+
 def _priority(node: SearchNode):
     # f ascending, then deeper progress first, then creation order.
     return (node.f, -node.g, node.id)
@@ -105,14 +122,7 @@ class SearchRun:
                  order_policy: str = "dfs", succ_policy: str = "reduced",
                  node_budget: int = DEFAULT_NODE_BUDGET, time_limit: float | None = None,
                  threshold: int | None = None):
-        if w < 1:
-            raise ValueError(f"beam width must be >= 1, got {w}")
-        if threshold is not None and threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {threshold}")
-        if node_budget < 1:
-            raise ValueError(f"node budget must be >= 1, got {node_budget}")
-        if time_limit is not None and not time_limit >= 0:
-            raise ValueError(f"time limit must be >= 0, got {time_limit}")
+        check_search_args(w, node_budget, threshold, time_limit)
         require_shared_table(g, q)
         self.g, self.q, self.w = g, q, w
         if order_policy == "dfs":
@@ -132,17 +142,16 @@ class SearchRun:
         self.ub = g.n + q.n + g.m + q.m + 1 if threshold is None else threshold + 1
         self.best: GraphMapping | None = None  # the leaf mapping that set self.ub
 
-        self.ids = itertools.count()
         self.stats = SearchStats()
-        root = make_root(g, q, self.heuristic, self.ids)
+        root = make_root(g, q, self.heuristic)
         self.stats.nodes_generated += 1
         # The beam stack: entry i holds layer i of the current descent.
         self.bs: list[Layer] = [Layer([root], 0, self.ub)]
 
     def _generate(self, r: SearchNode) -> list[SearchNode]:
         if self.succ_policy == "reduced":
-            return gen_succr(r, self.g, self.q, self.part, self.order, self.heuristic, self.ids)
-        return basic_gen_succr(r, self.g, self.q, self.order, self.heuristic, self.ids)
+            return gen_succr(r, self.g, self.q, self.part, self.order, self.heuristic)
+        return basic_gen_succr(r, self.g, self.q, self.order, self.heuristic)
 
     def expand_node(self, r: SearchNode) -> list[SearchNode]:
         """Successors of r admitted by the current interval.

@@ -22,7 +22,7 @@ class OracleLimitError(ValueError):
 class EditPathError(ValueError):
     """An edit operation cannot be applied to the current working graph."""
 
-    def __init__(self, index: int, op: dict, reason: str):
+    def __init__(self, index: int, op: object, reason: str):
         super().__init__(f"op {index} {op}: {reason}")
         self.index = index
         self.op = op
@@ -149,9 +149,10 @@ def check_edit_path(g: LabeledGraph, q: LabeledGraph, ops: list[dict],
                     mapping: GraphMapping) -> bool:
     """Apply ops to g and test whether the result is q under the mapping.
 
-    Validates applicability op by op: each op must carry its fields, only
-    isolated vertices may be deleted, inserted edges and vertices must be
-    new, substituted items must exist.
+    Validates applicability op by op: each op must be a dict that carries
+    its fields, with int vertex fields; only isolated vertices may be
+    deleted, inserted edges and vertices must be new, substituted items must
+    exist.
     The result must equal q under the ids realize_edit_path assigns: mapped
     source u keeps id u for its target, inserted target y has id g.n + y.
     Raises ValueError for an invalid, incomplete or wrongly sized mapping.
@@ -170,12 +171,16 @@ def check_edit_path(g: LabeledGraph, q: LabeledGraph, ops: list[dict],
         return (u, v) if u < v else (v, u)
 
     for i, op in enumerate(ops):
+        if not isinstance(op, dict):
+            raise EditPathError(i, op, "not a dict")
         kind = op.get("op")
         if kind not in _OP_FIELDS:
             raise EditPathError(i, op, f"unknown operation {kind!r}")
         for name in _OP_FIELDS[kind]:
             if name not in op:
                 raise EditPathError(i, op, f"missing field {name!r}")
+            if name != "label" and not isinstance(op[name], int):
+                raise EditPathError(i, op, f"vertex field {name!r} is not an int")
         if kind == "del_edge":
             k = key(op["u"], op["v"])
             if k not in edges:

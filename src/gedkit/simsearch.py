@@ -14,6 +14,7 @@ from .engine import (
     WITHIN_THRESHOLD,
     GedResult,
     bss_ged,
+    check_search_args,
 )
 from .graphs import LabelTable, LabeledGraph, VertexPartition, parse_graph_db, vertex_partition
 
@@ -78,8 +79,7 @@ def filter_candidates(db: GraphDatabase, query: LabeledGraph, tau: int) -> list[
     member's pair bound exceeds tau too, so the result equals a full scan.
     The rest cannot be within tau of the query.
     """
-    if tau < 0:
-        raise ValueError("threshold must be >= 0")
+    check_search_args(threshold=tau)
     if query.table is not db.table:
         raise ValueError("query must share the database's label table")
     qsum = summarize(query)
@@ -128,10 +128,7 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
     len(db). Verification jobs are independent, so the result is the same
     for any thread count; verify_s times the branch stage and the engine.
     """
-    if w < 1:
-        raise ValueError(f"beam width must be >= 1, got {w}")
-    if node_budget < 1:
-        raise ValueError(f"node budget must be >= 1, got {node_budget}")
+    check_search_args(w, node_budget, tau)
     t0 = time.perf_counter()
     candidates = filter_candidates(db, query, tau)
     t1 = time.perf_counter()

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .bounds import PairHeuristic
 from .graphs import LabeledGraph, VertexPartition, vertex_partition
 from .mapping import GraphMapping
 
-# Fallback id source for nodes created outside an engine run (tests, tools).
-_GLOBAL_IDS = itertools.count()
+_node_ids = itertools.count()
 
 
 class SearchNode:
@@ -21,6 +20,11 @@ class SearchNode:
     Inner nodes at layer l hold exactly l mapping pairs; the final insertion
     leaf appends all remaining target vertices at once.
 
+    id comes from one counter shared by every node of the process, so ids
+    rise in creation order within any run, even when runs interleave. The
+    engine orders nodes of equal f and g by it, which keeps the search tree
+    reproducible; ids of different runs are never compared.
+
     The search keeps its per-node state here: children is None until the
     first expansion, then the generated successors, and () once the search
     has no further use for them; visits counts the expansions.
@@ -28,8 +32,8 @@ class SearchNode:
 
     __slots__ = ("id", "layer", "mapping", "g", "h", "f", "complete", "children", "visits")
 
-    def __init__(self, node_id, layer, mapping, g, h, complete):
-        self.id = node_id
+    def __init__(self, layer, mapping, g, h, complete):
+        self.id = next(_node_ids)
         self.layer = layer
         self.mapping = mapping
         self.g = g
@@ -111,7 +115,7 @@ def extension_cost(g: LabeledGraph, q: LabeledGraph, parent_map: dict[int, int |
     return cost
 
 
-def leaf_completion_cost(q: LabeledGraph, used_targets: set[int]) -> int:
+def leaf_completion_cost(q: LabeledGraph, used_targets: Collection[int]) -> int:
     """Cost of inserting every remaining target vertex and its edges."""
     cost = q.n - len(used_targets)
     for a, b, _ in q.edges:
@@ -120,16 +124,9 @@ def leaf_completion_cost(q: LabeledGraph, used_targets: set[int]) -> int:
     return cost
 
 
-def _insertion_leaf(parent: SearchNode, g, q, remaining: list[int], ids) -> SearchNode:
-    pairs = parent.mapping.pairs + tuple((None, z) for z in remaining)
-    mapping = GraphMapping(pairs, g.n, q.n)
-    gval = parent.g + leaf_completion_cost(q, parent.mapping.used_targets())
-    return SearchNode(next(ids), parent.layer + 1, mapping, gval, 0, True)
-
-
 def _extend(r: SearchNode, g: LabeledGraph, q: LabeledGraph, classes: Sequence[Sequence[int]],
-            dummy_only_when_forced: bool, order: Sequence[int], heuristic: PairHeuristic | None,
-            ids) -> list[SearchNode]:
+            dummy_only_when_forced: bool, order: Sequence[int],
+            heuristic: PairHeuristic | None) -> list[SearchNode]:
     """Successors of r: the smallest unmapped member of each target class,
     then the dummy target.
 
@@ -138,16 +135,16 @@ def _extend(r: SearchNode, g: LabeledGraph, q: LabeledGraph, classes: Sequence[S
     vertex is processed, a single leaf inserts all remaining target vertices.
     The heuristic bounds all children in one call.
     """
-    if ids is None:
-        ids = _GLOBAL_IDS
     parent_map = r.mapping.mapped_sources()
     preimage = {a: w for w, a in parent_map.items() if a is not None}
     pairs = r.mapping.pairs
     depth = len(pairs)
     n_g, n_q = g.n, q.n
+    layer = r.layer + 1
     if depth >= n_g:
-        remaining = [z for z in range(n_q) if z not in preimage]
-        return [_insertion_leaf(r, g, q, remaining, ids)]
+        inserted = tuple((None, z) for z in range(n_q) if z not in preimage)
+        return [SearchNode(layer, GraphMapping(pairs + inserted, n_g, n_q),
+                           r.g + leaf_completion_cost(q, preimage), 0, True)]
     u = order[depth]
     used = len(preimage)
     # Children are complete only on the last layer once every target is
@@ -165,24 +162,23 @@ def _extend(r: SearchNode, g: LabeledGraph, q: LabeledGraph, classes: Sequence[S
     hs = None
     if heuristic is not None and pending:
         hs = iter(heuristic.children(parent_map, preimage, u, pending))
-    layer = r.layer + 1
     succ = []
     for z, complete in kids:
         delta = extension_cost(g, q, parent_map, u, z, preimage)
         h = 0 if complete or hs is None else next(hs)
-        succ.append(SearchNode(next(ids), layer, GraphMapping(pairs + ((u, z),), n_g, n_q),
+        succ.append(SearchNode(layer, GraphMapping(pairs + ((u, z),), n_g, n_q),
                                r.g + delta, h, complete))
     return succ
 
 
 def basic_gen_succr(r: SearchNode, g: LabeledGraph, q: LabeledGraph, order: Sequence[int],
-                    heuristic: PairHeuristic | None = None, ids=None) -> list[SearchNode]:
+                    heuristic: PairHeuristic | None = None) -> list[SearchNode]:
     """All successors of r: one per unmapped target plus a dummy, no reduction."""
-    return _extend(r, g, q, [(z,) for z in range(q.n)], False, order, heuristic, ids)
+    return _extend(r, g, q, [(z,) for z in range(q.n)], False, order, heuristic)
 
 
 def gen_succr(r: SearchNode, g: LabeledGraph, q: LabeledGraph, part: VertexPartition,
-              order: Sequence[int], heuristic: PairHeuristic | None = None, ids=None) -> list[SearchNode]:
+              order: Sequence[int], heuristic: PairHeuristic | None = None) -> list[SearchNode]:
     """Reduced successors of r: class minima only, dummy only when forced.
 
     Per class of isomorphic target vertices, only the smallest unmapped
@@ -190,16 +186,14 @@ def gen_succr(r: SearchNode, g: LabeledGraph, q: LabeledGraph, part: VertexParti
     than target vertices remain unmapped. Cuts invalid and redundant
     mappings from the tree while preserving the minimum cost.
     """
-    return _extend(r, g, q, part.classes, True, order, heuristic, ids)
+    return _extend(r, g, q, part.classes, True, order, heuristic)
 
 
-def make_root(g: LabeledGraph, q: LabeledGraph, heuristic: PairHeuristic | None = None, ids=None) -> SearchNode:
-    if ids is None:
-        ids = _GLOBAL_IDS
+def make_root(g: LabeledGraph, q: LabeledGraph, heuristic: PairHeuristic | None = None) -> SearchNode:
     mapping = GraphMapping((), g.n, q.n)
     complete = g.n == 0 and q.n == 0
     h = heuristic(mapping) if heuristic and not complete else 0
-    return SearchNode(next(ids), 0, mapping, 0, h, complete)
+    return SearchNode(0, mapping, 0, h, complete)
 
 
 def enumerate_search_tree(g: LabeledGraph, q: LabeledGraph, reduced: bool = True,
@@ -213,8 +207,7 @@ def enumerate_search_tree(g: LabeledGraph, q: LabeledGraph, reduced: bool = True
     if order is None:
         order = identity_order(g)
     part = vertex_partition(q)
-    ids = itertools.count()
-    root = make_root(g, q, ids=ids)
+    root = make_root(g, q)
     layer_counts = [0] * (g.n + 1)
     leaves: list[SearchNode] = []
     stack = [root]
@@ -226,9 +219,9 @@ def enumerate_search_tree(g: LabeledGraph, q: LabeledGraph, reduced: bool = True
             leaves.append(node)
             continue
         if reduced:
-            stack.extend(gen_succr(node, g, q, part, order, ids=ids))
+            stack.extend(gen_succr(node, g, q, part, order))
         else:
-            stack.extend(basic_gen_succr(node, g, q, order, ids=ids))
+            stack.extend(basic_gen_succr(node, g, q, order))
     return layer_counts, leaves
 
 

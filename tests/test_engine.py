@@ -221,10 +221,15 @@ def test_leaf_with_wrong_g_is_refused(square_star, monkeypatch):
 
 def test_negative_threshold_rejected(square_star):
     g, q = square_star
+    for tau in (-1, 1.5):
+        with pytest.raises(ValueError, match="threshold"):
+            bss_ged(g, q, threshold=tau)
+        with pytest.raises(ValueError, match="threshold"):
+            SearchRun(g, q, threshold=tau)
+    # A NaN upper bound accepts no leaf, so a run would never end: only
+    # construct it.
     with pytest.raises(ValueError, match="threshold"):
-        bss_ged(g, q, threshold=-1)
-    with pytest.raises(ValueError, match="threshold"):
-        SearchRun(g, q, threshold=-1)
+        SearchRun(g, q, threshold=float("nan"))
 
 
 # Decision-mode runs on the PINNED_TREES graphs, recorded from the wrapper
@@ -271,8 +276,9 @@ def test_decision_mode_pinned():
 
 def test_rejects_bad_arguments(square_star):
     g, q = square_star
-    with pytest.raises(ValueError):
-        bss_ged(g, q, 0)
+    for w in (0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="beam width"):
+            bss_ged(g, q, w)
     with pytest.raises(ValueError):
         bss_ged(g, q, 1, order_policy="random")
     with pytest.raises(ValueError):
@@ -284,7 +290,7 @@ def test_rejects_bad_arguments(square_star):
 
 def test_rejects_bad_budgets(square_star):
     g, q = square_star
-    for budget in (0, -5):
+    for budget in (0, -5, float("nan")):
         with pytest.raises(ValueError, match="node budget"):
             bss_ged(g, q, node_budget=budget)
     for limit in (-1, float("nan")):
@@ -330,6 +336,26 @@ def test_search_tree_pinned():
         got = (res.distance, s.nodes_expanded, s.nodes_generated, s.ub_history,
                s.passes, s.backtracks)
         assert got == want, (a, b, w)
+
+
+def test_interleaved_runs_match_solo_runs():
+    # Every node takes its id from one shared counter, so two runs advanced
+    # pass by pass in turn draw interleaved ids. Each must still build the
+    # tree it builds alone.
+    entries, _ = random_graph_db(11, 20, 8, 10, 0.3, 5, 2)
+    graphs = dict(entries)
+    keys = [(0, 1, 1), (2, 3, 5)]
+    runs = [SearchRun(graphs[a], graphs[b], w) for a, b, w in keys]
+    live = list(runs)
+    while live:
+        for run in list(live):
+            run.search_pass()
+            if not run.backtrack():
+                live.remove(run)
+    for (a, b, w), run in zip(keys, runs):
+        alone = bss_ged(graphs[a], graphs[b], w)
+        assert (run.ub, run.stats) == (alone.distance, alone.stats), (a, b, w)
+        assert run.stats.ub_history == PINNED_TREES[a, b, w][3]
 
 
 # The same pairs under the other two policies, recorded before the basic and

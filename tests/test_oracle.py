@@ -149,6 +149,20 @@ def test_check_edit_path_rejects_inapplicable(square_star):
         check_edit_path(g, q, [{"op": "ins_vertex", "u": 0, "label": 1}], psi)
 
 
+@pytest.mark.parametrize("op, reason", [
+    pytest.param({"op": "del_edge", "u": "a", "v": 0}, "vertex field 'u'", id="str-vertex"),
+    pytest.param({"op": "del_edge", "u": [0], "v": 1}, "vertex field 'u'", id="list-vertex"),
+    pytest.param({"op": "ins_vertex", "u": "x", "label": 1}, "vertex field 'u'", id="str-new-vertex"),
+    pytest.param(None, "not a dict", id="none"),
+    pytest.param("del_edge", "not a dict", id="string"),
+])
+def test_check_edit_path_rejects_malformed(square_star, op, reason):
+    g, q = square_star
+    with pytest.raises(EditPathError, match=reason) as exc:
+        check_edit_path(g, q, [op], identity_mapping(g))
+    assert exc.value.index == 0
+
+
 @pytest.mark.parametrize("op, field", [
     pytest.param({"op": "del_edge", "u": 0}, "v", id="del_edge"),
     pytest.param({"op": "ins_edge", "u": 0, "v": 3}, "label", id="ins_edge"),

@@ -185,12 +185,13 @@ def test_mismatched_table_rejected(small_db):
 
 def test_negative_tau_rejected(small_db):
     db, query, _ = small_db
-    with pytest.raises(ValueError):
-        filter_candidates(db, query, -1)
+    for tau in (-1, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            filter_candidates(db, query, tau)
+        with pytest.raises(ValueError):
+            range_query(db, query, tau)
     with pytest.raises(ValueError):
         bss_ged(db.graphs[0], query, threshold=-1)
-    with pytest.raises(ValueError):
-        range_query(db, query, -1)
 
 
 def test_duplicate_graph_id_rejected(square_star):
@@ -221,5 +222,9 @@ def test_beam_width_checked_without_candidates(small_db):
     far = random_graph(random.Random(75), 12, 0.8, 3, 2, db.table)
     assert filter_candidates(db, far, 0) == []
     assert range_query(db, far, 0).candidate_count == 0
-    with pytest.raises(ValueError, match="beam width"):
-        range_query(db, far, 0, w=0)
+    for w in (0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="beam width"):
+            range_query(db, far, 0, w=w)
+    for budget in (0, float("nan")):
+        with pytest.raises(ValueError, match="node budget"):
+            range_query(db, far, 0, node_budget=budget)
