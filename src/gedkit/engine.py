@@ -88,16 +88,16 @@ def check_search_args(w: int = DEFAULT_BEAM_WIDTH, node_budget: int = DEFAULT_NO
                       threshold: int | None = None, time_limit: float | None = None):
     """Raise ValueError unless the search arguments are in range.
 
-    w and threshold must be ints, w >= 1 and threshold >= 0; node_budget
-    must be >= 1 and time_limit >= 0. Each bound is tested as `not x >= k`,
-    so NaN fails it.
+    w, threshold and node_budget must be ints, w >= 1, threshold >= 0 and
+    node_budget >= 1; time_limit must be >= 0. Each bound is tested as
+    `not x >= k`, so NaN fails it.
     """
     if not isinstance(w, int) or not w >= 1:
         raise ValueError(f"beam width must be an int >= 1, got {w!r}")
     if threshold is not None and (not isinstance(threshold, int) or not threshold >= 0):
         raise ValueError(f"threshold must be an int >= 0, got {threshold!r}")
-    if not node_budget >= 1:
-        raise ValueError(f"node budget must be >= 1, got {node_budget!r}")
+    if not isinstance(node_budget, int) or not node_budget >= 1:
+        raise ValueError(f"node budget must be an int >= 1, got {node_budget!r}")
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time limit must be >= 0, got {time_limit!r}")
 
@@ -223,11 +223,12 @@ class SearchRun:
         The check runs once per ub_history entry and is an explicit raise,
         so it also holds under python -O.
         """
-        cost = edit_cost(leaf.mapping, self.g, self.q).total
+        mapping = GraphMapping(leaf.pairs, self.g.n, self.q.n)
+        cost = edit_cost(mapping, self.g, self.q).total
         if cost != leaf.g:
             raise RuntimeError(f"leaf {leaf.id} has g = {leaf.g} but its mapping costs {cost}")
         self.ub = leaf.g
-        self.best = leaf.mapping
+        self.best = mapping
         self.stats.ub_history.append(leaf.g)
 
     def backtrack(self) -> bool:

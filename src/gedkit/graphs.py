@@ -244,12 +244,23 @@ def parse_graph_db(text: str, table: LabelTable | None = None) -> tuple[list[tup
 
 
 def serialize_graph_db(graphs: list[tuple[int, LabeledGraph]]) -> str:
-    """Render graphs back into transaction text (inverse of parse_graph_db)."""
+    """Render graphs back into transaction text (inverse of parse_graph_db).
+
+    Raises ValueError for a label token that would not parse back as one
+    field: an empty token or one that holds whitespace.
+    """
+
+    def field(table: LabelTable, label_id: int) -> str:
+        token = table.token(label_id)
+        if token.split() != [token]:
+            raise ValueError(f"label token {token!r} is empty or holds whitespace")
+        return token
+
     lines: list[str] = []
     for gid, g in graphs:
         lines.append(f"t # {gid}")
         for v in range(g.n):
-            lines.append(f"v {v} {g.table.token(g.vertex_labels[v])}")
+            lines.append(f"v {v} {field(g.table, g.vertex_labels[v])}")
         for u, v, lab in g.edges:
-            lines.append(f"e {u} {v} {g.table.token(lab)}")
+            lines.append(f"e {u} {v} {field(g.table, lab)}")
     return "\n".join(lines) + "\n"

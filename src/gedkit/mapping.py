@@ -13,12 +13,27 @@ class GraphMapping:
 
     pairs holds (source, target) entries in processing order; either side may
     be None for a dummy, never both. A mapping is complete when every vertex
-    of both graphs is covered.
+    of both graphs is covered. Construction raises ValueError for a repeated
+    source or target, a dummy-to-dummy pair or a vertex out of range.
     """
 
     pairs: tuple[tuple[int | None, int | None], ...]
     n_source: int
     n_target: int
+
+    def __post_init__(self):
+        srcs = [s for s, _ in self.pairs if s is not None]
+        tgts = [t for _, t in self.pairs if t is not None]
+        if len(srcs) != len(set(srcs)):
+            raise ValueError("repeated source vertex in mapping")
+        if len(tgts) != len(set(tgts)):
+            raise ValueError("repeated target vertex in mapping")
+        if any(s is None and t is None for s, t in self.pairs):
+            raise ValueError("pair maps dummy to dummy")
+        if any(not 0 <= s < self.n_source for s in srcs):
+            raise ValueError("source vertex out of range")
+        if any(not 0 <= t < self.n_target for t in tgts):
+            raise ValueError("target vertex out of range")
 
     def mapped_sources(self) -> dict[int, int | None]:
         """source vertex -> target (or None) for non-dummy sources."""
@@ -32,20 +47,11 @@ class GraphMapping:
         tgts = self.used_targets()
         return len(srcs) == self.n_source and len(tgts) == self.n_target
 
-    def validate(self):
-        """Check the structural invariants; raises ValueError on violation."""
-        srcs = [s for s, _ in self.pairs if s is not None]
-        tgts = [t for _, t in self.pairs if t is not None]
-        if len(srcs) != len(set(srcs)):
-            raise ValueError("repeated source vertex in mapping")
-        if len(tgts) != len(set(tgts)):
-            raise ValueError("repeated target vertex in mapping")
-        if any(s is None and t is None for s, t in self.pairs):
-            raise ValueError("pair maps dummy to dummy")
-        if any(s is not None and not 0 <= s < self.n_source for s in srcs):
-            raise ValueError("source vertex out of range")
-        if any(t is not None and not 0 <= t < self.n_target for t in tgts):
-            raise ValueError("target vertex out of range")
+
+def require_complete(psi: GraphMapping, g: LabeledGraph, q: LabeledGraph):
+    """Raise ValueError unless psi is a complete mapping between g and q."""
+    if (psi.n_source, psi.n_target) != (g.n, q.n) or not psi.is_complete():
+        raise ValueError(f"need a complete mapping between {g.n} and {q.n} vertices")
 
 
 @dataclass(frozen=True)
@@ -80,6 +86,7 @@ def induced_structure(psi: GraphMapping, g: LabeledGraph, q: LabeledGraph):
 def edit_cost(psi: GraphMapping, g: LabeledGraph, q: LabeledGraph) -> EditCostBreakdown:
     """Cost of the edit path induced by a complete mapping (batch formula)."""
     require_shared_table(g, q)
+    require_complete(psi, g, q)
     tgt = psi.mapped_sources()
     v_h, e_h = induced_structure(psi, g, q)
     c_d = (g.n - len(v_h)) + (g.m - len(e_h))
@@ -98,6 +105,7 @@ def realize_edit_path(psi: GraphMapping, g: LabeledGraph, q: LabeledGraph) -> li
     the fresh id g.n + y. The list length equals edit_cost(psi).total.
     """
     require_shared_table(g, q)
+    require_complete(psi, g, q)
     tgt = psi.mapped_sources()
     v_h, e_h = induced_structure(psi, g, q)
     ops: list[dict] = []

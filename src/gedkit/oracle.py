@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .graphs import LabeledGraph, require_shared_table
-from .mapping import GraphMapping
+from .mapping import GraphMapping, require_complete
 
 
 class OracleLimitError(ValueError):
@@ -155,11 +155,9 @@ def check_edit_path(g: LabeledGraph, q: LabeledGraph, ops: list[dict],
     exist.
     The result must equal q under the ids realize_edit_path assigns: mapped
     source u keeps id u for its target, inserted target y has id g.n + y.
-    Raises ValueError for an invalid, incomplete or wrongly sized mapping.
+    Raises ValueError for an incomplete or wrongly sized mapping.
     """
-    mapping.validate()
-    if (mapping.n_source, mapping.n_target) != (g.n, q.n) or not mapping.is_complete():
-        raise ValueError(f"need a complete mapping between {g.n} and {q.n} vertices")
+    require_complete(mapping, g, q)
     verts: dict[int, int] = {u: lab for u, lab in enumerate(g.vertex_labels)}
     edges: dict[tuple[int, int], int] = {(u, v): lab for u, v, lab in g.edges}
     incident = {u: 0 for u in verts}

@@ -17,8 +17,9 @@ class SearchNode:
     """One node of the mapping search tree.
 
     layer is the tree depth: the number of extension steps from the root.
-    Inner nodes at layer l hold exactly l mapping pairs; the final insertion
-    leaf appends all remaining target vertices at once.
+    pairs is the partial mapping as (source, target) pairs in processing
+    order. Inner nodes at layer l hold exactly l pairs, each with a real
+    source; the final insertion leaf appends all remaining target vertices.
 
     id comes from one counter shared by every node of the process, so ids
     rise in creation order within any run, even when runs interleave. The
@@ -30,12 +31,12 @@ class SearchNode:
     has no further use for them; visits counts the expansions.
     """
 
-    __slots__ = ("id", "layer", "mapping", "g", "h", "f", "complete", "children", "visits")
+    __slots__ = ("id", "layer", "pairs", "g", "h", "f", "complete", "children", "visits")
 
-    def __init__(self, layer, mapping, g, h, complete):
+    def __init__(self, layer, pairs, g, h, complete):
         self.id = next(_node_ids)
         self.layer = layer
-        self.mapping = mapping
+        self.pairs = pairs
         self.g = g
         self.h = h
         self.f = g + h
@@ -135,16 +136,17 @@ def _extend(r: SearchNode, g: LabeledGraph, q: LabeledGraph, classes: Sequence[S
     vertex is processed, a single leaf inserts all remaining target vertices.
     The heuristic bounds all children in one call.
     """
-    parent_map = r.mapping.mapped_sources()
-    preimage = {a: w for w, a in parent_map.items() if a is not None}
-    pairs = r.mapping.pairs
+    pairs = r.pairs
+    # r is an inner node, so every pair has a real source: only the
+    # insertion leaf holds (None, z) pairs, and a leaf is never expanded.
+    parent_map = dict(pairs)
+    preimage = {a: w for w, a in pairs if a is not None}
     depth = len(pairs)
     n_g, n_q = g.n, q.n
     layer = r.layer + 1
     if depth >= n_g:
         inserted = tuple((None, z) for z in range(n_q) if z not in preimage)
-        return [SearchNode(layer, GraphMapping(pairs + inserted, n_g, n_q),
-                           r.g + leaf_completion_cost(q, preimage), 0, True)]
+        return [SearchNode(layer, pairs + inserted, r.g + leaf_completion_cost(q, preimage), 0, True)]
     u = order[depth]
     used = len(preimage)
     # Children are complete only on the last layer once every target is
@@ -166,8 +168,7 @@ def _extend(r: SearchNode, g: LabeledGraph, q: LabeledGraph, classes: Sequence[S
     for z, complete in kids:
         delta = extension_cost(g, q, parent_map, u, z, preimage)
         h = 0 if complete or hs is None else next(hs)
-        succ.append(SearchNode(layer, GraphMapping(pairs + ((u, z),), n_g, n_q),
-                               r.g + delta, h, complete))
+        succ.append(SearchNode(layer, pairs + ((u, z),), r.g + delta, h, complete))
     return succ
 
 
@@ -190,10 +191,9 @@ def gen_succr(r: SearchNode, g: LabeledGraph, q: LabeledGraph, part: VertexParti
 
 
 def make_root(g: LabeledGraph, q: LabeledGraph, heuristic: PairHeuristic | None = None) -> SearchNode:
-    mapping = GraphMapping((), g.n, q.n)
     complete = g.n == 0 and q.n == 0
-    h = heuristic(mapping) if heuristic and not complete else 0
-    return SearchNode(0, mapping, 0, h, complete)
+    h = heuristic(GraphMapping((), g.n, q.n)) if heuristic and not complete else 0
+    return SearchNode(0, (), 0, h, complete)
 
 
 def enumerate_search_tree(g: LabeledGraph, q: LabeledGraph, reduced: bool = True,

@@ -71,7 +71,7 @@ def test_criterion_03_reduced_tree_shape(square_star):
         part = vertex_partition(q)
         root = make_root(g, q)
         layer1 = gen_succr(root, g, q, part, identity_order(g))
-        assert {s.mapping.pairs[-1][1] for s in layer1} == {0, 3}
+        assert {s.pairs[-1][1] for s in layer1} == {0, 3}
         _, leaves = enumerate_search_tree(g, q, reduced=True)
         assert len(leaves) == 4
         sizes = [len(c) for c in part.classes]
@@ -146,7 +146,7 @@ def test_criterion_08_reduction_properties(sweep):
             assert min(leaf.g for leaf in leaves) == pair.oracle.distance
             if part.lambda_q < q.n:
                 assert len(leaves) < basic_leaf_count
-            codes = [canonical_code(leaf.mapping, part) for leaf in leaves]
+            codes = [canonical_code(GraphMapping(leaf.pairs, g.n, q.n), part) for leaf in leaves]
             assert len(codes) == len(set(codes))
             sizes = [len(c) for c in part.classes]
             predicted = [predicted_layer_count(l, g.n, q.n, sizes) for l in range(g.n + 1)]

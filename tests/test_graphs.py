@@ -100,6 +100,19 @@ def test_round_trip_random_graphs():
     assert serialize_graph_db(reparsed) == text
 
 
+@pytest.mark.parametrize("token", ["a b", "", "a\tb", " a"])
+def test_serialize_refuses_unparseable_tokens(token):
+    # The parser splits records on whitespace, so such a token could not be
+    # read back; serializing it must fail rather than write bad text.
+    table = LabelTable()
+    vertex = build_graph(["A"], [], table)
+    bad = table.intern(token)
+    for g in (LabeledGraph([bad], [], table),
+              LabeledGraph([vertex.vertex_labels[0]] * 2, [(0, 1, bad)], table)):
+        with pytest.raises(ValueError, match="label token"):
+            serialize_graph_db([(0, g)])
+
+
 def test_neighborhood_square_star_q():
     _, q, table = parse_pair(SQUARE_STAR_TEXT)
     a = table.intern("a")

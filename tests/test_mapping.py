@@ -125,13 +125,39 @@ def test_example1_path_realization(example2):
 
 
 def test_mapping_validation():
-    with pytest.raises(ValueError):
-        GraphMapping(((0, 0), (0, 1)), 2, 2).validate()
-    with pytest.raises(ValueError):
-        GraphMapping(((0, 1), (1, 1)), 2, 2).validate()
-    with pytest.raises(ValueError):
-        GraphMapping(((None, None),), 1, 1).validate()
-    GraphMapping(((0, 1), (1, None), (None, 0)), 2, 2).validate()
+    # A mapping checks its structure when it is made.
+    malformed = [
+        (((0, 0), (0, 1)), 2, 2, "repeated source"),
+        (((0, 1), (1, 1)), 2, 2, "repeated target"),
+        (((None, None),), 1, 1, "dummy to dummy"),
+        (((2, 0),), 2, 2, "source vertex out of range"),
+        (((-1, 0),), 2, 2, "source vertex out of range"),
+        (((0, 2),), 2, 2, "target vertex out of range"),
+    ]
+    for pairs, n_source, n_target, reason in malformed:
+        with pytest.raises(ValueError, match=reason):
+            GraphMapping(pairs, n_source, n_target)
+    GraphMapping(((0, 1), (1, None), (None, 0)), 2, 2)
+    GraphMapping(((0, None),), 1, 0)
+    GraphMapping((), 0, 0)
+
+
+@pytest.mark.parametrize("pairs, n_source, n_target", [
+    (((0, 0), (1, 1)), 4, 4),
+    (((0, 0), (1, 1), (2, 2), (3, 3)), 7, 4),
+    (((0, 0), (1, 1), (2, 2), (3, 3)), 4, 5),
+])
+def test_cost_and_path_need_a_complete_mapping(square_star, pairs, n_source, n_target):
+    # A partial or wrongly sized mapping has no edit path: its batch cost
+    # and its realized op list disagree, so all three functions refuse it.
+    g, q = square_star
+    psi = GraphMapping(pairs, n_source, n_target)
+    with pytest.raises(ValueError, match="complete mapping"):
+        edit_cost(psi, g, q)
+    with pytest.raises(ValueError, match="complete mapping"):
+        realize_edit_path(psi, g, q)
+    with pytest.raises(ValueError, match="complete mapping"):
+        check_edit_path(g, q, [], psi)
 
 
 def incremental_total(g, q, psi):

@@ -225,6 +225,6 @@ def test_beam_width_checked_without_candidates(small_db):
     for w in (0, 1.5, float("nan")):
         with pytest.raises(ValueError, match="beam width"):
             range_query(db, far, 0, w=w)
-    for budget in (0, float("nan")):
+    for budget in (0, 2.5, float("nan")):
         with pytest.raises(ValueError, match="node budget"):
             range_query(db, far, 0, node_budget=budget)

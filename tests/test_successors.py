@@ -10,7 +10,7 @@ from conftest import (
     random_pair,
 )
 from gedkit.graphs import vertex_partition
-from gedkit.mapping import edit_cost
+from gedkit.mapping import GraphMapping, edit_cost
 from gedkit.successors import (
     basic_gen_succr,
     determine_order,
@@ -27,7 +27,7 @@ def test_basic_root_successors_square_star(square_star):
     root = make_root(g, q)
     succ = basic_gen_succr(root, g, q, identity_order(g))
     assert len(succ) == q.n + 1  # every target plus the dummy
-    targets = [s.mapping.pairs[-1][1] for s in succ]
+    targets = [s.pairs[-1][1] for s in succ]
     assert targets == [0, 1, 2, 3, None]
 
 
@@ -38,7 +38,7 @@ def test_basic_final_layer_single_leaf():
     node = basic_gen_succr(root, g, q, identity_order(g))[0]  # maps 0 -> 0
     (leaf,) = basic_gen_succr(node, g, q, identity_order(g))
     assert leaf.complete
-    insertion_pairs = [p for p in leaf.mapping.pairs if p[0] is None]
+    insertion_pairs = [p for p in leaf.pairs if p[0] is None]
     assert insertion_pairs == [(None, 1), (None, 2)]
 
 
@@ -53,7 +53,7 @@ def test_reduced_root_successors_square_star(square_star):
     g, q = square_star
     root = make_root(g, q)
     succ = gen_succr(root, g, q, vertex_partition(q), identity_order(g))
-    assert [s.mapping.pairs[-1][1] for s in succ] == [0, 3]
+    assert [s.pairs[-1][1] for s in succ] == [0, 3]
 
 
 def test_reduced_tree_square_star(square_star):
@@ -69,7 +69,7 @@ def test_equal_sizes_never_map_to_dummy(square_star):
     assert g.n == q.n
     _, leaves = enumerate_search_tree(g, q, reduced=True)
     for leaf in leaves:
-        assert all(s is not None and t is not None for s, t in leaf.mapping.pairs)
+        assert all(s is not None and t is not None for s, t in leaf.pairs)
 
 
 def test_determine_order_pendant_pair_example():
@@ -144,9 +144,8 @@ def test_reduced_leaves_have_max_size_length():
         g, q = random_pair(rng, max_n=6)
         _, leaves = enumerate_search_tree(g, q, reduced=True)
         for leaf in leaves:
-            assert len(leaf.mapping.pairs) == max(g.n, q.n)
-            leaf.mapping.validate()
-            assert leaf.mapping.is_complete()
+            assert len(leaf.pairs) == max(g.n, q.n)
+            assert GraphMapping(leaf.pairs, g.n, q.n).is_complete()
 
 
 def test_reduced_subset_of_basic_with_equal_minimum():
@@ -170,14 +169,15 @@ def test_reduced_leaves_one_per_code_and_minimal():
         g, q = random_pair(rng, max_n=4)
         part = vertex_partition(q)
         _, reduced_leaves = enumerate_search_tree(g, q, reduced=True)
-        codes = [canonical_code(leaf.mapping, part) for leaf in reduced_leaves]
+        leaf_maps = [GraphMapping(leaf.pairs, g.n, q.n) for leaf in reduced_leaves]
+        codes = [canonical_code(psi, part) for psi in leaf_maps]
         assert len(codes) == len(set(codes))
         by_code = {}
         for psi in all_complete_mappings(g, q):
             by_code.setdefault(canonical_code(psi, part), []).append(psi)
-        for leaf, code in zip(reduced_leaves, codes):
+        for psi, code in zip(leaf_maps, codes):
             group = by_code[code]
-            assert all(code_compare(leaf.mapping, other, part) <= 0 for other in group)
+            assert all(code_compare(psi, other, part) <= 0 for other in group)
 
 
 def test_reduced_leaf_costs_match_batch_formula():
@@ -186,7 +186,7 @@ def test_reduced_leaf_costs_match_batch_formula():
         g, q = random_pair(rng, max_n=5)
         _, leaves = enumerate_search_tree(g, q, reduced=True)
         for leaf in leaves:
-            assert leaf.g == edit_cost(leaf.mapping, g, q).total
+            assert leaf.g == edit_cost(GraphMapping(leaf.pairs, g.n, q.n), g, q).total
 
 
 def test_successor_emission_order_is_deterministic(pendant_pair):
@@ -196,12 +196,12 @@ def test_successor_emission_order_is_deterministic(pendant_pair):
     succ = gen_succr(root, g, q, part, identity_order(g))
     # Class-minimum targets in class-index order; no dummy since |G| < |Q|.
     expected = [members[0] for members in part.classes]
-    assert [s.mapping.pairs[-1][1] for s in succ] == expected
+    assert [s.pairs[-1][1] for s in succ] == expected
     bigger = build_graph(["A"] * 3, [], g.table)
     smaller = build_graph(["A"], [], g.table)
     root2 = make_root(bigger, smaller)
     succ2 = gen_succr(root2, bigger, smaller, vertex_partition(smaller), identity_order(bigger))
-    assert [s.mapping.pairs[-1][1] for s in succ2] == [0, None]
+    assert [s.pairs[-1][1] for s in succ2] == [0, None]
 
 
 def test_empty_graph_edge_cases():
