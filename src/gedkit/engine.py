@@ -84,19 +84,24 @@ class GedResult:
         return self.status == EXACT
 
 
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def check_search_args(w: int = DEFAULT_BEAM_WIDTH, node_budget: int = DEFAULT_NODE_BUDGET,
                       threshold: int | None = None, time_limit: float | None = None):
     """Raise ValueError unless the search arguments are in range.
 
     w, threshold and node_budget must be ints, w >= 1, threshold >= 0 and
-    node_budget >= 1; time_limit must be >= 0. Each bound is tested as
+    node_budget >= 1; time_limit must be >= 0. A bool is an int subclass but
+    not a count, so True and False are refused. Each bound is tested as
     `not x >= k`, so NaN fails it.
     """
-    if not isinstance(w, int) or not w >= 1:
+    if not _is_count(w) or not w >= 1:
         raise ValueError(f"beam width must be an int >= 1, got {w!r}")
-    if threshold is not None and (not isinstance(threshold, int) or not threshold >= 0):
+    if threshold is not None and (not _is_count(threshold) or not threshold >= 0):
         raise ValueError(f"threshold must be an int >= 0, got {threshold!r}")
-    if not isinstance(node_budget, int) or not node_budget >= 1:
+    if not _is_count(node_budget) or not node_budget >= 1:
         raise ValueError(f"node budget must be an int >= 1, got {node_budget!r}")
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time limit must be >= 0, got {time_limit!r}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -28,6 +29,13 @@ class GraphDatabase:
     |n_g - n_q| + |m_g - m_q| (see lb_from_summaries), so the candidate
     filter skips every bucket farther than tau from the query's size without
     computing a bound for any of its members.
+
+    label_postings holds the same buckets' label postings:
+    label_postings[(n, m)][l][k - 1] lists, ascending, the positions in ids
+    of the bucket's graphs with at least k vertices labelled l. Counting a
+    position once per list that holds it, over the lists (l, k) with
+    k <= c_q(l), gives exactly that graph's vertex-label intersection with
+    the query, sum over l of min(c_g(l), c_q(l)), with no per-graph call.
     """
 
     graphs: dict[int, LabeledGraph]
@@ -36,6 +44,7 @@ class GraphDatabase:
     table: LabelTable
     ids: list[int]
     size_index: dict[tuple[int, int], list[int]]
+    label_postings: dict[tuple[int, int], dict[int, list[list[int]]]]
 
     @classmethod
     def from_graphs(cls, entries: list[tuple[int, LabeledGraph]], table: LabelTable) -> "GraphDatabase":
@@ -51,9 +60,18 @@ class GraphDatabase:
         ids = list(graphs)
         summaries = {gid: summarize(g) for gid, g in graphs.items()}
         size_index: dict[tuple[int, int], list[int]] = {}
+        label_postings: dict[tuple[int, int], dict[int, list[list[int]]]] = {}
         for pos, gid in enumerate(ids):
             s = summaries[gid]
-            size_index.setdefault((s.n, s.m), []).append(pos)
+            size = (s.n, s.m)
+            size_index.setdefault(size, []).append(pos)
+            bucket = label_postings.setdefault(size, {})
+            for lab, count in s.vertex_labels.items():
+                lists = bucket.setdefault(lab, [])
+                while len(lists) < count:
+                    lists.append([])
+                for k in range(count):
+                    lists[k].append(pos)
         return cls(
             graphs=graphs,
             summaries=summaries,
@@ -61,6 +79,7 @@ class GraphDatabase:
             table=table,
             ids=ids,
             size_index=size_index,
+            label_postings=label_postings,
         )
 
     @classmethod
@@ -76,8 +95,15 @@ def filter_candidates(db: GraphDatabase, query: LabeledGraph, tau: int) -> list[
     """Ids, in db.ids order, of the graphs the pair bound does not rule out.
 
     Size buckets with |n - n_q| + |m - m_q| > tau are skipped whole: every
-    member's pair bound exceeds tau too, so the result equals a full scan.
-    The rest cannot be within tau of the query.
+    member's pair bound exceeds tau too. In each bucket left, a count test
+    over db.label_postings finds each graph's vertex-label intersection
+    vinter with the query, and only graphs with vinter >= need, where
+    need = max(n, n_q) - tau, go on to the pair bound. The pair bound is at
+    least max(n, n_q) - vinter, so it would refute every graph the count
+    test drops, and the result equals a full scan. When
+    need <= 0 the count test refutes nothing (a graph sharing no label with
+    the query may still pass), so the whole bucket goes to the pair bound.
+    The graphs not returned cannot be within tau of the query.
     """
     check_search_args(threshold=tau)
     if query.table is not db.table:
@@ -89,6 +115,14 @@ def filter_candidates(db: GraphDatabase, query: LabeledGraph, tau: int) -> list[
     for (n, m), members in db.size_index.items():
         if abs(n - n_q) + abs(m - m_q) > tau:
             continue
+        need = max(n, n_q) - tau
+        if need > 0:
+            postings = db.label_postings[n, m]
+            counts: Counter[int] = Counter()
+            for lab, count in qsum.vertex_labels.items():
+                for positions in postings.get(lab, ())[:count]:
+                    counts.update(positions)
+            members = [pos for pos, shared in counts.items() if shared >= need]
         hits.extend(pos for pos in members if lb_from_summaries(summaries[ids[pos]], qsum) <= tau)
     hits.sort()
     return [ids[pos] for pos in hits]
@@ -115,17 +149,18 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
                 node_budget: int = DEFAULT_NODE_BUDGET) -> QueryResult:
     """All graphs within distance tau of the query: filter, then verify.
 
-    The filter skips size buckets and applies the pair bound. Each candidate
-    it keeps is then checked against the branch bound (lb_from_branches
-    given tau: cost rows, row and column minima, then a capped solve), and
-    only those the branch bound does not refute run the engine in decision
-    mode (bss_ged with threshold tau), in db.ids order. A cost row depends
-    only on a candidate vertex's branch and the query's branches, so one
-    dict of rows by branch is made when the branch stage starts, shared by
-    every candidate of this query, and dropped when the call returns.
-    candidate_count counts every graph the filter kept, branch_refuted those
-    of them the branch bound refuted, so filtered_count + candidate_count ==
-    len(db). Verification jobs are independent, so the result is the same
+    The filter skips size buckets, drops graphs by the label count test and
+    applies the pair bound to the rest (see filter_candidates). Each
+    candidate it keeps is then checked against the branch bound
+    (lb_from_branches given tau: cost rows, row and column minima, then a
+    capped solve), and only those the branch bound does not refute run the
+    engine in decision mode (bss_ged with threshold tau), in db.ids order.
+    A cost row depends only on a candidate vertex's branch and the query's
+    branches, so one dict of rows by branch is made when the branch stage
+    starts, shared by every candidate of this query, and dropped when the
+    call returns. candidate_count counts every graph the filter kept,
+    branch_refuted those of them the branch bound refuted, so
+    filtered_count + candidate_count == len(db). Verification jobs are independent, so the result is the same
     for any thread count; verify_s times the branch stage and the engine.
     """
     check_search_args(w, node_budget, tau)

@@ -220,7 +220,8 @@ def test_leaf_with_wrong_g_is_refused(square_star, monkeypatch):
 
 def test_negative_threshold_rejected(square_star):
     g, q = square_star
-    for tau in (-1, 1.5):
+    # A bool is not a threshold, although True == 1 and False == 0.
+    for tau in (-1, 1.5, True, False):
         with pytest.raises(ValueError, match="threshold"):
             bss_ged(g, q, threshold=tau)
         with pytest.raises(ValueError, match="threshold"):
@@ -275,7 +276,7 @@ def test_decision_mode_pinned():
 
 def test_rejects_bad_arguments(square_star):
     g, q = square_star
-    for w in (0, 1.5, float("nan")):
+    for w in (0, 1.5, float("nan"), True):
         with pytest.raises(ValueError, match="beam width"):
             bss_ged(g, q, w)
     with pytest.raises(ValueError):
@@ -289,7 +290,7 @@ def test_rejects_bad_arguments(square_star):
 
 def test_rejects_bad_budgets(square_star):
     g, q = square_star
-    for budget in (0, -5, 2.5, float("nan")):
+    for budget in (0, -5, 2.5, float("nan"), True):
         with pytest.raises(ValueError, match="node budget"):
             bss_ged(g, q, node_budget=budget)
     for limit in (-1, float("nan")):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import SQUARE_STAR_TEXT, build_graph, random_pair
+from gedkit import simsearch
 from gedkit.bounds import branch_bound, lb_from_summaries, summarize
 from gedkit.engine import ABOVE_BOUND, BUDGET_EXHAUSTED, WITHIN_THRESHOLD, bss_ged
 from gedkit.graphs import LabelTable, LabeledGraph, serialize_graph_db
@@ -128,27 +129,78 @@ def test_database_precomputation_consistent(small_db):
     for pos, gid in enumerate(db.ids):
         by_size.setdefault((db.graphs[gid].n, db.graphs[gid].m), []).append(pos)
     assert db.size_index == by_size
+    # Position pos is listed under (l, k) exactly when c_g(l) >= k, ascending.
+    assert db.label_postings.keys() == by_size.keys()
+    for size, members in by_size.items():
+        counts = {pos: db.summaries[db.ids[pos]].vertex_labels for pos in members}
+        postings = db.label_postings[size]
+        assert postings.keys() == {lab for c in counts.values() for lab in c}
+        for lab, lists in postings.items():
+            assert len(lists) == max(c.get(lab, 0) for c in counts.values())
+            for k, positions in enumerate(lists, 1):
+                assert positions == sorted(set(positions))
+                assert positions == [pos for pos in members if counts[pos].get(lab, 0) >= k]
 
 
-def test_indexed_filter_equals_full_scan():
-    # The size-bucket skip must not change the candidates, their order, their
-    # bounds or anything range_query reports, against a scan of every graph.
+def _shared_labels(a, b) -> int:
+    return sum(min(c, b.vertex_labels.get(lab, 0)) for lab, c in a.vertex_labels.items())
+
+
+# Corpora for the indexed filter: (seed, count, vertex range, vertex labels,
+# query vertex range). The first four are the original mixed corpora; then
+# 20 labels, where the label count test refutes most graphs of nearby size;
+# 2 labels, where it refutes few; and tiny graphs, where tau >= n lets a
+# graph that shares no label with the query be a candidate.
+FILTER_CORPORA = [(seed, 30, (0, 12), 3, (0, 9)) for seed in range(4)] + [
+    (4, 40, (0, 12), 20, (0, 9)),
+    (5, 30, (0, 8), 2, (0, 8)),
+    (6, 30, (0, 3), 20, (0, 3)),
+]
+
+
+def test_indexed_filter_equals_full_scan(monkeypatch):
+    # The size-bucket skip and the label count test must not change the
+    # candidates, their order, their bounds or anything range_query reports,
+    # against a scan of every graph.
+    bounded = []  # the summaries the filter called the pair bound on
+
+    def counted_lb(a, b):
+        bounded.append(a)
+        return lb_from_summaries(a, b)
+
+    monkeypatch.setattr(simsearch, "lb_from_summaries", counted_lb)
     rng = random.Random(74)
     total_refuted = 0
-    for seed in range(4):
+    count_refuted = {}  # corpus seed -> share of the graphs it tests that the count test drops
+    disjoint_kept = 0
+    for seed, count, (n_min, n_max), n_labels, (q_min, q_max) in FILTER_CORPORA:
         density = rng.choice((0.1, 0.3, 0.5, 0.8))
-        entries, table = random_graph_db(seed, 30, 0, 12, density, 3, 2)
+        entries, table = random_graph_db(seed, count, n_min, n_max, density, n_labels, 2)
         entries.append((len(entries), LabeledGraph([], [], table)))
         rng.shuffle(entries)  # db.ids order is not id order
         db = GraphDatabase.from_graphs(entries, table)
         queries = [db.graphs[db.ids[0]], LabeledGraph([], [], table)]
-        queries += [random_graph(rng, rng.randint(0, 9), density, 3, 2, table) for _ in range(2)]
+        queries += [random_graph(rng, rng.randint(q_min, q_max), density, n_labels, 2, table)
+                    for _ in range(2)]
+        dropped = tested = 0
         for query in queries:
             qsum = summarize(query)
             lb = {gid: lb_from_summaries(db.summaries[gid], qsum) for gid in db.ids}
             for tau in range(9):
                 scan = [gid for gid in db.ids if lb[gid] <= tau]
+                # The pair bound runs on exactly the graphs of nearby size
+                # whose shared labels reach need = max(n, n_q) - tau.
+                near = [s for s in map(db.summaries.get, db.ids)
+                        if abs(s.n - qsum.n) + abs(s.m - qsum.m) <= tau]
+                passed = [s for s in near if _shared_labels(s, qsum) >= max(s.n, qsum.n) - tau]
+                bounded.clear()
                 assert filter_candidates(db, query, tau) == scan
+                assert sorted(map(id, bounded)) == sorted(map(id, passed))
+                dropped += len(near) - len(passed)
+                tested += sum(1 for s in near if max(s.n, qsum.n) > tau)
+                if query.n:
+                    disjoint_kept += sum(1 for gid in scan if db.graphs[gid].n
+                                         and _shared_labels(db.summaries[gid], qsum) == 0)
                 outcomes = {gid: bss_ged(db.graphs[gid], query, threshold=tau) for gid in scan}
                 res = range_query(db, query, tau)
                 assert [(m.graph_id, m.bound) for m in res.matches] == sorted(
@@ -163,7 +215,10 @@ def test_indexed_filter_equals_full_scan():
                 assert res.branch_refuted == len(refuted)
                 assert res.branch_refuted <= res.candidate_count - len(res.matches)
                 total_refuted += res.branch_refuted
+        count_refuted[seed] = dropped / tested
     assert total_refuted > 0
+    assert count_refuted[4] > 0.5 > count_refuted[5] > 0
+    assert disjoint_kept > 0
 
 
 def test_database_from_text_round_trip(square_star):
@@ -185,7 +240,7 @@ def test_mismatched_table_rejected(small_db):
 
 def test_negative_tau_rejected(small_db):
     db, query, _ = small_db
-    for tau in (-1, 1.5, float("nan")):
+    for tau in (-1, 1.5, float("nan"), True, False):
         with pytest.raises(ValueError):
             filter_candidates(db, query, tau)
         with pytest.raises(ValueError):
