@@ -130,8 +130,12 @@ def vertex_branches(g: LabeledGraph) -> list[Branch]:
     return [(lab, tuple(sorted(adj[u].values()))) for u, lab in enumerate(g.vertex_labels)]
 
 
-def min_cost_assignment(cost: Sequence[Sequence[int]], cap: int | None = None) -> int:
-    """Minimum total cost of a perfect assignment on a square integer matrix.
+def min_cost_assignment(cost: Sequence[Sequence[int]],
+                        cap: int | None = None) -> tuple[int, list[int] | None]:
+    """Minimum-cost perfect assignment on a square integer matrix.
+
+    Returns (value, assignment): assignment[i] is the column of row i, and
+    the entries cost[i][assignment[i]] sum to value.
 
     The Hungarian method with row and column potentials, O(k^3): row i is
     added to the matching along a shortest augmenting path in reduced costs,
@@ -143,7 +147,9 @@ def min_cost_assignment(cost: Sequence[Sequence[int]], cap: int | None = None) -
     >= 0 a row subset's optimum never exceeds the full one, so the value
     only grows. Given a cap, the solve stops after the first row that lifts
     it above the cap, and returns it: the optimum when the optimum is <= cap,
-    otherwise a value in (cap, optimum].
+    otherwise a value in (cap, optimum]. The assignment is None when the
+    solve stopped before its last row, and otherwise optimal; so it is
+    always given when the optimum is <= cap.
     """
     k = len(cost)
     row_pot = [0] * (k + 1)
@@ -179,9 +185,12 @@ def min_cost_assignment(cost: Sequence[Sequence[int]], cap: int | None = None) -
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-        if cap is not None and -col_pot[0] > cap:
-            break
-    return -col_pot[0]
+        if cap is not None and -col_pot[0] > cap and i < k:
+            return -col_pot[0], None
+    assignment = [0] * k
+    for j in range(1, k + 1):
+        assignment[match[j] - 1] = j - 1
+    return -col_pot[0], assignment
 
 
 def _branch_row(branch: Branch, targets: Sequence[Branch]) -> list[int]:
@@ -209,8 +218,15 @@ def _branch_row(branch: Branch, targets: Sequence[Branch]) -> list[int]:
 
 
 def lb_from_branches(a: Sequence[Branch], b: Sequence[Branch], tau: int | None = None,
-                     rows: dict[Branch, list[int]] | None = None) -> int:
+                     rows: dict[Branch, list[int]] | None = None) -> tuple[int, list[int] | None]:
     """The branch lower bound on ged from two graphs' vertex branches.
+
+    Returns (bound, assignment). The assignment is an optimal one of the
+    max(len(a), len(b))-square matrix below, as min_cost_assignment gives
+    it: rows are a's vertices, then padding rows (insertions); columns are
+    b's vertices, then padding columns (deletions). It is always given
+    without tau, and given tau whenever the bound is <= tau; otherwise it
+    may be None.
 
     Costs are doubled to stay integral. Mapping branch u to branch v costs
     2 [l(u) != l(v)] + max(d_u, d_v) - |E_u & E_v|, with E_u the multiset of
@@ -235,7 +251,7 @@ def lb_from_branches(a: Sequence[Branch], b: Sequence[Branch], tau: int | None =
     are built; a caller that keeps b fixed may pass one dict to every call.
     Padding goes onto a copy, so a stored row serves graphs of any size.
 
-    Given tau, the result is the bound when the bound is <= tau, and
+    Given tau, the first value is the bound when the bound is <= tau, and
     otherwise some admissible value > tau, reached with the least work:
     - Minima. A perfect assignment takes exactly one entry in each row and
       one in each column, so it costs at least the sum of the row minima
@@ -259,17 +275,19 @@ def lb_from_branches(a: Sequence[Branch], b: Sequence[Branch], tau: int | None =
     if len(a) < k:
         cost += [[2 + len(eb) for _, eb in b]] * (k - len(a))
     if tau is None:
-        return -(-min_cost_assignment(cost) // 2)
+        value, assignment = min_cost_assignment(cost)
+        return -(-value // 2), assignment
     low = max(sum(map(min, cost)), sum(map(min, zip(*cost))))
     if low > 2 * tau:
-        return -(-low // 2)
-    return -(-min_cost_assignment(cost, 2 * tau) // 2)
+        return -(-low // 2), None
+    value, assignment = min_cost_assignment(cost, 2 * tau)
+    return -(-value // 2), assignment
 
 
 def branch_bound(g: LabeledGraph, q: LabeledGraph) -> int:
     """Lower bound on ged(g, q) from vertex branches (see lb_from_branches)."""
     require_shared_table(g, q)
-    return lb_from_branches(vertex_branches(g), vertex_branches(q))
+    return lb_from_branches(vertex_branches(g), vertex_branches(q))[0]
 
 
 def _source_side(g: LabeledGraph, sources: Sequence[int]) -> tuple:

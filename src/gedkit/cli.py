@@ -119,6 +119,7 @@ def cmd_search(args) -> int:
         "filtered": res.filtered_count,
         "candidates": res.candidate_count,
         "branch_refuted": res.branch_refuted,
+        "certified": res.certified,
         "time_ms": round(ms, 3),
         "filter_s": round(res.timings["filter_s"], 6),
         "verify_s": round(res.timings["verify_s"], 6),
@@ -131,7 +132,9 @@ def cmd_search(args) -> int:
         print(f"{len(res.matches)} matches within tau={args.tau} "
               f"({res.filtered_count} filtered, {res.candidate_count} candidates: "
               f"{res.branch_refuted} refuted by branch bound, "
-              f"{res.candidate_count - res.branch_refuted} verified, {ms:.1f}ms)")
+              f"{res.certified} certified by assignment, "
+              f"{res.candidate_count - res.branch_refuted - res.certified} verified by engine, "
+              f"{ms:.1f}ms)")
         for m in res.matches:
             print(f"  graph {m.graph_id}: ged <= {m.bound}")
         for gid in res.unknowns:

@@ -35,6 +35,17 @@ class GraphMapping:
         if any(not 0 <= t < self.n_target for t in tgts):
             raise ValueError("target vertex out of range")
 
+    @classmethod
+    def from_assignment(cls, assignment: list[int], n_source: int, n_target: int) -> "GraphMapping":
+        """The mapping a square assignment induces: row i goes to column assignment[i].
+
+        Row i < n_source at column j < n_target is the pair (i, j). A
+        padding column (j >= n_target) deletes i, the pair (i, None); a
+        padding row (i >= n_source) inserts j, the pair (None, j).
+        """
+        return cls(tuple((i if i < n_source else None, j if j < n_target else None)
+                         for i, j in enumerate(assignment)), n_source, n_target)
+
     def mapped_sources(self) -> dict[int, int | None]:
         """source vertex -> target (or None) for non-dummy sources."""
         return {s: t for s, t in self.pairs if s is not None}

@@ -18,6 +18,7 @@ from .engine import (
     check_search_args,
 )
 from .graphs import LabelTable, LabeledGraph, VertexPartition, parse_graph_db, vertex_partition
+from .mapping import GraphMapping, edit_cost
 
 
 @dataclass
@@ -141,6 +142,7 @@ class QueryResult:
     filtered_count: int
     candidate_count: int
     branch_refuted: int
+    certified: int
     timings: dict[str, float] = field(default_factory=dict)
 
 
@@ -153,15 +155,26 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
     applies the pair bound to the rest (see filter_candidates). Each
     candidate it keeps is then checked against the branch bound
     (lb_from_branches given tau: cost rows, row and column minima, then a
-    capped solve), and only those the branch bound does not refute run the
-    engine in decision mode (bss_ged with threshold tau), in db.ids order.
-    A cost row depends only on a candidate vertex's branch and the query's
-    branches, so one dict of rows by branch is made when the branch stage
-    starts, shared by every candidate of this query, and dropped when the
-    call returns. candidate_count counts every graph the filter kept,
-    branch_refuted those of them the branch bound refuted, so
-    filtered_count + candidate_count == len(db). Verification jobs are independent, so the result is the same
-    for any thread count; verify_s times the branch stage and the engine.
+    capped solve). A cost row depends only on a candidate vertex's branch
+    and the query's branches, so one dict of rows by branch is made when
+    the branch stage starts, shared by every candidate of this query, and
+    dropped when the call returns.
+
+    A candidate the branch bound does not refute has been solved to
+    optimality, and its assignment induces a complete mapping
+    (GraphMapping.from_assignment). Any complete mapping's edit cost is an
+    upper bound on ged, so when that cost is <= tau the candidate is a match
+    with that cost as its bound, and the engine does not run. The rest run
+    the engine in decision mode (bss_ged with threshold tau), in db.ids
+    order; its first leaf of cost <= tau is the bound. Decision mode accepts
+    exactly the graphs with ged <= tau, so certifying changes no match,
+    only turns a graph the node budget would leave unknown into a match.
+
+    candidate_count counts every graph the filter kept, branch_refuted those
+    of them the branch bound refuted and certified those matched by their
+    assignment, so filtered_count + candidate_count == len(db). Engine jobs
+    are independent, so the result is the same for any thread count;
+    verify_s times the branch stage, the certify step and the engine.
     """
     check_search_args(w, node_budget, tau)
     t0 = time.perf_counter()
@@ -170,8 +183,19 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
 
     qbranches = vertex_branches(query)
     rows: dict = {}
-    survivors = [gid for gid in candidates
-                 if lb_from_branches(vertex_branches(db.graphs[gid]), qbranches, tau, rows) <= tau]
+    matches = []
+    survivors = []
+    for gid in candidates:
+        g = db.graphs[gid]
+        bound, assignment = lb_from_branches(vertex_branches(g), qbranches, tau, rows)
+        if bound > tau:
+            continue
+        cost = edit_cost(GraphMapping.from_assignment(assignment, g.n, query.n), g, query).total
+        if cost <= tau:
+            matches.append(Match(gid, cost))
+        else:
+            survivors.append(gid)
+    certified = len(matches)
 
     def job(gid: int) -> tuple[int, GedResult]:
         return gid, bss_ged(db.graphs[gid], query, w, node_budget=node_budget, threshold=tau)
@@ -183,7 +207,6 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
         outcomes = [job(gid) for gid in survivors]
     t2 = time.perf_counter()
 
-    matches = []
     unknowns = []
     for gid, res in outcomes:
         if res.status == WITHIN_THRESHOLD:
@@ -197,6 +220,7 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
         unknowns=unknowns,
         filtered_count=len(db) - len(candidates),
         candidate_count=len(candidates),
-        branch_refuted=len(candidates) - len(survivors),
+        branch_refuted=len(candidates) - certified - len(survivors),
+        certified=certified,
         timings={"filter_s": t1 - t0, "verify_s": t2 - t1},
     )

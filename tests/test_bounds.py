@@ -351,7 +351,7 @@ def test_min_cost_assignment_matches_brute_force():
             cost = [[rng.randint(0, high) for _ in range(k)] for _ in range(k)]
             brute = min(sum(cost[i][p[i]] for i in range(k))
                         for p in itertools.permutations(range(k)))
-            assert min_cost_assignment(cost) == brute, cost
+            assert min_cost_assignment(cost)[0] == brute, cost
 
 
 
@@ -366,7 +366,7 @@ def test_capped_assignment_matches_brute_force():
             brute = min(sum(cost[i][p[i]] for i in range(k))
                         for p in itertools.permutations(range(k)))
             for cap in range(41):
-                got = min_cost_assignment(cost, cap)
+                got, _ = min_cost_assignment(cost, cap)
                 if brute <= cap:
                     assert got == brute, (cost, cap)
                 else:
@@ -375,11 +375,35 @@ def test_capped_assignment_matches_brute_force():
     assert capped > 0
 
 
+def test_assignment_attains_value():
+    # The returned assignment is a permutation whose entries sum to the
+    # returned value: always uncapped, and capped wherever the value is
+    # within the cap. Above the cap it is None, or, when only the last row
+    # lifted the value, the whole optimal assignment.
+    rng = random.Random(53)
+    given = 0
+    for k in range(7):
+        for _ in range(1 if k == 0 else 10):
+            high = rng.choice((1, 3, 12))
+            cost = [[rng.randint(0, high) for _ in range(k)] for _ in range(k)]
+            brute = min(sum(cost[i][p[i]] for i in range(k))
+                        for p in itertools.permutations(range(k)))
+            for cap in (None, *range(41)):
+                value, assignment = min_cost_assignment(cost, cap)
+                if cap is not None and value > cap and assignment is None:
+                    continue
+                assert sorted(assignment) == list(range(k)), (cost, cap)
+                assert sum(cost[i][assignment[i]] for i in range(k)) == value == brute, (cost, cap)
+                given += cap is not None and value > cap
+    assert given > 0
+
+
 def test_branch_stage_decides_like_full_bound():
     # Given tau, lb_from_branches must refute exactly when the full bound
-    # exceeds tau, and equal it otherwise. One row dict per query serves
-    # candidates of every size, so padding that leaked into a stored row
-    # would change later candidates' bounds.
+    # exceeds tau, and equal it otherwise, handing out a complete
+    # assignment. One row dict per query serves candidates of every size,
+    # so padding that leaked into a stored row would change later
+    # candidates' bounds.
     rng = random.Random(52)
     table = LabelTable()
     refuted = kept = 0
@@ -392,11 +416,13 @@ def test_branch_stage_decides_like_full_bound():
         rows = {}
         for g in graphs:
             gb = vertex_branches(g)
-            full = lb_from_branches(gb, qb)
+            full, _ = lb_from_branches(gb, qb)
             for tau in range(7):
-                for staged in (lb_from_branches(gb, qb, tau, rows), lb_from_branches(gb, qb, tau)):
+                for staged, assignment in (lb_from_branches(gb, qb, tau, rows),
+                                           lb_from_branches(gb, qb, tau)):
                     if full <= tau:
                         assert staged == full
+                        assert sorted(assignment) == list(range(max(len(gb), len(qb))))
                     else:
                         assert tau < staged <= full
                 refuted += full > tau

@@ -93,6 +93,7 @@ def test_search_json(square_star_db, tmp_path, capsys):
     assert all(m.keys() == {"id", "bound"} and m["bound"] <= 4 for m in payload["matches"])
     assert payload["filtered"] + payload["candidates"] == 2
     assert payload["branch_refuted"] == 0
+    assert payload["certified"] == 2  # each graph's branch assignment costs <= 4
     assert payload["filter_s"] >= 0 and payload["verify_s"] >= 0
     code, payload = run_json(
         capsys,
@@ -121,8 +122,32 @@ def test_search_human(pendant_pair_db, tmp_path, capsys):
     assert main(["search", "--db", pendant_pair_db, "--query", str(query), "--tau", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("1 matches within tau=3 (0 filtered, 2 candidates: "
-                               "1 refuted by branch bound, 1 verified, ")
+                               "1 refuted by branch bound, 1 certified by assignment, "
+                               "0 verified by engine, ")
     assert lines[1:] == ["  graph 0: ged <= 0"]
+    # At tau 4 graph 1 (ged 5) passes the branch bound, and its assignment
+    # costs more than 4, so only the engine can refute it.
+    assert main(["search", "--db", pendant_pair_db, "--query", str(query), "--tau", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("1 matches within tau=4 (0 filtered, 2 candidates: "
+                               "0 refuted by branch bound, 1 certified by assignment, "
+                               "1 verified by engine, ")
+    assert lines[1:] == ["  graph 0: ged <= 0"]
+
+
+def test_search_certified_match_beats_node_budget(tmp_path, capsys):
+    # With a one-node budget the engine cannot finish on graph 0 against
+    # itself; its branch assignment maps it onto itself at cost 0, so it is
+    # a proven match and not an unknown.
+    db = str(tmp_path / "db.txt")
+    assert main(["gen", db, "--seed", "1"]) == 0
+    capsys.readouterr()
+    code, payload = run_json(
+        capsys, ["search", "--db", db, "--query", db, "--tau", "3", "--budget", "1", "--json"])
+    assert code == 0
+    assert payload["matches"] == [{"id": 0, "bound": 0}]
+    assert "unknown" not in payload
+    assert (payload["candidates"], payload["branch_refuted"], payload["certified"]) == (1, 0, 1)
 
 
 def test_search_threads_flag(square_star_db, tmp_path, capsys):

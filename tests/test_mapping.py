@@ -52,6 +52,15 @@ def test_identity_mapping_costs_zero(square_star):
     assert realize_edit_path(identity_mapping(g), g, g) == []
 
 
+def test_mapping_from_assignment():
+    # Padding rows insert their column's target; padding columns delete
+    # their row's source.
+    assert GraphMapping.from_assignment([1, 2, 0], 2, 3).pairs == ((0, 1), (1, 2), (None, 0))
+    assert GraphMapping.from_assignment([2, 0, 1], 3, 2).pairs == ((0, None), (1, 0), (2, 1))
+    assert GraphMapping.from_assignment([], 0, 0).pairs == ()
+    assert GraphMapping.from_assignment([1, 0], 2, 2).is_complete()
+
+
 def test_all_dummy_mapping_empty_structure(square_star):
     g, _ = square_star
     empty = build_graph([], [], g.table)

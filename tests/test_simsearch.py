@@ -7,7 +7,8 @@ from gedkit import simsearch
 from gedkit.bounds import branch_bound, lb_from_summaries, summarize
 from gedkit.engine import ABOVE_BOUND, BUDGET_EXHAUSTED, WITHIN_THRESHOLD, bss_ged
 from gedkit.graphs import LabelTable, LabeledGraph, serialize_graph_db
-from gedkit.oracle import exhaustive_ged
+from gedkit.mapping import edit_cost, realize_edit_path
+from gedkit.oracle import check_edit_path, exhaustive_ged
 from gedkit.simsearch import GraphDatabase, filter_candidates, range_query
 from gedkit.synth import random_graph, random_graph_db
 
@@ -118,6 +119,54 @@ def test_range_query_surfaces_unknowns(small_db):
     assert set(res.unknowns).isdisjoint({m.graph_id for m in res.matches})
 
 
+def test_certified_matches_are_proven(monkeypatch):
+    # range_query matches a candidate without the engine when the mapping
+    # its branch assignment induces costs <= tau. Every such mapping must be
+    # complete, realise a checked edit path, and cost between the exact
+    # distance and tau; and the matches must be the engine-only scan's.
+    costed = []  # (mapping, graph, cost) of every mapping range_query costs
+
+    def recorded_cost(psi, g, q):
+        cost = edit_cost(psi, g, q)
+        costed.append((psi, g, cost.total))
+        return cost
+
+    monkeypatch.setattr(simsearch, "edit_cost", recorded_cost)
+    rng = random.Random(76)
+    certified = uncertified = nonzero = 0
+    for seed in range(4):
+        density = rng.choice((0.1, 0.3, 0.5))
+        entries, table = random_graph_db(80 + seed, 25, 0, 12, density, rng.choice((2, 3, 5)), 2)
+        db = GraphDatabase.from_graphs(entries, table)
+        gid_of = {id(g): gid for gid, g in db.graphs.items()}
+        queries = [db.graphs[db.ids[0]], LabeledGraph([], [], table)]
+        queries += [random_graph(rng, rng.randint(0, 12), density, 3, 2, table) for _ in range(2)]
+        for query in queries:
+            exact = {}
+            for tau in range(9):
+                costed.clear()
+                res = range_query(db, query, tau)
+                engine_only = sorted(gid for gid in filter_candidates(db, query, tau)
+                                     if bss_ged(db.graphs[gid], query, threshold=tau).status == WITHIN_THRESHOLD)
+                assert [m.graph_id for m in res.matches] == engine_only
+                bounds = {m.graph_id: m.bound for m in res.matches}
+                proven = [(psi, g, cost) for psi, g, cost in costed if cost <= tau]
+                assert res.certified == len(proven)
+                assert res.candidate_count == res.branch_refuted + len(costed)
+                for psi, g, cost in proven:
+                    gid = gid_of[id(g)]
+                    assert bounds[gid] == cost
+                    assert psi.is_complete() and (psi.n_source, psi.n_target) == (g.n, query.n)
+                    assert check_edit_path(g, query, realize_edit_path(psi, g, query), psi)
+                    if gid not in exact:
+                        exact[gid] = bss_ged(g, query).distance
+                    assert exact[gid] <= cost <= tau
+                    nonzero += cost > 0
+                certified += len(proven)
+                uncertified += len(costed) - len(proven)
+    assert certified > 500 and nonzero > 300 and uncertified > 20
+
+
 def test_database_precomputation_consistent(small_db):
     from gedkit.graphs import vertex_partition
 
@@ -160,8 +209,10 @@ FILTER_CORPORA = [(seed, 30, (0, 12), 3, (0, 9)) for seed in range(4)] + [
 
 def test_indexed_filter_equals_full_scan(monkeypatch):
     # The size-bucket skip and the label count test must not change the
-    # candidates, their order, their bounds or anything range_query reports,
-    # against a scan of every graph.
+    # candidates, their order or anything range_query reports, against a
+    # scan of every graph. A match's bound is the engine's first leaf or the
+    # cost of the branch stage's assignment mapping, so it is checked to be
+    # a proven upper bound within tau, against the exact distance.
     bounded = []  # the summaries the filter called the pair bound on
 
     def counted_lb(a, b):
@@ -184,6 +235,7 @@ def test_indexed_filter_equals_full_scan(monkeypatch):
                     for _ in range(2)]
         dropped = tested = 0
         for query in queries:
+            exact = {}  # gid -> ged(graph, query), computed for matches only
             qsum = summarize(query)
             lb = {gid: lb_from_summaries(db.summaries[gid], qsum) for gid in db.ids}
             for tau in range(9):
@@ -203,9 +255,12 @@ def test_indexed_filter_equals_full_scan(monkeypatch):
                                          and _shared_labels(db.summaries[gid], qsum) == 0)
                 outcomes = {gid: bss_ged(db.graphs[gid], query, threshold=tau) for gid in scan}
                 res = range_query(db, query, tau)
-                assert [(m.graph_id, m.bound) for m in res.matches] == sorted(
-                    (gid, out.upper_bound) for gid, out in outcomes.items()
-                    if out.status == WITHIN_THRESHOLD)
+                assert [m.graph_id for m in res.matches] == sorted(
+                    gid for gid, out in outcomes.items() if out.status == WITHIN_THRESHOLD)
+                for m in res.matches:
+                    if m.graph_id not in exact:
+                        exact[m.graph_id] = bss_ged(db.graphs[m.graph_id], query).distance
+                    assert exact[m.graph_id] <= m.bound <= tau
                 assert res.unknowns == []
                 assert res.candidate_count == len(scan)
                 assert res.filtered_count == len(db) - len(scan)
