@@ -26,16 +26,56 @@ def _deltas(degs_g: Sequence[int], degs_q: Sequence[int]) -> tuple[int, int]:
     return -(-over // 2), -(-under // 2)
 
 
-def _pair_bound(n_g: int, n_q: int, vinter: int, degs_g: Sequence[int],
-                degs_q: Sequence[int], m_q: int, einter: int) -> int:
-    """The pair bound LB from its ingredients.
+def _levels(degs_g: Sequence[int], degs_q: Sequence[int]) -> tuple[list[int], list[int], int, int]:
+    """Degree-level counts of two degree multisets, given in any order.
+
+    Returns (diff, pos, over, under). For each level k from 1 to the top
+    degree, diff[k] = #{source degrees >= k} - #{target degrees >= k} and
+    pos[k] counts the levels 1..k with diff >= 0; over and under sum the
+    positive and negative parts of diff. They equal the surplus masses that
+    _deltas halves (proof in PairHeuristic.children). Index 0 is unused.
+    """
+    diff = [0] * (max([0, *degs_g, *degs_q]) + 1)
+    for a in degs_g:
+        diff[a] += 1
+    for b in degs_q:
+        diff[b] -= 1
+    # diff holds the per-degree differences; walk up the levels, from the
+    # nonzero counts at level 1, turning them into counts of degrees >= k.
+    acc = len(degs_g) - len(degs_q) - diff[0]
+    pos = [0] * len(diff)
+    over = under = p = 0
+    for k in range(1, len(diff)):
+        at_k = diff[k]
+        diff[k] = acc
+        if acc >= 0:
+            over += acc
+            p += 1
+        else:
+            under -= acc
+        pos[k] = p
+        acc -= at_k
+    return diff, pos, over, under
+
+
+def _combine(n_g: int, n_q: int, vinter: int, d1: int, d2: int, m_q: int, einter: int) -> int:
+    """The pair bound LB from its ingredients, once the deltas d1, d2 are known.
 
     vinter and einter are the sizes of the vertex- and edge-label multiset
-    intersections, m_q the target's edge count, and degs_g, degs_q the
-    non-increasing degree sequences; trailing zeros do not change the bound.
+    intersections and m_q the target's edge count.
+    """
+    return max(n_g, n_q) - vinter + max(d1 + d2, d1 + m_q - einter)
+
+
+def _pair_bound(n_g: int, n_q: int, vinter: int, degs_g: Sequence[int],
+                degs_q: Sequence[int], m_q: int, einter: int) -> int:
+    """The pair bound LB, with the deltas taken from degree sequences.
+
+    degs_g and degs_q are the non-increasing degree sequences; trailing
+    zeros do not change the bound. The rest is as for _combine.
     """
     d1, d2 = _deltas(degs_g, degs_q)
-    return max(n_g, n_q) - vinter + max(d1 + d2, d1 + m_q - einter)
+    return _combine(n_g, n_q, vinter, d1, d2, m_q, einter)
 
 
 def _remainder(g: LabeledGraph, removed: Iterable[int]) -> tuple:
@@ -390,8 +430,8 @@ class PairHeuristic:
     only on the depth: it is kept per depth, at most |V_G| + 1 entries, and
     rebuilt when a different source sequence reaches that depth. The target
     half is the parent's, computed once; each child's is the parent's with
-    its target z used, applied in O(deg z) plus one degree sort, and the
-    dummy child takes the same update with nothing used.
+    its target z used, applied in O(deg z), and the dummy child takes the
+    same update with nothing used.
     """
 
     __slots__ = ("g", "q", "_sources")
@@ -410,6 +450,29 @@ class PairHeuristic:
         parent_map and preimage are the parent's source -> target and
         target -> source maps; None in targets is the dummy child. Equals
         max(remainder_bounds(child mapping)) child by child.
+
+        The degree deltas are read from degree levels, not from sorted
+        sequences. For non-increasing degree sequences a (source) and b
+        (target), zero-extended, let A_k and B_k count the entries >= k.
+        Then sum_i max(a_i - b_i, 0) = sum_{k >= 1} max(A_k - B_k, 0):
+        a_i - b_i, when positive, is the number of levels k with
+        b_i < k <= a_i, so the left side counts the pairs (i, k) with
+        b_i < k <= a_i. For a fixed k, the i with a_i >= k are the first A_k
+        and the i with b_i >= k the first B_k, since both sequences are
+        non-increasing; so max(A_k - B_k, 0) of them have b_i < k, and the
+        right side counts the same pairs. The same holds for
+        sum_i max(b_i - a_i, 0) with the negative parts.
+
+        So the parent's level differences diff[k] = A_k - B_k and the sums
+        over and under of their positive and negative parts (_levels) are
+        computed once. A child's target degrees are the parent's except
+        that z drops from deg z to 0, so B_k falls by one for k <= deg z,
+        and each unused neighbour v of z drops by one, from deg v, so
+        B_{deg v} falls by one. Each fall raises one diff[k] by one, which
+        adds one to over if diff[k] was >= 0 and takes one from under
+        otherwise. z's levels are read from the prefix counts pos; the
+        neighbours' levels are raised one by one, in place, since two of
+        them may share a level, and restored before the next child.
         """
         q = self.q
         key = (*parent_map, u)
@@ -427,31 +490,37 @@ class PairHeuristic:
         n_aq = len(a_q)
         size_new, c_new = outer[u]
         qlabels, adj_q = q.vertex_labels, q.adjacency
+        diff, pos, over, under = _levels(deg_g, deg_q)
 
         hs = []
         for z in targets:
-            deg = deg_q.copy()
             m, ei, vi, n_aq_z = m_q, einter, vinter, n_aq
             smax, stgt, ssrc = sum_max, sum_tgt, sum_src
             gone: dict[int, int] = {}
-            size_z = 0
-            d_z: dict[int, int] = {}
+            inter = 0
+            raised = []
             # The dummy child (z None) takes the same update with no target
             # used and no neighbours.
+            size_z = 0
             adj = ()
             if z is not None:
                 # Removing one target unit of a label shrinks an
                 # intersection sum(min(T, S)) iff T <= S for that label.
                 lab = qlabels[z]
                 vi = vinter - 1 if t_counts[lab] <= s_counts.get(lab, 0) else vinter
-                deg[z] = 0
                 n_aq_z = n_aq - 1 if z in a_q else n_aq
+                # The new pair's target outer edges: z's edges to unused vertices.
+                size_z = deg_q[z]
                 adj = adj_q[z]
+            # z falls to degree 0, raising levels 1..deg z by one each:
+            # pos[deg z] of them add to over, the rest take from under.
+            ov = over + pos[size_z]
+            un = under - size_z + pos[size_z]
             for v in adj:
                 lab = adj[v]
                 if used[v]:
                     # The pair of used neighbour v loses its outer edge to z.
-                    size_u, c_u, size_t, d, inter = outer_of[v]
+                    size_u, c_u, size_t, d, _ = outer_of[v]
                     cut = 1 if d[lab] <= c_u.get(lab, 0) else 0
                     smax += ((size_u if size_u >= size_t else size_t - 1)
                              - (size_u if size_u > size_t else size_t) + cut)
@@ -461,21 +530,33 @@ class PairHeuristic:
                     # Edge z-v leaves the unmapped part and becomes an
                     # outer edge of the new pair (u, z).
                     m -= 1
-                    deg[v] -= 1
                     k = gone.get(lab, 0)
                     if t_ecounts[lab] - k <= s_ecounts.get(lab, 0):
                         ei -= 1
                     gone[lab] = k + 1
-                    size_z += 1
-                    d_z[lab] = d_z.get(lab, 0) + 1
+                    # gone is the new pair's target outer edge-label count;
+                    # its intersection with c_new grows while it fits.
+                    if k < c_new.get(lab, 0):
+                        inter += 1
                     if v not in a_q:
                         n_aq_z += 1
-            inter = multiset_intersection_size(d_z, c_new)
+                    # v falls from level k, on top of z's own rise there
+                    # when k <= deg z and of earlier neighbours' rises.
+                    k = deg_q[v]
+                    c = diff[k]
+                    if c + (k <= size_z) >= 0:
+                        ov += 1
+                    else:
+                        un -= 1
+                    diff[k] = c + 1
+                    raised.append(k)
+            for k in raised:
+                diff[k] -= 1
             smax += (size_new if size_new > size_z else size_z) - inter
             stgt += size_z - inter
             ssrc += size_new - inter
-            deg.sort(reverse=True)
-            base = _pair_bound(n_g, n_q if z is None else n_q - 1, vi, deg_g, deg, m, ei)
+            base = _combine(n_g, n_q if z is None else n_q - 1, vi,
+                            -(-ov // 2), -(-un // 2), m, ei)
             lb1 = base + smax
             lb2 = base + stgt + (a_g - n_aq_z if a_g > n_aq_z else 0)
             lb3 = base + ssrc + (n_aq_z - a_g if n_aq_z > a_g else 0)

@@ -110,7 +110,9 @@ def cmd_search(args) -> int:
         queries, _ = parse_graph_db(fh.read(), db.table)
     if not queries:
         _usage_error("query file contains no graph")
-    _, query = queries[0]
+    qid, query = queries[0]
+    if len(queries) > 1:
+        print(f"answering graph {qid}, the first of {len(queries)} query graphs", file=sys.stderr)
     t0 = time.perf_counter()
     res = range_query(db, query, args.tau, args.beam, node_budget=args.budget)
     ms = (time.perf_counter() - t0) * 1000.0
@@ -237,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="graphs within edit distance tau of a query")
     p.add_argument("--db", required=True)
-    p.add_argument("--query", required=True)
+    p.add_argument("--query", required=True,
+                   help="graph file; only its first graph is answered")
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--beam", type=int, default=DEFAULT_BEAM_WIDTH)
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)

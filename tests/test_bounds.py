@@ -8,6 +8,8 @@ import reference_bounds as reference
 from conftest import build_graph, random_pair, unmapped_parts
 from gedkit.bounds import (
     PairHeuristic,
+    _deltas,
+    _levels,
     branch_bound,
     delta_bounds,
     lb_from_branches,
@@ -211,6 +213,159 @@ def test_batched_child_bounds_equal_remainder_bounds():
                         check(kids, g, q)
                         node = rng.choice(kids)
     assert min(seen.values()) > 0 and seen["children"] > 10_000, seen
+
+
+def test_levels_equal_deltas():
+    # PairHeuristic.children reads the degree deltas from level counts
+    # instead of sorted sequences. On non-increasing sequences of unequal
+    # length, with zeros and repeated values, the halved surpluses equal
+    # _deltas, and the counts do not depend on the order the degrees come in.
+    rng = random.Random(98)
+    seen = Counter()
+    for _ in range(3000):
+        a, b = (sorted((rng.randint(0, rng.choice((1, 3, 6))) for _ in range(rng.randint(0, 9))),
+                       reverse=True) for _ in range(2))
+        seen["unequal length"] += len(a) != len(b)
+        seen["zeros"] += 0 in a and 0 in b
+        seen["repeats"] += len(set(a)) < len(a)
+        diff, pos, over, under = _levels(a, b)
+        assert (-(-over // 2), -(-under // 2)) == _deltas(a, b), (a, b)
+        assert over == sum(max(x - y, 0) for x, y in itertools.zip_longest(a, b, fillvalue=0))
+        assert under == sum(max(y - x, 0) for x, y in itertools.zip_longest(a, b, fillvalue=0))
+        top = max([0, *a, *b])
+        assert len(diff) == len(pos) == top + 1
+        for k in range(1, top + 1):
+            assert diff[k] == sum(x >= k for x in a) - sum(y >= k for y in b)
+            assert pos[k] == sum(diff[j] >= 0 for j in range(1, k + 1))
+        rng.shuffle(a)
+        rng.shuffle(b)
+        shuffled = _levels(a, b)
+        assert shuffled[0][1:] == diff[1:] and shuffled[1:] == (pos, over, under)
+    assert min(seen.values()) > 300, seen
+
+
+def children_against_reference(g, q, pairs, u, targets, heuristic=None):
+    """PairHeuristic.children below the parent `pairs`, and each child's reference h."""
+    parent_map = dict(pairs)
+    preimage = {t: s for s, t in pairs if t is not None}
+    got = (heuristic or PairHeuristic(g, q)).children(parent_map, preimage, u, targets)
+    want = [max(reference.remainder_bounds(GraphMapping((*pairs, (u, z)), g.n, q.n), g, q))
+            for z in targets]
+    return got, want
+
+
+def all_parents(g, q):
+    """Every parent (pairs, next source) of the full unreduced tree, identity order."""
+    stack = [()]
+    while stack:
+        pairs = stack.pop()
+        if len(pairs) == g.n:
+            continue
+        yield pairs, len(pairs)
+        used = {t for _, t in pairs}
+        stack.extend((*pairs, (len(pairs), z)) for z in [*range(q.n), None] if z not in used)
+
+
+def test_children_star_against_path():
+    # One side's top degree lies above every degree of the other side, so
+    # z's own levels and its neighbours' reach levels where the difference
+    # is positive on one side and negative on the other.
+    table = LabelTable()
+    star = build_graph(["A"] * 5, [(0, k, "a") for k in range(1, 5)], table)
+    path = build_graph(["A", "B", "A", "B", "A"], [(k, k + 1, "a") for k in range(4)], table)
+    checked = 0
+    for g, q in ((star, path), (path, star)):
+        heuristic = PairHeuristic(g, q)
+        for pairs, u in all_parents(g, q):
+            used = {t for _, t in pairs}
+            targets = [z for z in range(q.n) if z not in used] + [None]
+            got, want = children_against_reference(g, q, pairs, u, targets, heuristic)
+            assert got == want, (g, q, pairs, u)
+            checked += len(targets)
+    assert checked > 3000
+
+
+def test_children_neighbours_on_one_level():
+    # Degree levels that fall more than once for one child. Source: the
+    # path 0-1-2 with u = 0 mapped, so one edge is left (level 1: 2).
+    table = LabelTable()
+    path = build_graph(["A"] * 3, [(0, 1, "a"), (1, 2, "a")], table)
+    # Target: a star with centre 1. Level differences -2, -1, -1 on levels
+    # 1, 2, 3. For z = 1 its own fall lifts them to -1, 0, 0, and its three
+    # leaves all fall from level 1, lifting it to 0, 1, 2 in turn.
+    star = build_graph(["A"] * 4, [(0, 1, "a"), (1, 2, "a"), (1, 3, "a")], table)
+    got, want = children_against_reference(path, star, (), 0, [0, 1, 2, 3, None])
+    assert got == want
+    # z = 1 and its neighbour 2 both fall from level 1: after z's own fall
+    # lifts level 1 from -1 to 0, the neighbour's fall adds to the surplus.
+    g = build_graph(["A"] * 5, [(0, 2, "a"), (1, 4, "a"), (2, 3, "a")], table)
+    q = build_graph(["A"] * 5, [(0, 3, "a"), (0, 4, "a"), (1, 2, "a")], table)
+    got, want = children_against_reference(g, q, (), 0, [0, 1, 2, 3, 4, None])
+    assert got == want
+    # Every unused neighbour of a 4-cycle vertex sits on one level, below
+    # random parents of random sources.
+    cycle = build_graph(["A"] * 4, [(0, 1, "a"), (1, 2, "a"), (2, 3, "a"), (0, 3, "a")], table)
+    rng = random.Random(99)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 7), rng.choice((0.2, 0.5)), rng.choice((1, 2)),
+                         rng.choice((1, 2)), table)
+        depth = rng.randint(0, g.n - 1)
+        free = list(range(4))
+        rng.shuffle(free)
+        pairs = tuple((s, free.pop() if free and rng.random() < 0.7 else None)
+                      for s in range(depth))
+        used = {t for _, t in pairs}
+        targets = [z for z in range(4) if z not in used] + [None]
+        got, want = children_against_reference(g, cycle, pairs, depth, targets)
+        assert got == want, (g, pairs)
+
+
+def test_children_dummy_only_and_empty_source_remainder():
+    table = LabelTable()
+    g = build_graph(["A", "B", "A", "C"],
+                    [(0, 1, "a"), (1, 2, "b"), (2, 3, "a"), (0, 3, "b")], table)
+    q = build_graph(["A", "B"], [(0, 1, "a")], table)
+    # Every target vertex used: the dummy child is the only one left.
+    for pairs in (((0, 0), (1, 1)), ((0, 1), (1, 0)), ((0, 1), (1, None), (2, 0))):
+        got, want = children_against_reference(g, q, pairs, len(pairs), [None])
+        assert got == want, pairs
+    # The last source: once u is mapped, the source remainder is empty.
+    q = build_graph(["A", "B", "A", "C", "B"],
+                    [(0, 1, "a"), (1, 2, "a"), (2, 3, "b"), (1, 4, "b"), (0, 4, "a")], table)
+    for pairs in (((0, 0), (1, 1), (2, 2)), ((0, 4), (1, None), (2, 1)), ()):
+        g_last = g if pairs else build_graph(["A"], [], table)
+        used = {t for _, t in pairs}
+        targets = [z for z in range(q.n) if z not in used] + [None]
+        got, want = children_against_reference(g_last, q, pairs, g_last.n - 1, targets)
+        assert got == want, pairs
+
+
+def test_sibling_bounds_do_not_depend_on_each_other():
+    # children(..., targets) equals one call per target, in any order: no
+    # per-child state may leak into the next sibling.
+    rng = random.Random(100)
+    calls = 0
+    for _ in range(60):
+        g, q = random_pair(rng, max_n=8, min_n=1, densities=(0.3, 0.6))
+        heuristic = PairHeuristic(g, q)
+        order = determine_order(g)
+        node = make_root(g, q, heuristic)
+        while len(node.pairs) < g.n:
+            pairs = node.pairs
+            parent_map = dict(pairs)
+            preimage = {t: s for s, t in pairs if t is not None}
+            u = order[len(pairs)]
+            targets = [z for z in range(q.n) if z not in preimage] + [None]
+            together = heuristic.children(parent_map, preimage, u, targets)
+            shuffled = targets[:]
+            rng.shuffle(shuffled)
+            alone = {z: heuristic.children(parent_map, preimage, u, [z]) for z in shuffled}
+            assert together == [alone[z][0] for z in targets]
+            assert heuristic.children(parent_map, preimage, u, shuffled) == [
+                together[targets.index(z)] for z in shuffled]
+            calls += 1
+            node = rng.choice(basic_gen_succr(node, g, q, order, heuristic))
+    assert calls > 200
 
 
 def renumber(g: LabeledGraph, perm: list[int]) -> LabeledGraph:

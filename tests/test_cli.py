@@ -150,6 +150,20 @@ def test_search_certified_match_beats_node_budget(tmp_path, capsys):
     assert (payload["candidates"], payload["branch_refuted"], payload["certified"]) == (1, 0, 1)
 
 
+def test_search_names_the_answered_query(square_star_db, tmp_path, capsys):
+    # Only the first graph of --query is answered; a file with more than one
+    # says so on stderr and leaves stdout's JSON as it is.
+    argv = ["search", "--db", square_star_db, "--query", square_star_db, "--tau", "4", "--json"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "answering graph 0, the first of 2 query graphs\n"
+    assert {m["id"] for m in json.loads(captured.out)["matches"]} == {0, 1}
+    query = tmp_path / "query.txt"
+    query.write_text(SQUARE_STAR_TEXT.split("t # 1")[0])
+    assert main(["search", "--db", square_star_db, "--query", str(query), "--tau", "4"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_search_threads_flag(square_star_db, tmp_path, capsys):
     # The flag is gone: searches run on one thread and --threads is unknown.
     query = tmp_path / "query.txt"
