@@ -47,11 +47,17 @@ class LabeledGraph:
 
     - ``edges``: the sorted tuple of canonical ``(u, v, label)`` triples with
       u < v. It is the graph's identity (equality, hashing, serialisation)
-      and serves whole-graph scans.
+      and serves whole-graph scans: summaries and vertex partitions read it.
     - ``adjacency[u]``: a read-only neighbour -> edge-label mapping per
       vertex. It answers every edge lookup: ``v in adjacency[u]`` tests an
       edge and ``adjacency[u].get(v)`` reads its label, in either orientation.
       All isolated vertices share one empty map.
+
+    ``adjacency`` is built from ``edges`` on its first read (see _Unbuilt);
+    later reads are plain slot reads. A database graph that only the filter
+    reads never builds it, and the per-vertex maps are most of a parsed
+    graph's memory. Threads that read it first at the same time may each
+    build an equal copy.
 
     The attributes cannot be reassigned or deleted, so ``==``, ``hash`` and
     the two edge stores always agree.
@@ -63,25 +69,24 @@ class LabeledGraph:
         vertex_labels = tuple(vertex_labels)
         n = len(vertex_labels)
         canon = []
-        adj: list[dict[int, int]] = [{} for _ in range(n)]
         for u, v, lab in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) references unknown vertex")
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")
-            if u > v:
-                u, v = v, u
-            if v in adj[u]:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            adj[u][v] = lab
-            adj[v][u] = lab
-            canon.append((u, v, lab))
+            canon.append((u, v, lab) if u < v else (v, u, lab))
         canon.sort()
+        # Sorting puts the copies of an edge side by side, whatever their labels.
+        pu = pv = -1
+        for u, v, _ in canon:
+            if u == pu and v == pv:
+                raise ValueError(f"duplicate edge ({u},{v})")
+            pu, pv = u, v
         init = object.__setattr__
         init(self, "vertex_labels", vertex_labels)
         init(self, "edges", tuple(canon))
-        init(self, "adjacency", tuple(MappingProxyType(a) if a else _NO_NEIGHBOURS for a in adj))
         init(self, "table", table)
+        init(self, "__class__", _Unbuilt)  # until adjacency is first read
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LabeledGraph is immutable; cannot set {name!r}")
@@ -112,6 +117,33 @@ class LabeledGraph:
         return f"LabeledGraph(n={self.n}, m={self.m})"
 
 
+class _Unbuilt(LabeledGraph):
+    """A LabeledGraph whose adjacency slot is still unset.
+
+    Python calls __getattr__ only when normal lookup fails: here, on the
+    first read of adjacency. It builds the maps from edges, fills the slot
+    and turns the graph back into a plain LabeledGraph. The hook lives on
+    this subclass, not on LabeledGraph, because CPython does not specialise
+    attribute reads on a class that defines __getattr__: there it would
+    make every read of every graph attribute several times slower, and the
+    search reads them per node.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name != "adjacency":
+            raise AttributeError(f"'LabeledGraph' object has no attribute {name!r}")
+        adj: list[dict[int, int]] = [{} for _ in self.vertex_labels]
+        for u, v, lab in self.edges:
+            adj[u][v] = lab
+            adj[v][u] = lab
+        adjacency = tuple(MappingProxyType(a) if a else _NO_NEIGHBOURS for a in adj)
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "__class__", LabeledGraph)
+        return adjacency
+
+
 @dataclass(frozen=True)
 class VertexPartition:
     """Equivalence classes of isomorphic vertices of a target graph.
@@ -128,11 +160,17 @@ class VertexPartition:
 
 
 def vertex_partition(q: LabeledGraph) -> VertexPartition:
-    """Group vertices of q by (label, labeled neighborhood) equivalence."""
+    """Group vertices of q by (label, labeled neighborhood) equivalence.
+
+    Reads q.edges, so partitioning a graph does not build its adjacency.
+    """
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(q.n)]
+    for u, v, lab in q.edges:
+        nbrs[u].append((v, lab))
+        nbrs[v].append((u, lab))
     groups: dict[tuple, list[int]] = {}
-    for v in range(q.n):
-        key = (q.vertex_labels[v], frozenset(q.adjacency[v].items()))
-        groups.setdefault(key, []).append(v)
+    for v, lab in enumerate(q.vertex_labels):
+        groups.setdefault((lab, frozenset(nbrs[v])), []).append(v)
     classes = sorted(groups.values(), key=lambda c: c[0])
     return VertexPartition(tuple(tuple(c) for c in classes))
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -31,12 +30,17 @@ class GraphDatabase:
     filter skips every bucket farther than tau from the query's size without
     computing a bound for any of its members.
 
-    label_postings holds the same buckets' label postings:
-    label_postings[(n, m)][l][k - 1] lists, ascending, the positions in ids
-    of the bucket's graphs with at least k vertices labelled l. Counting a
-    position once per list that holds it, over the lists (l, k) with
-    k <= c_q(l), gives exactly that graph's vertex-label intersection with
-    the query, sum over l of min(c_g(l), c_q(l)), with no per-graph call.
+    vertex_masks and edge_masks hold the same buckets' label units as
+    bitmasks: bit i of vertex_masks[(n, m)][l][k - 1] is set when the i-th
+    graph of size_index[(n, m)] has at least k vertices labelled l, and
+    edge_masks likewise for edge labels. A label the bucket lacks has no
+    entry, and no mask is empty. A query's k-th unit of label l is then
+    matched by one mask for the whole bucket, and filter_candidates counts
+    each graph's unmatched units with a few integer operations per unit.
+
+    Building the database reads each graph's edges, never its adjacency, so
+    a graph builds its per-vertex maps only when range_query's branch stage
+    first checks it as a candidate.
     """
 
     graphs: dict[int, LabeledGraph]
@@ -45,7 +49,8 @@ class GraphDatabase:
     table: LabelTable
     ids: list[int]
     size_index: dict[tuple[int, int], list[int]]
-    label_postings: dict[tuple[int, int], dict[int, list[list[int]]]]
+    vertex_masks: dict[tuple[int, int], dict[int, list[int]]]
+    edge_masks: dict[tuple[int, int], dict[int, list[int]]]
 
     @classmethod
     def from_graphs(cls, entries: list[tuple[int, LabeledGraph]], table: LabelTable) -> "GraphDatabase":
@@ -61,18 +66,16 @@ class GraphDatabase:
         ids = list(graphs)
         summaries = {gid: summarize(g) for gid, g in graphs.items()}
         size_index: dict[tuple[int, int], list[int]] = {}
-        label_postings: dict[tuple[int, int], dict[int, list[list[int]]]] = {}
+        vertex_masks: dict[tuple[int, int], dict[int, list[int]]] = {}
+        edge_masks: dict[tuple[int, int], dict[int, list[int]]] = {}
         for pos, gid in enumerate(ids):
             s = summaries[gid]
             size = (s.n, s.m)
-            size_index.setdefault(size, []).append(pos)
-            bucket = label_postings.setdefault(size, {})
-            for lab, count in s.vertex_labels.items():
-                lists = bucket.setdefault(lab, [])
-                while len(lists) < count:
-                    lists.append([])
-                for k in range(count):
-                    lists[k].append(pos)
+            members = size_index.setdefault(size, [])
+            bit = 1 << len(members)
+            members.append(pos)
+            _add_units(vertex_masks.setdefault(size, {}), s.vertex_labels, bit)
+            _add_units(edge_masks.setdefault(size, {}), s.edge_labels, bit)
         return cls(
             graphs=graphs,
             summaries=summaries,
@@ -80,7 +83,8 @@ class GraphDatabase:
             table=table,
             ids=ids,
             size_index=size_index,
-            label_postings=label_postings,
+            vertex_masks=vertex_masks,
+            edge_masks=edge_masks,
         )
 
     @classmethod
@@ -92,18 +96,46 @@ class GraphDatabase:
         return len(self.graphs)
 
 
+def _add_units(masks: dict[int, list[int]], counts: dict[int, int], bit: int) -> None:
+    """Set bit in masks[l][k - 1] for each label l and each k <= counts[l]."""
+    for lab, count in counts.items():
+        levels = masks.setdefault(lab, [])
+        while len(levels) < count:
+            levels.append(0)
+        for k in range(count):
+            levels[k] |= bit
+
+
 def filter_candidates(db: GraphDatabase, query: LabeledGraph, tau: int) -> list[int]:
     """Ids, in db.ids order, of the graphs the pair bound does not rule out.
 
     Size buckets with |n - n_q| + |m - m_q| > tau are skipped whole: every
     member's pair bound exceeds tau too. In each bucket left, a count test
-    over db.label_postings finds each graph's vertex-label intersection
-    vinter with the query, and only graphs with vinter >= need, where
-    need = max(n, n_q) - tau, go on to the pair bound. The pair bound is at
-    least max(n, n_q) - vinter, so it would refute every graph the count
-    test drops, and the result equals a full scan. When
-    need <= 0 the count test refutes nothing (a graph sharing no label with
-    the query may still pass), so the whole bucket goes to the pair bound.
+    over the bucket's label masks sends on to the pair bound only the
+    graphs whose shared vertex and edge labels reach
+
+        vinter + einter >= need = max(n, n_q) + max(m, m_q) - tau,
+
+    where vinter and einter are the sizes of the vertex- and edge-label
+    multiset intersections with the query. The result equals a full scan,
+    because the pair bound refutes every graph the count test drops:
+
+        LB >= (max(n, n_q) - vinter) + (max(m, m_q) - einter).
+
+    LB = max(n, n_q) - vinter + max(d1 + d2, d1 + m_q - einter) (see
+    bounds._combine), so it suffices that d1 + m_q >= max(m, m_q). The
+    degree surpluses satisfy over - under = 2 (m - m_q), the degree-sum
+    difference, so d1 = ceil(over / 2) >= max(m - m_q, 0), and then
+    d1 + m_q - einter >= max(m, m_q) - einter.
+
+    The query has n_q + m_q label units, and a graph matches vinter +
+    einter of them, so it passes when it misses at most slack = n_q + m_q -
+    need units (0 <= slack <= tau in an admissible bucket). Misses are
+    counted for the whole bucket at once, saturating at slack + 1: at[j]
+    holds the graphs that have missed more than j units so far, and a unit
+    whose mask is `mask` is missed by miss = full & ~mask. When need <= 0
+    the count test refutes nothing (a graph sharing no label with the query
+    may still pass), so the whole bucket goes to the pair bound.
     The graphs not returned cannot be within tau of the query.
     """
     check_search_args(threshold=tau)
@@ -113,17 +145,30 @@ def filter_candidates(db: GraphDatabase, query: LabeledGraph, tau: int) -> list[
     n_q, m_q = qsum.n, qsum.m
     ids, summaries = db.ids, db.summaries
     hits = []
-    for (n, m), members in db.size_index.items():
+    for (n, m), bucket in db.size_index.items():
         if abs(n - n_q) + abs(m - m_q) > tau:
             continue
-        need = max(n, n_q) - tau
+        members = bucket
+        need = max(n, n_q) + max(m, m_q) - tau
         if need > 0:
-            postings = db.label_postings[n, m]
-            counts: Counter[int] = Counter()
-            for lab, count in qsum.vertex_labels.items():
-                for positions in postings.get(lab, ())[:count]:
-                    counts.update(positions)
-            members = [pos for pos, shared in counts.items() if shared >= need]
+            full = (1 << len(bucket)) - 1
+            slack = n_q + m_q - need
+            at = [0] * (slack + 1)
+            for masks, counts in ((db.vertex_masks[n, m], qsum.vertex_labels),
+                                  (db.edge_masks[n, m], qsum.edge_labels)):
+                for lab, count in counts.items():
+                    levels = masks.get(lab, ())
+                    for k in range(count):
+                        miss = full ^ levels[k] if k < len(levels) else full
+                        for j in range(slack, 0, -1):
+                            at[j] |= at[j - 1] & miss
+                        at[0] |= miss
+            alive = full ^ at[slack]
+            members = []
+            while alive:
+                low = alive & -alive
+                members.append(bucket[low.bit_length() - 1])
+                alive ^= low
         hits.extend(pos for pos in members if lb_from_summaries(summaries[ids[pos]], qsum) <= tau)
     hits.sort()
     return [ids[pos] for pos in hits]

@@ -89,6 +89,15 @@ def build_graph(labels: list[str], edges: list[tuple[int, int, str]],
     )
 
 
+def adjacency_built(g: LabeledGraph) -> bool:
+    """Whether g has built its adjacency, read without building it."""
+    try:
+        LabeledGraph.adjacency.__get__(g, LabeledGraph)  # the bare slot
+    except AttributeError:
+        return False
+    return True
+
+
 def identity_mapping(g: LabeledGraph) -> GraphMapping:
     return GraphMapping(tuple((u, u) for u in range(g.n)), g.n, g.n)
 

@@ -498,6 +498,31 @@ def test_pair_bound_size_corollary():
     assert tight >= 500
 
 
+def test_pair_bound_covers_missing_label_units():
+    # LB(a, b) >= (max(n_a, n_b) - vinter) + (max(m_a, m_b) - einter) in
+    # both argument orders, empty graphs included: the count test of
+    # filter_candidates refutes a graph on this alone.
+    rng = random.Random(146)
+    table = LabelTable()
+    tight = empty = 0
+    for _ in range(2000):
+        g, q = (
+            random_graph(rng, rng.randint(0, 12), rng.choice((0.1, 0.3, 0.6, 1.0)),
+                         rng.choice((1, 2, 5)), rng.choice((1, 2, 5)), table)
+            for _ in range(2)
+        )
+        empty += g.n == 0 or q.n == 0
+        for a, b in ((g, q), (q, g)):
+            vinter = sum((Counter(a.vertex_labels) & Counter(b.vertex_labels)).values())
+            einter = sum((Counter(lab for *_, lab in a.edges)
+                          & Counter(lab for *_, lab in b.edges)).values())
+            missing = max(a.n, b.n) - vinter + max(a.m, b.m) - einter
+            lb = lb_from_summaries(summarize(a), summarize(b))
+            assert lb >= missing
+            tight += lb == missing
+    assert empty >= 100 and tight >= 3000
+
+
 def test_min_cost_assignment_matches_brute_force():
     rng = random.Random(47)
     for k in range(8):

@@ -5,11 +5,19 @@ from collections import Counter
 
 import pytest
 
-from conftest import SQUARE_STAR_TEXT, PENDANT_PAIR_TEXT, build_graph, parse_pair, random_pair
+from conftest import (
+    SQUARE_STAR_TEXT,
+    PENDANT_PAIR_TEXT,
+    adjacency_built,
+    build_graph,
+    parse_pair,
+    random_pair,
+)
 from gedkit.graphs import (
     GraphFormatError,
     LabelTable,
     LabeledGraph,
+    VertexPartition,
     multiset_intersection_size,
     parse_graph_db,
     serialize_graph_db,
@@ -17,6 +25,7 @@ from gedkit.graphs import (
 )
 from gedkit.bounds import summarize
 from gedkit.mapping import edit_cost
+from gedkit.synth import random_graph
 from conftest import all_complete_mappings
 
 
@@ -215,6 +224,63 @@ def test_isolated_vertices_share_one_empty_view():
         assert [dict(a) for a in copied.adjacency] == [dict(a) for a in g.adjacency]
         assert copied.adjacency[3] is iso1
     assert build_graph(["A", "B"], [], g.table) != build_graph(["A", "C"], [], g.table)
+
+
+def _seeded_graphs(seed: int, count: int):
+    """Graphs of 0-12 vertices; the sparse ones have isolated vertices."""
+    rng = random.Random(seed)
+    table = LabelTable()
+    return [random_graph(rng, rng.randint(0, 12), rng.choice((0.05, 0.1, 0.3, 0.8)),
+                         rng.choice((1, 2, 5)), rng.choice((1, 2)), table)
+            for _ in range(count)]
+
+
+def test_adjacency_built_once_on_first_read():
+    isolated = 0
+    for g in _seeded_graphs(18, 200):
+        assert not adjacency_built(g)
+        # Refused writes do not build it either.
+        with pytest.raises(AttributeError):
+            g.adjacency = ()
+        with pytest.raises(AttributeError):
+            del g.adjacency
+        assert not adjacency_built(g)
+        # The eager build: both orientations of every edge, one map per vertex.
+        eager = [{} for _ in range(g.n)]
+        for u, v, lab in g.edges:
+            eager[u][v] = lab
+            eager[v][u] = lab
+        assert isinstance(g, LabeledGraph)
+        first = g.adjacency
+        assert adjacency_built(g)
+        assert g.adjacency is first
+        # Later reads go through no __getattr__ hook, which would slow
+        # every attribute read of the graph.
+        assert not hasattr(type(g), "__getattr__")
+        assert [dict(a) for a in first] == eager
+        isolated += sum(1 for a in eager if not a)
+    assert isolated >= 100
+    for g in (g, build_graph(["A"], [])):
+        with pytest.raises(AttributeError, match="no attribute 'adjacencies'"):
+            g.adjacencies
+
+
+def _partition_from_adjacency(q: LabeledGraph) -> VertexPartition:
+    """vertex_partition's definition, read from the adjacency maps."""
+    groups: dict[tuple, list[int]] = {}
+    for v in range(q.n):
+        groups.setdefault((q.vertex_labels[v], frozenset(q.adjacency[v].items())), []).append(v)
+    return VertexPartition(tuple(tuple(c) for c in sorted(groups.values(), key=lambda c: c[0])))
+
+
+def test_vertex_partition_reads_edges_only():
+    merged = 0
+    for q in _seeded_graphs(19, 300):
+        part = vertex_partition(q)
+        assert not adjacency_built(q)
+        assert part == _partition_from_adjacency(q)
+        merged += part.lambda_q < q.n
+    assert merged >= 100
 
 
 def test_vertex_partition_square_star():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import SQUARE_STAR_TEXT, build_graph, random_pair
+from conftest import SQUARE_STAR_TEXT, adjacency_built, build_graph, random_pair
 from gedkit import simsearch
 from gedkit.bounds import branch_bound, lb_from_summaries, summarize
 from gedkit.engine import ABOVE_BOUND, BUDGET_EXHAUSTED, WITHIN_THRESHOLD, bss_ged
@@ -178,32 +178,50 @@ def test_database_precomputation_consistent(small_db):
     for pos, gid in enumerate(db.ids):
         by_size.setdefault((db.graphs[gid].n, db.graphs[gid].m), []).append(pos)
     assert db.size_index == by_size
-    # Position pos is listed under (l, k) exactly when c_g(l) >= k, ascending.
-    assert db.label_postings.keys() == by_size.keys()
-    for size, members in by_size.items():
-        counts = {pos: db.summaries[db.ids[pos]].vertex_labels for pos in members}
-        postings = db.label_postings[size]
-        assert postings.keys() == {lab for c in counts.values() for lab in c}
-        for lab, lists in postings.items():
-            assert len(lists) == max(c.get(lab, 0) for c in counts.values())
-            for k, positions in enumerate(lists, 1):
-                assert positions == sorted(set(positions))
-                assert positions == [pos for pos in members if counts[pos].get(lab, 0) >= k]
+    # Bit i of masks[size][l][k - 1] is set exactly when the bucket's i-th
+    # graph has c_g(l) >= k. Every label of the bucket has one mask per
+    # level up to its largest count, no other label has any, and no mask
+    # is empty.
+    checked = 0
+    for masks, field in ((db.vertex_masks, "vertex_labels"), (db.edge_masks, "edge_labels")):
+        assert masks.keys() == by_size.keys()
+        for size, members in by_size.items():
+            counts = [getattr(db.summaries[db.ids[pos]], field) for pos in members]
+            assert masks[size].keys() == {lab for c in counts for lab in c}
+            for lab, levels in masks[size].items():
+                assert len(levels) == max(c.get(lab, 0) for c in counts)
+                for k, mask in enumerate(levels, 1):
+                    assert 0 < mask < 1 << len(members)
+                    for i, c in enumerate(counts):
+                        assert (mask >> i & 1) == (c.get(lab, 0) >= k)
+                        checked += 1
+    assert checked > 500
 
 
-def _shared_labels(a, b) -> int:
+def _shared_units(a, b) -> int:
+    """vinter + einter: the shared vertex-label and edge-label units of a and b."""
+    return sum(
+        min(c, getattr(b, field).get(lab, 0))
+        for field in ("vertex_labels", "edge_labels")
+        for lab, c in getattr(a, field).items()
+    )
+
+
+def _shared_vertex_labels(a, b) -> int:
     return sum(min(c, b.vertex_labels.get(lab, 0)) for lab, c in a.vertex_labels.items())
 
 
 # Corpora for the indexed filter: (seed, count, vertex range, vertex labels,
-# query vertex range). The first four are the original mixed corpora; then
-# 20 labels, where the label count test refutes most graphs of nearby size;
-# 2 labels, where it refutes few; and tiny graphs, where tau >= n lets a
-# graph that shares no label with the query be a candidate.
-FILTER_CORPORA = [(seed, 30, (0, 12), 3, (0, 9)) for seed in range(4)] + [
-    (4, 40, (0, 12), 20, (0, 9)),
-    (5, 30, (0, 8), 2, (0, 8)),
-    (6, 30, (0, 3), 20, (0, 3)),
+# edge labels, query vertex range). The first four are the original mixed
+# corpora; then 20 vertex labels, where the count test refutes most graphs
+# of nearby size; 2, where it refutes fewer; tiny graphs, where tau >= n + m
+# lets a graph that shares no label with the query be a candidate; and one
+# vertex label with 5 edge labels, where only the edge units can refute.
+FILTER_CORPORA = [(seed, 30, (0, 12), 3, 2, (0, 9)) for seed in range(4)] + [
+    (4, 40, (0, 12), 20, 2, (0, 9)),
+    (5, 30, (0, 8), 2, 2, (0, 8)),
+    (6, 30, (0, 3), 20, 2, (0, 3)),
+    (7, 40, (0, 12), 1, 5, (0, 9)),
 ]
 
 
@@ -223,17 +241,18 @@ def test_indexed_filter_equals_full_scan(monkeypatch):
     rng = random.Random(74)
     total_refuted = 0
     count_refuted = {}  # corpus seed -> share of the graphs it tests that the count test drops
+    vertex_refuted = {}  # the same share for a count test of vertex labels alone
     disjoint_kept = 0
-    for seed, count, (n_min, n_max), n_labels, (q_min, q_max) in FILTER_CORPORA:
+    for seed, count, (n_min, n_max), n_labels, n_edge_labels, (q_min, q_max) in FILTER_CORPORA:
         density = rng.choice((0.1, 0.3, 0.5, 0.8))
-        entries, table = random_graph_db(seed, count, n_min, n_max, density, n_labels, 2)
+        entries, table = random_graph_db(seed, count, n_min, n_max, density, n_labels, n_edge_labels)
         entries.append((len(entries), LabeledGraph([], [], table)))
         rng.shuffle(entries)  # db.ids order is not id order
         db = GraphDatabase.from_graphs(entries, table)
         queries = [db.graphs[db.ids[0]], LabeledGraph([], [], table)]
-        queries += [random_graph(rng, rng.randint(q_min, q_max), density, n_labels, 2, table)
+        queries += [random_graph(rng, rng.randint(q_min, q_max), density, n_labels, n_edge_labels, table)
                     for _ in range(2)]
-        dropped = tested = 0
+        dropped = vertex_dropped = tested = 0
         for query in queries:
             exact = {}  # gid -> ged(graph, query), computed for matches only
             qsum = summarize(query)
@@ -241,18 +260,22 @@ def test_indexed_filter_equals_full_scan(monkeypatch):
             for tau in range(9):
                 scan = [gid for gid in db.ids if lb[gid] <= tau]
                 # The pair bound runs on exactly the graphs of nearby size
-                # whose shared labels reach need = max(n, n_q) - tau.
+                # whose shared vertex and edge labels reach
+                # need = max(n, n_q) + max(m, m_q) - tau.
                 near = [s for s in map(db.summaries.get, db.ids)
                         if abs(s.n - qsum.n) + abs(s.m - qsum.m) <= tau]
-                passed = [s for s in near if _shared_labels(s, qsum) >= max(s.n, qsum.n) - tau]
+                passed = [s for s in near if _shared_units(s, qsum)
+                          >= max(s.n, qsum.n) + max(s.m, qsum.m) - tau]
                 bounded.clear()
                 assert filter_candidates(db, query, tau) == scan
                 assert sorted(map(id, bounded)) == sorted(map(id, passed))
                 dropped += len(near) - len(passed)
-                tested += sum(1 for s in near if max(s.n, qsum.n) > tau)
+                vertex_dropped += sum(1 for s in near
+                                      if _shared_vertex_labels(s, qsum) < max(s.n, qsum.n) - tau)
+                tested += sum(1 for s in near if max(s.n, qsum.n) + max(s.m, qsum.m) > tau)
                 if query.n:
                     disjoint_kept += sum(1 for gid in scan if db.graphs[gid].n
-                                         and _shared_labels(db.summaries[gid], qsum) == 0)
+                                         and _shared_units(db.summaries[gid], qsum) == 0)
                 outcomes = {gid: bss_ged(db.graphs[gid], query, threshold=tau) for gid in scan}
                 res = range_query(db, query, tau)
                 assert [m.graph_id for m in res.matches] == sorted(
@@ -271,9 +294,28 @@ def test_indexed_filter_equals_full_scan(monkeypatch):
                 assert res.branch_refuted <= res.candidate_count - len(res.matches)
                 total_refuted += res.branch_refuted
         count_refuted[seed] = dropped / tested
+        vertex_refuted[seed] = vertex_dropped / tested
     assert total_refuted > 0
     assert count_refuted[4] > 0.5 > count_refuted[5] > 0
+    # With one vertex label, vinter = min(n, n_q) refutes nothing in a
+    # bucket within tau, so every graph dropped there was dropped by its
+    # edge units.
+    assert vertex_refuted[7] == 0 and count_refuted[7] > 0.1
+    assert all(count_refuted[seed] > vertex_refuted[seed] for seed in count_refuted)
     assert disjoint_kept > 0
+
+
+def test_database_builds_no_adjacency():
+    # Parsing, summaries, partitions and the filter read edges only; the
+    # branch stage builds the adjacency of exactly the candidates it checks.
+    entries, table = random_graph_db(73, 60, 0, 12, 0.3, 3, 2)
+    db = GraphDatabase.from_text(serialize_graph_db(entries))
+    assert not any(map(adjacency_built, db.graphs.values()))
+    query = random_graph(random.Random(73), 8, 0.3, 3, 2, db.table)
+    candidates = filter_candidates(db, query, 4)
+    assert candidates and not any(map(adjacency_built, db.graphs.values()))
+    range_query(db, query, 4)
+    assert [gid for gid in db.ids if adjacency_built(db.graphs[gid])] == candidates
 
 
 def test_database_from_text_round_trip(square_star):
