@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .bounds import GraphSummary, lb_from_branches, lb_from_summaries, summarize, vertex_branches
@@ -12,7 +11,6 @@ from .engine import (
     DEFAULT_BEAM_WIDTH,
     DEFAULT_NODE_BUDGET,
     WITHIN_THRESHOLD,
-    GedResult,
     bss_ged,
     check_search_args,
 )
@@ -39,7 +37,7 @@ class GraphDatabase:
     each graph's unmatched units with a few integer operations per unit.
 
     Building the database reads each graph's edges, never its adjacency, so
-    a graph builds its per-vertex maps only when range_query's branch stage
+    a graph builds its per-vertex maps only when range_query's branch bound
     first checks it as a candidate.
     """
 
@@ -54,38 +52,27 @@ class GraphDatabase:
 
     @classmethod
     def from_graphs(cls, entries: list[tuple[int, LabeledGraph]], table: LabelTable) -> "GraphDatabase":
-        graphs: dict[int, LabeledGraph] = {}
+        db = cls(graphs={}, summaries={}, partitions={}, table=table, ids=[],
+                 size_index={}, vertex_masks={}, edge_masks={})
         for gid, g in entries:
-            if gid in graphs:
+            if gid in db.graphs:
                 raise ValueError(f"duplicate graph id {gid}")
             if g.table is not table:
                 # Label ids are compared across graphs, so every graph must
                 # be interned in the database's table.
                 raise ValueError(f"graph {gid} does not share the database's label table")
-            graphs[gid] = g
-        ids = list(graphs)
-        summaries = {gid: summarize(g) for gid, g in graphs.items()}
-        size_index: dict[tuple[int, int], list[int]] = {}
-        vertex_masks: dict[tuple[int, int], dict[int, list[int]]] = {}
-        edge_masks: dict[tuple[int, int], dict[int, list[int]]] = {}
-        for pos, gid in enumerate(ids):
-            s = summaries[gid]
+            s = summarize(g)
             size = (s.n, s.m)
-            members = size_index.setdefault(size, [])
+            members = db.size_index.setdefault(size, [])
             bit = 1 << len(members)
-            members.append(pos)
-            _add_units(vertex_masks.setdefault(size, {}), s.vertex_labels, bit)
-            _add_units(edge_masks.setdefault(size, {}), s.edge_labels, bit)
-        return cls(
-            graphs=graphs,
-            summaries=summaries,
-            partitions={gid: vertex_partition(g) for gid, g in graphs.items()},
-            table=table,
-            ids=ids,
-            size_index=size_index,
-            vertex_masks=vertex_masks,
-            edge_masks=edge_masks,
-        )
+            members.append(len(db.ids))
+            _add_units(db.vertex_masks.setdefault(size, {}), s.vertex_labels, bit)
+            _add_units(db.edge_masks.setdefault(size, {}), s.edge_labels, bit)
+            db.graphs[gid] = g
+            db.summaries[gid] = s
+            db.partitions[gid] = vertex_partition(g)
+            db.ids.append(gid)
+        return db
 
     @classmethod
     def from_text(cls, text: str, table: LabelTable | None = None) -> "GraphDatabase":
@@ -198,30 +185,33 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
 
     The filter skips size buckets, drops graphs by the label count test and
     applies the pair bound to the rest (see filter_candidates). Each
-    candidate it keeps is then checked against the branch bound
-    (lb_from_branches given tau: cost rows, row and column minima, then a
-    capped solve). A cost row depends only on a candidate vertex's branch
-    and the query's branches, so one dict of rows by branch is made when
-    the branch stage starts, shared by every candidate of this query, and
-    dropped when the call returns.
+    candidate it keeps is then decided in turn, in db.ids order, on the
+    calling thread. First the branch bound (lb_from_branches given tau:
+    cost rows, row and column minima, then a capped solve) may refute it.
+    A cost row depends only on a candidate vertex's branch and the query's
+    branches, so one dict of rows by branch is shared by every candidate of
+    this query and dropped when the call returns.
 
     A candidate the branch bound does not refute has been solved to
     optimality, and its assignment induces a complete mapping
     (GraphMapping.from_assignment). Any complete mapping's edit cost is an
     upper bound on ged, so when that cost is <= tau the candidate is a match
-    with that cost as its bound, and the engine does not run. The rest run
-    the engine in decision mode (bss_ged with threshold tau), in db.ids
-    order; its first leaf of cost <= tau is the bound. Decision mode accepts
-    exactly the graphs with ged <= tau, so certifying changes no match,
-    only turns a graph the node budget would leave unknown into a match.
+    with that cost as its bound, and the engine does not run. Otherwise the
+    engine runs in decision mode (bss_ged with threshold tau); its first
+    leaf of cost <= tau is the bound. Decision mode accepts exactly the
+    graphs with ged <= tau, so certifying changes no match, only turns a
+    graph the node budget would leave unknown into a match.
 
     candidate_count counts every graph the filter kept, branch_refuted those
     of them the branch bound refuted and certified those matched by their
-    assignment, so filtered_count + candidate_count == len(db). Engine jobs
-    are independent, so the result is the same for any thread count;
-    verify_s times the branch stage, the certify step and the engine.
+    assignment, so filtered_count + candidate_count == len(db). Matches and
+    unknowns are sorted by id. threads must be 1 (any other value raises
+    ValueError); bench/workloads.py still passes it. verify_s times the
+    branch bound, the certify step and the engine.
     """
     check_search_args(w, node_budget, tau)
+    if type(threads) is not int or threads != 1:
+        raise ValueError(f"threads must be 1, got {threads!r}")
     t0 = time.perf_counter()
     candidates = filter_candidates(db, query, tau)
     t1 = time.perf_counter()
@@ -229,35 +219,26 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
     qbranches = vertex_branches(query)
     rows: dict = {}
     matches = []
-    survivors = []
+    unknowns = []
+    branch_refuted = certified = 0
     for gid in candidates:
         g = db.graphs[gid]
         bound, assignment = lb_from_branches(vertex_branches(g), qbranches, tau, rows)
         if bound > tau:
+            branch_refuted += 1
             continue
         cost = edit_cost(GraphMapping.from_assignment(assignment, g.n, query.n), g, query).total
         if cost <= tau:
+            certified += 1
             matches.append(Match(gid, cost))
-        else:
-            survivors.append(gid)
-    certified = len(matches)
-
-    def job(gid: int) -> tuple[int, GedResult]:
-        return gid, bss_ged(db.graphs[gid], query, w, node_budget=node_budget, threshold=tau)
-
-    if threads > 1 and len(survivors) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(job, survivors))
-    else:
-        outcomes = [job(gid) for gid in survivors]
-    t2 = time.perf_counter()
-
-    unknowns = []
-    for gid, res in outcomes:
+            continue
+        res = bss_ged(g, query, w, node_budget=node_budget, threshold=tau)
         if res.status == WITHIN_THRESHOLD:
             matches.append(Match(gid, res.upper_bound))
         elif res.status == BUDGET_EXHAUSTED:
             unknowns.append(gid)
+    t2 = time.perf_counter()
+
     matches.sort(key=lambda m: m.graph_id)
     unknowns.sort()
     return QueryResult(
@@ -265,7 +246,7 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
         unknowns=unknowns,
         filtered_count=len(db) - len(candidates),
         candidate_count=len(candidates),
-        branch_refuted=len(candidates) - certified - len(survivors),
+        branch_refuted=branch_refuted,
         certified=certified,
         timings={"filter_s": t1 - t0, "verify_s": t2 - t1},
     )

@@ -101,15 +101,41 @@ def test_range_query_matches_oracle_scan(small_db):
             assert truth[m.graph_id] <= m.bound
 
 
-def test_range_query_threads_equivalent(small_db):
+def test_range_query_deterministic(small_db):
+    # Candidates are decided on the calling thread, so two calls agree on
+    # everything but the timings, and threads admits only the int 1.
     db, query, _ = small_db
+
+    def answer(res):
+        return ([(m.graph_id, m.bound) for m in res.matches], res.unknowns, res.filtered_count,
+                res.candidate_count, res.branch_refuted, res.certified)
+
     for tau in (1, 3):
-        single = range_query(db, query, tau, threads=1)
-        multi = range_query(db, query, tau, threads=4)
-        assert [(m.graph_id, m.bound) for m in single.matches] == [
-            (m.graph_id, m.bound) for m in multi.matches
-        ]
-        assert single.unknowns == multi.unknowns
+        for budget in (1, 10_000):
+            first = range_query(db, query, tau, node_budget=budget, threads=1)
+            assert answer(first) == answer(range_query(db, query, tau, node_budget=budget))
+    for threads in (2, 0, True, 1.5):
+        with pytest.raises(ValueError, match="threads"):
+            range_query(db, query, 1, threads=threads)
+
+
+def test_range_query_sorts_unordered_ids():
+    # Ids 7, 3, 5, 1 in file order: db.ids and the filter keep that order,
+    # and range_query returns its matches and unknowns sorted by id. The
+    # path (3) and the star (1) are certified by their assignments; with a
+    # node budget of 1 the engine leaves the square (7) and the other
+    # star (5) unknown.
+    db = GraphDatabase.from_text(SQUARE_STAR_TEXT)
+    path = build_graph(["A", "A", "A", "B"], [(0, 1, "a"), (1, 2, "a"), (2, 3, "a")], db.table)
+    star = build_graph(["A", "A", "A", "B"], [(0, 1, "a"), (0, 2, "a"), (0, 3, "a")], db.table)
+    unordered = GraphDatabase.from_graphs([(7, db.graphs[0]), (3, path), (5, db.graphs[1]), (1, star)],
+                                          db.table)
+    assert unordered.ids == [7, 3, 5, 1]
+    assert filter_candidates(unordered, path, 4) == [7, 3, 5, 1]
+    res = range_query(unordered, path, 4, node_budget=1)
+    assert [(m.graph_id, m.bound) for m in res.matches] == [(1, 2), (3, 0)]
+    assert res.unknowns == [5, 7]
+    assert (res.certified, res.branch_refuted) == (2, 0)
 
 
 def test_range_query_surfaces_unknowns(small_db):
@@ -131,7 +157,14 @@ def test_certified_matches_are_proven(monkeypatch):
         costed.append((psi, g, cost.total))
         return cost
 
+    ran = []  # ids of the graphs range_query runs the engine on
+
+    def recorded_engine(g, q, *args, **kwargs):
+        ran.append(gid_of[id(g)])
+        return bss_ged(g, q, *args, **kwargs)
+
     monkeypatch.setattr(simsearch, "edit_cost", recorded_cost)
+    monkeypatch.setattr(simsearch, "bss_ged", recorded_engine)
     rng = random.Random(76)
     certified = uncertified = nonzero = 0
     for seed in range(4):
@@ -145,8 +178,14 @@ def test_certified_matches_are_proven(monkeypatch):
             exact = {}
             for tau in range(9):
                 costed.clear()
+                ran.clear()
                 res = range_query(db, query, tau)
-                engine_only = sorted(gid for gid in filter_candidates(db, query, tau)
+                candidates = filter_candidates(db, query, tau)
+                # The engine runs once per candidate neither refuted nor
+                # certified, in db.ids order.
+                assert len(ran) == res.candidate_count - res.branch_refuted - res.certified
+                assert ran == [gid for gid in candidates if gid in set(ran)]
+                engine_only = sorted(gid for gid in candidates
                                      if bss_ged(db.graphs[gid], query, threshold=tau).status == WITHIN_THRESHOLD)
                 assert [m.graph_id for m in res.matches] == engine_only
                 bounds = {m.graph_id: m.bound for m in res.matches}
