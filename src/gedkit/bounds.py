@@ -1,29 +1,13 @@
-"""Admissible lower bounds: degree-sequence deltas, the pair bound, and h(r)."""
+"""Admissible lower bounds: the pair bound from label multisets and degree
+levels, the branch bound, and h(r)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .graphs import LabeledGraph, multiset_intersection_size, require_shared_table
 from .mapping import GraphMapping
-
-
-def _deltas(degs_g: Sequence[int], degs_q: Sequence[int]) -> tuple[int, int]:
-    """Positionwise surplus degree mass on each side, halved and rounded up.
-
-    Both non-increasing sequences are walked once, the shorter one read as
-    zero-extended; each surplus edge endpoint pairs with another, hence the
-    division by two.
-    """
-    over = under = 0
-    for a, b in zip_longest(degs_g, degs_q, fillvalue=0):
-        if a > b:
-            over += a - b
-        else:
-            under += b - a
-    return -(-over // 2), -(-under // 2)
 
 
 def _levels(degs_g: Sequence[int], degs_q: Sequence[int]) -> tuple[list[int], list[int], int, int]:
@@ -32,8 +16,19 @@ def _levels(degs_g: Sequence[int], degs_q: Sequence[int]) -> tuple[list[int], li
     Returns (diff, pos, over, under). For each level k from 1 to the top
     degree, diff[k] = #{source degrees >= k} - #{target degrees >= k} and
     pos[k] counts the levels 1..k with diff >= 0; over and under sum the
-    positive and negative parts of diff. They equal the surplus masses that
-    _deltas halves (proof in PairHeuristic.children). Index 0 is unused.
+    positive and negative parts of diff. Index 0 is unused.
+
+    over and under are the surplus degree masses of the sorted sequences.
+    Let a (source) and b (target) be the degrees sorted non-increasing, the
+    shorter one zero-extended, and let A_k and B_k count the entries >= k,
+    so that diff[k] = A_k - B_k. Then sum_i max(a_i - b_i, 0) =
+    sum_{k >= 1} max(A_k - B_k, 0) = over: a_i - b_i, when positive, is
+    the number of levels k with b_i < k <= a_i, so the left side counts
+    the pairs (i, k) with b_i < k <= a_i. For a fixed k, the i with
+    a_i >= k are the first A_k and the i with b_i >= k the first B_k,
+    since both sequences are non-increasing; so max(A_k - B_k, 0) of them
+    have b_i < k, and the right side counts the same pairs. The same holds
+    for sum_i max(b_i - a_i, 0) = under, with the negative parts.
     """
     diff = [0] * (max([0, *degs_g, *degs_q]) + 1)
     for a in degs_g:
@@ -58,24 +53,17 @@ def _levels(degs_g: Sequence[int], degs_q: Sequence[int]) -> tuple[list[int], li
     return diff, pos, over, under
 
 
-def _combine(n_g: int, n_q: int, vinter: int, d1: int, d2: int, m_q: int, einter: int) -> int:
-    """The pair bound LB from its ingredients, once the deltas d1, d2 are known.
+def _combine(n_g: int, n_q: int, vinter: int, over: int, under: int, m_q: int, einter: int) -> int:
+    """The pair bound LB from its ingredients.
 
-    vinter and einter are the sizes of the vertex- and edge-label multiset
+    over and under are the source's and the target's surplus degree masses
+    (_levels). Each surplus edge endpoint pairs with another, so halved and
+    rounded up they bound the edge deletions d1 and insertions d2. vinter
+    and einter are the sizes of the vertex- and edge-label multiset
     intersections and m_q the target's edge count.
     """
+    d1, d2 = -(-over // 2), -(-under // 2)
     return max(n_g, n_q) - vinter + max(d1 + d2, d1 + m_q - einter)
-
-
-def _pair_bound(n_g: int, n_q: int, vinter: int, degs_g: Sequence[int],
-                degs_q: Sequence[int], m_q: int, einter: int) -> int:
-    """The pair bound LB, with the deltas taken from degree sequences.
-
-    degs_g and degs_q are the non-increasing degree sequences; trailing
-    zeros do not change the bound. The rest is as for _combine.
-    """
-    d1, d2 = _deltas(degs_g, degs_q)
-    return _combine(n_g, n_q, vinter, d1, d2, m_q, einter)
 
 
 def _remainder(g: LabeledGraph, removed: Iterable[int]) -> tuple:
@@ -132,14 +120,15 @@ def summarize(g: LabeledGraph) -> GraphSummary:
 def delta_bounds(g: LabeledGraph, q: LabeledGraph) -> tuple[int, int]:
     """Lower bounds on edge deletions and insertions from degree sequences."""
     require_shared_table(g, q)
-    return _deltas(summarize(g).degrees, summarize(q).degrees)
+    _, _, over, under = _levels(summarize(g).degrees, summarize(q).degrees)
+    return -(-over // 2), -(-under // 2)
 
 
 def lb_from_summaries(a: GraphSummary, b: GraphSummary) -> int:
     """Lower bound on ged from two precomputed summaries (source a, target b).
 
     Costs O(|V| + |E|) of the two graphs: two label-count intersections and
-    one walk over the degree sequences, with no per-call container classes.
+    one count of degree levels, with no per-call container classes.
     tests/reference_bounds.py keeps the Counter-based original that tests
     compare it against.
 
@@ -149,10 +138,9 @@ def lb_from_summaries(a: GraphSummary, b: GraphSummary) -> int:
       since over - under is the degree-sum difference 2 (m_a - m_b).
     Similarity search relies on it to skip whole size buckets.
     """
-    return _pair_bound(
-        a.n, b.n, multiset_intersection_size(a.vertex_labels, b.vertex_labels),
-        a.degrees, b.degrees, b.m, multiset_intersection_size(a.edge_labels, b.edge_labels),
-    )
+    _, _, over, under = _levels(a.degrees, b.degrees)
+    return _combine(a.n, b.n, multiset_intersection_size(a.vertex_labels, b.vertex_labels),
+                    over, under, b.m, multiset_intersection_size(a.edge_labels, b.edge_labels))
 
 
 def lb_graph(g: LabeledGraph, q: LabeledGraph) -> int:
@@ -334,12 +322,11 @@ def _source_side(g: LabeledGraph, sources: Sequence[int]) -> tuple:
     """The source half of the remainder bounds once `sources` are mapped.
 
     Counts the unmapped part with _remainder and adds each source's outer
-    edges. Returns (n_g, label counts, edge-label counts, non-increasing
-    degrees of the unmapped part, {source: (outer size, outer edge-label
+    edges. Returns (n_g, label counts, edge-label counts, degrees of the
+    unmapped part by vertex, {source: (outer size, outer edge-label
     counts)}, number of outer source vertices).
     """
     mapped, n_g, counts, ecounts, deg, _ = _remainder(g, sources)
-    deg.sort(reverse=True)
     outer = {}
     a_g: set[int] = set()
     adj_g = g.adjacency
@@ -412,9 +399,9 @@ def remainder_bounds(mapping: GraphMapping, g: LabeledGraph, q: LabeledGraph) ->
     targets = [t for _, t in mapping.pairs if t is not None]
     n_g, s_counts, s_ecounts, deg_g, outer, a_g = _source_side(g, [u for u, _ in pairs])
     _, t_counts, t_ecounts, deg_q, m_q, sums, a_q, _ = _target_side(q, targets, pairs, outer)
-    deg_q.sort(reverse=True)
-    base = _pair_bound(n_g, q.n - len(targets), multiset_intersection_size(t_counts, s_counts),
-                       deg_g, deg_q, m_q, multiset_intersection_size(t_ecounts, s_ecounts))
+    _, _, over, under = _levels(deg_g, deg_q)
+    base = _combine(n_g, q.n - len(targets), multiset_intersection_size(t_counts, s_counts),
+                    over, under, m_q, multiset_intersection_size(t_ecounts, s_ecounts))
     n_aq = len(a_q)
     return (base + sums[0], base + sums[1] + max(0, a_g - n_aq), base + sums[2] + max(0, n_aq - a_g))
 
@@ -451,26 +438,16 @@ class PairHeuristic:
         target -> source maps; None in targets is the dummy child. Equals
         max(remainder_bounds(child mapping)) child by child.
 
-        The degree deltas are read from degree levels, not from sorted
-        sequences. For non-increasing degree sequences a (source) and b
-        (target), zero-extended, let A_k and B_k count the entries >= k.
-        Then sum_i max(a_i - b_i, 0) = sum_{k >= 1} max(A_k - B_k, 0):
-        a_i - b_i, when positive, is the number of levels k with
-        b_i < k <= a_i, so the left side counts the pairs (i, k) with
-        b_i < k <= a_i. For a fixed k, the i with a_i >= k are the first A_k
-        and the i with b_i >= k the first B_k, since both sequences are
-        non-increasing; so max(A_k - B_k, 0) of them have b_i < k, and the
-        right side counts the same pairs. The same holds for
-        sum_i max(b_i - a_i, 0) with the negative parts.
-
-        So the parent's level differences diff[k] = A_k - B_k and the sums
-        over and under of their positive and negative parts (_levels) are
-        computed once. A child's target degrees are the parent's except
-        that z drops from deg z to 0, so B_k falls by one for k <= deg z,
-        and each unused neighbour v of z drops by one, from deg v, so
-        B_{deg v} falls by one. Each fall raises one diff[k] by one, which
-        adds one to over if diff[k] was >= 0 and takes one from under
-        otherwise. z's levels are read from the prefix counts pos; the
+        The degree surpluses are read from degree levels: _levels shows
+        that they equal those of the sorted sequences, and it computes the
+        parent's level differences diff[k] = A_k - B_k (source minus target
+        degrees >= k) and the sums over and under of their positive and
+        negative parts once. A child's target degrees are the parent's
+        except that z drops from deg z to 0, so B_k falls by one for
+        k <= deg z, and each unused neighbour v of z drops by one, from
+        deg v, so B_{deg v} falls by one. Each fall raises one diff[k] by
+        one, which adds one to over if diff[k] was >= 0 and takes one from
+        under otherwise. z's levels are read from the prefix counts pos; the
         neighbours' levels are raised one by one, in place, since two of
         them may share a level, and restored before the next child.
         """
@@ -555,8 +532,7 @@ class PairHeuristic:
             smax += (size_new if size_new > size_z else size_z) - inter
             stgt += size_z - inter
             ssrc += size_new - inter
-            base = _combine(n_g, n_q if z is None else n_q - 1, vi,
-                            -(-ov // 2), -(-un // 2), m, ei)
+            base = _combine(n_g, n_q if z is None else n_q - 1, vi, ov, un, m, ei)
             lb1 = base + smax
             lb2 = base + stgt + (a_g - n_aq_z if a_g > n_aq_z else 0)
             lb3 = base + ssrc + (n_aq_z - a_g if n_aq_z > a_g else 0)

@@ -26,9 +26,14 @@ EXIT_BUDGET = 3
 EXIT_PARSE = 4
 
 
-def _load_db(path: str) -> GraphDatabase:
+def _parse(path: str, table=None):
     with open(path, encoding="utf-8") as fh:
-        return GraphDatabase.from_text(fh.read())
+        return parse_graph_db(fh.read(), table)
+
+
+def _load_graphs(path: str) -> dict:
+    """The file's graphs by id, in file order; only search builds an index."""
+    return dict(_parse(path)[0])
 
 
 def _usage_error(message: str):
@@ -37,10 +42,10 @@ def _usage_error(message: str):
     raise SystemExit(EXIT_USAGE)
 
 
-def _pick(db: GraphDatabase, gid: int):
-    if gid not in db.graphs:
-        _usage_error(f"graph id {gid} not in database ({len(db)} graphs)")
-    return db.graphs[gid]
+def _pick(graphs: dict, gid: int):
+    if gid not in graphs:
+        _usage_error(f"graph id {gid} not in database ({len(graphs)} graphs)")
+    return graphs[gid]
 
 
 def _add_engine_flags(p: argparse.ArgumentParser):
@@ -65,8 +70,8 @@ def _or_dash(value) -> str:
 
 
 def cmd_dist(args) -> int:
-    db = _load_db(args.db)
-    g, q = _pick(db, args.id1), _pick(db, args.id2)
+    graphs = _load_graphs(args.db)
+    g, q = _pick(graphs, args.id1), _pick(graphs, args.id2)
     t0 = time.perf_counter()
     result = bss_ged(
         g, q, args.beam,
@@ -97,17 +102,16 @@ def cmd_dist(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    db = _load_db(args.db)
-    g, q = _pick(db, args.id1), _pick(db, args.id2)
+    graphs = _load_graphs(args.db)
+    g, q = _pick(graphs, args.id1), _pick(graphs, args.id2)
     res = exhaustive_ged(g, q)
     print(json.dumps({"ged": res.distance, "mappings_enumerated": res.mappings_enumerated}))
     return EXIT_OK
 
 
 def cmd_search(args) -> int:
-    db = _load_db(args.db)
-    with open(args.query, encoding="utf-8") as fh:
-        queries, _ = parse_graph_db(fh.read(), db.table)
+    db = GraphDatabase.from_graphs(*_parse(args.db))
+    queries, _ = _parse(args.query, db.table)
     if not queries:
         _usage_error("query file contains no graph")
     qid, query = queries[0]
@@ -157,8 +161,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    db = _load_db(args.db)
-    g, q = _pick(db, args.id1), _pick(db, args.id2)
+    graphs = _load_graphs(args.db)
+    g, q = _pick(graphs, args.id1), _pick(graphs, args.id2)
     part = vertex_partition(q)
     sizes = [len(c) for c in part.classes]
     payload = {
@@ -180,14 +184,14 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    db = _load_db(args.db)
-    queries = [int(x) for x in args.queries.split(",")] if args.queries else list(db.ids)
-    targets = [int(x) for x in args.targets.split(",")] if args.targets else list(db.ids)
+    graphs = _load_graphs(args.db)
+    queries = [int(x) for x in args.queries.split(",")] if args.queries else list(graphs)
+    targets = [int(x) for x in args.targets.split(",")] if args.targets else list(graphs)
     rows = []
     solved = 0
     for qid in queries:
         for tid in targets:
-            g, q = _pick(db, tid), _pick(db, qid)
+            g, q = _pick(graphs, tid), _pick(graphs, qid)
             t0 = time.perf_counter()
             result = bss_ged(
                 g, q, args.beam,

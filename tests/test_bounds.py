@@ -8,7 +8,6 @@ import reference_bounds as reference
 from conftest import build_graph, random_pair, unmapped_parts
 from gedkit.bounds import (
     PairHeuristic,
-    _deltas,
     _levels,
     branch_bound,
     delta_bounds,
@@ -216,10 +215,11 @@ def test_batched_child_bounds_equal_remainder_bounds():
 
 
 def test_levels_equal_deltas():
-    # PairHeuristic.children reads the degree deltas from level counts
-    # instead of sorted sequences. On non-increasing sequences of unequal
-    # length, with zeros and repeated values, the halved surpluses equal
-    # _deltas, and the counts do not depend on the order the degrees come in.
+    # Every pair bound reads its degree surpluses from level counts instead
+    # of sorted sequences. On non-increasing sequences of unequal length,
+    # with zeros and repeated values, the halved surpluses equal the
+    # reference's positionwise walk, and the counts do not depend on the
+    # order the degrees come in.
     rng = random.Random(98)
     seen = Counter()
     for _ in range(3000):
@@ -229,7 +229,7 @@ def test_levels_equal_deltas():
         seen["zeros"] += 0 in a and 0 in b
         seen["repeats"] += len(set(a)) < len(a)
         diff, pos, over, under = _levels(a, b)
-        assert (-(-over // 2), -(-under // 2)) == _deltas(a, b), (a, b)
+        assert (-(-over // 2), -(-under // 2)) == reference._deltas(tuple(a), tuple(b)), (a, b)
         assert over == sum(max(x - y, 0) for x, y in itertools.zip_longest(a, b, fillvalue=0))
         assert under == sum(max(y - x, 0) for x, y in itertools.zip_longest(a, b, fillvalue=0))
         top = max([0, *a, *b])

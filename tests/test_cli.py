@@ -5,6 +5,7 @@ import pytest
 from conftest import SQUARE_STAR_TEXT, PENDANT_PAIR_TEXT
 from gedkit.cli import main
 from gedkit.graphs import parse_graph_db
+from gedkit.simsearch import GraphDatabase
 
 
 @pytest.fixture
@@ -222,6 +223,33 @@ def test_inspect_bounds(square_star_db, capsys):
     assert code == 0
     assert payload["lb"] == 4
     assert payload["delta1"] == 2 and payload["delta2"] == 1
+
+
+def test_pair_commands_build_no_search_index(square_star_db, capsys, monkeypatch):
+    # dist, oracle, inspect and bench read graphs by id; only search needs
+    # the database's summaries, partitions and label masks.
+    def untimed(payload):
+        if isinstance(payload, dict):
+            return {k: untimed(v) for k, v in payload.items() if k != "time_ms"}
+        if isinstance(payload, list):
+            return [untimed(v) for v in payload]
+        return payload
+
+    commands = (
+        ["dist", square_star_db, "0", "1", "--json"],
+        ["oracle", square_star_db, "0", "1"],
+        ["inspect", square_star_db, "0", "1", "--bounds"],
+        ["bench", square_star_db, "--json"],
+    )
+    expected = [run_json(capsys, argv) for argv in commands]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("GraphDatabase built outside search")
+
+    monkeypatch.setattr(GraphDatabase, "from_graphs", refuse)
+    for argv, (code, payload) in zip(commands, expected):
+        assert code == 0
+        assert untimed(run_json(capsys, argv)[1]) == untimed(payload), argv
 
 
 def test_bench_json_solve_ratio(square_star_db, capsys):
