@@ -56,8 +56,8 @@ def _add_engine_flags(p: argparse.ArgumentParser):
 
 
 def _outcome(result) -> dict:
-    """The status of an engine result; when a budget ran out, also which one
-    and the best upper bound found (None if no leaf was reached)."""
+    """The status of an exact engine result; when a budget ran out, also
+    which one and the best upper bound, which an exact run always has."""
     out = {"status": result.status}
     if result.status == BUDGET_EXHAUSTED:
         out["reason"] = result.reason
@@ -89,9 +89,7 @@ def cmd_dist(args) -> int:
     if args.json:
         print(json.dumps(payload))
     elif result.status == BUDGET_EXHAUSTED:
-        found = ("no complete mapping found" if result.upper_bound is None
-                 else f"best upper bound {result.upper_bound}")
-        print(f"{result.reason} budget exhausted; {found}")
+        print(f"{result.reason} budget exhausted; best upper bound {result.upper_bound}")
     else:
         print(
             f"ged({args.id1}, {args.id2}) = {result.distance}  "

@@ -4,7 +4,9 @@ Iterated beam search: each pass descends layer by layer keeping at most w
 nodes, pushing each layer's beam on a stack with the cost interval it
 actually covered. Nodes cut by the beam are recovered later by shifting the
 top interval and searching again, so the final upper bound is the exact
-distance regardless of w.
+distance regardless of w. An exact run starts at the edit cost of a
+complete mapping, the branch assignment improved by 2-swap descent, so it
+prunes from its first pass and always holds a mapping.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .bounds import PairHeuristic
+from .bounds import PairHeuristic, lb_from_branches, vertex_branches
 from .graphs import LabeledGraph, require_shared_table, vertex_partition
-from .mapping import GraphMapping, edit_cost
+from .mapping import GraphMapping, descend_assignment, edit_cost
 from .successors import (
     SearchNode,
     basic_gen_succr,
@@ -67,9 +69,10 @@ class GedResult:
     decision mode (threshold tau) 'within_threshold' certifies
     upper_bound <= tau without claiming exactness, and 'above_bound' proves
     the distance is > tau. In either mode 'budget_exhausted' reports the
-    best upper bound found, if any, and in reason which budget ran out:
-    'nodes' or 'time'. mapping is the complete mapping whose edit cost is
-    upper_bound, or None when no leaf was accepted.
+    best upper bound found and in reason which budget ran out: 'nodes' or
+    'time'. mapping is the complete mapping whose edit cost is upper_bound.
+    An exact run starts with one, so in exact mode neither is ever None; a
+    decision run has them only once it accepts a leaf.
     """
 
     status: str
@@ -115,11 +118,16 @@ def _priority(node: SearchNode):
 class SearchRun:
     """State of a single beam-stack search over one graph pair.
 
-    With threshold None the run is exact: the upper bound starts above the
-    delete-everything/insert-everything path cost and the search runs until
-    the beam stack empties. With threshold tau it decides ged <= tau: the
-    upper bound starts at tau + 1, which prunes everything beyond tau, and
-    the first leaf accepted (the first entry of ub_history) ends the run.
+    With threshold None the run is exact. Its upper bound starts at a seed:
+    the optimal branch assignment (lb_from_branches) improved by 2-swap
+    descent (descend_assignment), whose mapping is self.best and whose edit
+    cost is self.ub and the first entry of ub_history. The descent stops at
+    the time limit like the search. The search then accepts only leaves
+    cheaper than the seed and runs until the beam stack empties; when no
+    such leaf exists the seed is the distance, for every w and policy.
+    With threshold tau it decides ged <= tau: there is no seed, the upper
+    bound starts at tau + 1, which prunes everything beyond tau, and the
+    first leaf accepted (the first entry of ub_history) ends the run.
     Every accepted leaf is checked against the edit cost of its mapping.
     """
 
@@ -144,10 +152,16 @@ class SearchRun:
         self.node_budget = node_budget
         self.deadline = None if time_limit is None else time.monotonic() + time_limit
         self.threshold = threshold
-        self.ub = g.n + q.n + g.m + q.m + 1 if threshold is None else threshold + 1
-        self.best: GraphMapping | None = None  # the leaf mapping that set self.ub
-
         self.stats = SearchStats()
+        # self.best is the complete mapping whose edit cost is self.ub.
+        self.best: GraphMapping | None = None
+        if threshold is None:
+            _, assignment = lb_from_branches(vertex_branches(g), vertex_branches(q))
+            self.ub, assignment = descend_assignment(assignment, g, q, self.deadline)
+            self.best = GraphMapping.from_assignment(assignment, g.n, q.n)
+            self.stats.ub_history.append(self.ub)
+        else:
+            self.ub = threshold + 1
         root = make_root(g, q, self.heuristic)
         self.stats.nodes_generated += 1
         # The beam stack: entry i holds layer i of the current descent.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from .graphs import LabeledGraph, require_shared_table
@@ -98,13 +99,73 @@ def edit_cost(psi: GraphMapping, g: LabeledGraph, q: LabeledGraph) -> EditCostBr
     """Cost of the edit path induced by a complete mapping (batch formula)."""
     require_shared_table(g, q)
     require_complete(psi, g, q)
-    tgt = psi.mapped_sources()
-    v_h, e_h = induced_structure(psi, g, q)
-    c_d = (g.n - len(v_h)) + (g.m - len(e_h))
-    c_i = (q.n - len(v_h)) + (q.m - len(e_h))
-    c_s = sum(1 for u in v_h if g.vertex_labels[u] != q.vertex_labels[tgt[u]])
-    c_s += sum(1 for u, v in e_h if g.adjacency[u][v] != q.adjacency[tgt[u]][tgt[v]])
-    return EditCostBreakdown(c_d=c_d, c_i=c_i, c_s=c_s)
+    return EditCostBreakdown(*_cost_parts(psi.mapped_sources(), g, q))
+
+
+def _cost_parts(tgt, g: LabeledGraph, q: LabeledGraph) -> tuple[int, int, int]:
+    """(c_d, c_i, c_s) of the complete mapping that sends source u to tgt[u].
+
+    tgt[u] is a target vertex, or None when u is deleted, for every u <
+    g.n; targets no source reaches are inserted. A source vertex kept on a
+    real target saves its deletion and the target's insertion, and so does
+    a source edge whose image is a target edge; each kept vertex or edge
+    whose label changes costs one substitution. edit_cost and
+    descend_assignment both score mappings here.
+    """
+    glabels, qlabels, qadj = g.vertex_labels, q.vertex_labels, q.adjacency
+    kept = subs = 0
+    for u in range(g.n):
+        t = tgt[u]
+        if t is not None:
+            kept += 1
+            if glabels[u] != qlabels[t]:
+                subs += 1
+    kept_edges = 0
+    for u, v, lab in g.edges:
+        tu, tv = tgt[u], tgt[v]
+        if tu is not None and tv is not None:
+            image = qadj[tu].get(tv)
+            if image is not None:
+                kept_edges += 1
+                if image != lab:
+                    subs += 1
+    return g.n - kept + g.m - kept_edges, q.n - kept + q.m - kept_edges, subs
+
+
+def descend_assignment(assignment: list[int], g: LabeledGraph, q: LabeledGraph,
+                       deadline: float | None = None) -> tuple[int, list[int]]:
+    """Improve a square assignment by first-improvement 2-swap descent.
+
+    assignment is read as GraphMapping.from_assignment reads it: row i < g.n
+    goes to column assignment[i], a column >= q.n deletes it, and rows >=
+    g.n insert their columns. A swap exchanges the columns of a source row
+    and any later row, so it moves a source to another source's target, to
+    a deleted or an inserted slot. A swap is kept when it lowers the edit
+    cost and undone otherwise; sweeps repeat until one keeps no swap, or
+    until time.monotonic() passes deadline, which is checked before each
+    source row. Returns (edit cost, improved assignment); the assignment
+    passed in is not changed.
+    """
+    a = list(assignment)
+    tgt = [j if j < q.n else None for j in a]
+    n, k = g.n, len(a)
+    best = sum(_cost_parts(tgt, g, q))
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n):
+            if deadline is not None and time.monotonic() > deadline:
+                return best, a
+            for j in range(i + 1, k):
+                tgt[i], tgt[j] = tgt[j], tgt[i]
+                cost = sum(_cost_parts(tgt, g, q))
+                if cost < best:
+                    best = cost
+                    a[i], a[j] = a[j], a[i]
+                    improved = True
+                else:
+                    tgt[i], tgt[j] = tgt[j], tgt[i]
+    return best, a
 
 
 def realize_edit_path(psi: GraphMapping, g: LabeledGraph, q: LabeledGraph) -> list[dict]:

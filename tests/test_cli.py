@@ -35,15 +35,16 @@ def test_dist_human(square_star_db, capsys):
 
 
 def test_dist_human_budget_without_leaf(square_star_db, capsys):
+    # No leaf is reached, but an exact run starts at a complete mapping.
     assert main(["dist", square_star_db, "0", "1", "--budget", "2"]) == 3
     out = capsys.readouterr().out
-    assert out.strip() == "nodes budget exhausted; no complete mapping found"
+    assert out.strip() == "nodes budget exhausted; best upper bound 4"
 
 
 def test_dist_human_budget_with_upper_bound(pendant_pair_db, capsys):
-    assert main(["dist", pendant_pair_db, "0", "1", "--beam", "1", "--budget", "20"]) == 3
+    assert main(["dist", pendant_pair_db, "0", "1", "--beam", "1", "--budget", "10"]) == 3
     out = capsys.readouterr().out
-    assert out.strip() == "nodes budget exhausted; best upper bound 7"
+    assert out.strip() == "nodes budget exhausted; best upper bound 5"
 
 
 def test_dist_json_all_widths(square_star_db, capsys):
@@ -62,7 +63,7 @@ def test_dist_budget_exhaustion_exit_code(square_star_db, capsys):
     assert payload["ged"] is None
     assert payload["status"] == "budget_exhausted"
     assert payload["reason"] == "nodes"
-    assert "upper_bound" in payload
+    assert payload["upper_bound"] == 4
 
 
 def test_dist_policies(square_star_db, capsys):
@@ -308,11 +309,11 @@ def test_bench_human_table(square_star_db, pendant_pair_db, capsys):
         assert main(["bench", square_star_db, "--queries", "1", "--targets", "0", *flags]) == 0
         out = capsys.readouterr().out
         assert "solve ratio: 0.000" in out
-        assert _table_rows(out)[0][:6] == ["1", "0", "-", "budget_exhausted", reason, "-"]
+        assert _table_rows(out)[0][:6] == ["1", "0", "-", "budget_exhausted", reason, "4"]
     assert main(["bench", pendant_pair_db, "--queries", "1", "--targets", "0",
-                 "--beam", "1", "--budget", "20"]) == 0
+                 "--beam", "1", "--budget", "10"]) == 0
     out = capsys.readouterr().out
-    assert _table_rows(out)[0][:6] == ["1", "0", "-", "budget_exhausted", "nodes", "7"]
+    assert _table_rows(out)[0][:6] == ["1", "0", "-", "budget_exhausted", "nodes", "5"]
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -13,8 +13,9 @@ from gedkit.engine import (
     bss_ged,
 )
 from gedkit import successors
+from gedkit.bounds import lb_from_branches, vertex_branches
 from gedkit.graphs import LabelTable
-from gedkit.mapping import edit_cost, realize_edit_path
+from gedkit.mapping import descend_assignment, edit_cost, realize_edit_path
 from gedkit.oracle import check_edit_path
 from gedkit.synth import random_graph_db
 
@@ -152,6 +153,20 @@ def test_time_limit():
     res = bss_ged(g, q, 50, time_limit=0.0)
     assert res.status == BUDGET_EXHAUSTED
     assert res.reason == "time"
+    # The exact seed still gives the bound and its mapping, but its descent
+    # stops at the deadline before its first swap: the bound is the branch
+    # assignment's cost (15), above the descended seed (12) and ged (11).
+    assert res.stats.ub_history == [res.upper_bound] == [15]
+    assert edit_cost(res.mapping, g, q).total == res.upper_bound
+    assert bss_ged(g, q, 50).stats.ub_history[0] == 12
+    # At 40 vertices one descent sweep alone scores 780 swaps.
+    entries, _ = random_graph_db(5, 2, 40, 40, 0.3, 5, 2)
+    g, q = dict(entries)[0], dict(entries)[1]
+    t0 = time.perf_counter()
+    res = bss_ged(g, q, time_limit=0.05)
+    assert time.perf_counter() - t0 < 1.0
+    assert (res.status, res.reason) == (BUDGET_EXHAUSTED, "time")
+    assert edit_cost(res.mapping, g, q).total == res.upper_bound
 
 
 def test_initial_ub_modes(square_star):
@@ -201,21 +216,28 @@ def test_decision_mapping_within_threshold(small_sweep):
 def test_budget_exhausted_keeps_the_best_mapping():
     entries, _ = random_graph_db(11, 20, 8, 10, 0.3, 5, 2)
     g, q = dict(entries)[0], dict(entries)[1]
-    res = bss_ged(g, q, 1, node_budget=100)
-    assert res.status == BUDGET_EXHAUSTED and len(res.stats.ub_history) > 1
+    res = bss_ged(g, q, 1, node_budget=400)
+    assert res.status == BUDGET_EXHAUSTED and res.stats.ub_history == [14, 13]
     assert edit_cost(res.mapping, g, q).total == res.upper_bound == res.stats.ub_history[-1]
+    # Before any leaf is accepted the run still holds its seed.
     res = bss_ged(g, q, 1, node_budget=5)
-    assert res.upper_bound is None and res.mapping is None
+    assert res.status == BUDGET_EXHAUSTED and res.stats.ub_history == [14]
+    assert edit_cost(res.mapping, g, q).total == res.upper_bound == 14
 
 
 def test_leaf_with_wrong_g_is_refused(square_star, monkeypatch):
     # A successor generator that overcharges one operation per step yields
-    # leaves whose g disagrees with their mapping's edit cost.
+    # leaves whose g disagrees with their mapping's edit cost. An exact run
+    # on this pair starts at ged and accepts no leaf, so the check runs in
+    # decision mode, where a threshold at the trivial bound admits any leaf.
     g, q = square_star
+    tau = g.n + q.n + g.m + q.m
+    assert bss_ged(g, q).stats.ub_history == [4]
+    assert bss_ged(g, q, threshold=tau).stats.ub_history != []
     exact = successors.extension_cost
     monkeypatch.setattr(successors, "extension_cost", lambda *args: exact(*args) + 1)
     with pytest.raises(RuntimeError, match="mapping costs"):
-        bss_ged(g, q)
+        bss_ged(g, q, threshold=tau)
 
 
 def test_negative_threshold_rejected(square_star):
@@ -311,19 +333,20 @@ def test_stats_shapes(square_star):
 
 # (source id, target id, beam width) -> (distance, nodes_expanded,
 # nodes_generated, ub_history, passes, backtracks), recorded with the
-# Counter-based bounds that reference_bounds.py keeps. A bound change that
-# alters the search tree changes these numbers.
+# Counter-based bounds that reference_bounds.py keeps and an exact run that
+# starts at the descended branch assignment, ub_history[0]. A bound or seed
+# change that alters the search tree changes these numbers.
 PINNED_TREES = {
-    (0, 1, 1): (13, 335, 1219, [16, 15, 14, 13], 119, 336),
-    (2, 3, 5): (12, 395, 1443, [13, 12], 29, 110),
-    (4, 5, 15): (14, 116, 611, [14], 1, 10),
-    (6, 7, 1): (16, 6338, 21751, [22, 21, 20, 19, 18, 17, 16], 2410, 6339),
-    (8, 9, 5): (16, 1579, 6341, [16], 122, 437),
-    (10, 11, 15): (12, 269, 1089, [12], 6, 27),
-    (12, 13, 1): (16, 2761, 10394, [16], 1002, 2762),
-    (14, 15, 5): (12, 128, 462, [12], 7, 37),
-    (16, 17, 15): (10, 99, 380, [10], 1, 9),
-    (18, 19, 1): (15, 1502, 5977, [17, 16, 15], 575, 1503),
+    (0, 1, 1): (13, 318, 1176, [14, 13], 117, 319),
+    (2, 3, 5): (12, 395, 1443, [15, 13, 12], 29, 110),
+    (4, 5, 15): (14, 109, 587, [17, 14], 1, 10),
+    (6, 7, 1): (16, 5212, 18445, [16], 2027, 5213),
+    (8, 9, 5): (16, 1568, 6323, [17, 16], 122, 437),
+    (10, 11, 15): (12, 202, 939, [12], 6, 23),
+    (12, 13, 1): (16, 2761, 10394, [17, 16], 1002, 2762),
+    (14, 15, 5): (12, 111, 423, [12], 7, 35),
+    (16, 17, 15): (10, 27, 163, [10], 1, 6),
+    (18, 19, 1): (15, 1341, 5422, [16, 15], 518, 1342),
 }
 
 
@@ -331,11 +354,14 @@ def test_search_tree_pinned():
     entries, _ = random_graph_db(11, 20, 8, 10, 0.3, 5, 2)
     graphs = dict(entries)
     for (a, b, w), want in PINNED_TREES.items():
-        res = bss_ged(graphs[a], graphs[b], w)
+        g, q = graphs[a], graphs[b]
+        res = bss_ged(g, q, w)
         s = res.stats
         got = (res.distance, s.nodes_expanded, s.nodes_generated, s.ub_history,
                s.passes, s.backtracks)
         assert got == want, (a, b, w)
+        _, assignment = lb_from_branches(vertex_branches(g), vertex_branches(q))
+        assert s.ub_history[0] == descend_assignment(assignment, g, q)[0]
 
 
 def test_interleaved_runs_match_solo_runs():
@@ -359,17 +385,18 @@ def test_interleaved_runs_match_solo_runs():
 
 
 # The same pairs under the other two policies, recorded before the basic and
-# reduced generators shared one body: (policy keywords, source id, target id,
-# beam width) -> the fields of PINNED_TREES.
+# reduced generators shared one body and re-recorded with the seeded start:
+# (policy keywords, source id, target id, beam width) -> the fields of
+# PINNED_TREES.
 PINNED_POLICY_TREES = {
-    ("basic", 0, 1, 1): (13, 1063, 4483, [18, 17, 15, 14, 13], 371, 1064),
-    ("basic", 2, 3, 5): (12, 430, 1887, [13, 12], 31, 117),
-    ("basic", 4, 5, 15): (14, 117, 723, [14], 1, 10),
-    ("basic", 14, 15, 5): (12, 154, 691, [12], 9, 43),
-    ("default", 0, 1, 1): (13, 1453, 4805, [18, 17, 15, 14, 13], 496, 1454),
-    ("default", 2, 3, 5): (12, 261, 876, [12], 20, 65),
-    ("default", 4, 5, 15): (14, 924, 3546, [18, 16, 15, 14], 23, 84),
-    ("default", 14, 15, 5): (12, 124, 376, [14, 12], 9, 38),
+    ("basic", 0, 1, 1): (13, 776, 3445, [14, 13], 280, 777),
+    ("basic", 2, 3, 5): (12, 430, 1887, [15, 13, 12], 31, 117),
+    ("basic", 4, 5, 15): (14, 110, 692, [17, 14], 1, 10),
+    ("basic", 14, 15, 5): (12, 138, 637, [12], 9, 41),
+    ("default", 0, 1, 1): (13, 1395, 4680, [14, 13], 478, 1396),
+    ("default", 2, 3, 5): (12, 261, 876, [15, 12], 20, 65),
+    ("default", 4, 5, 15): (14, 810, 3278, [17, 16, 15, 14], 21, 77),
+    ("default", 14, 15, 5): (12, 73, 281, [12], 6, 26),
 }
 POLICY_KEYWORDS = {"basic": {"succ_policy": "basic"}, "default": {"order_policy": "default"}}
 

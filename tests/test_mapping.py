@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     all_complete_mappings,
@@ -10,14 +12,16 @@ from conftest import (
     identity_mapping,
     random_pair,
 )
-from gedkit.graphs import vertex_partition
+from gedkit.bounds import lb_from_branches, vertex_branches
+from gedkit.graphs import LabelTable, vertex_partition
 from gedkit.mapping import (
     GraphMapping,
+    descend_assignment,
     edit_cost,
     induced_structure,
     realize_edit_path,
 )
-from gedkit.oracle import check_edit_path
+from gedkit.oracle import check_edit_path, exhaustive_ged
 from gedkit.successors import extension_cost, leaf_completion_cost
 
 
@@ -238,3 +242,33 @@ def test_dummy_pair_repair_strictly_cheaper():
             repaired_checked += 1
             if repaired_checked >= 200:
                 break
+
+
+@st.composite
+def oracle_pairs(draw, max_n=7):
+    """Two graphs of 0..max_n vertices over one table, two labels of each kind."""
+    table = LabelTable()
+
+    def graph():
+        n = draw(st.integers(0, max_n))
+        labels = draw(st.lists(st.sampled_from("AB"), min_size=n, max_size=n))
+        slots = list(itertools.combinations(range(n), 2))
+        chosen = draw(st.lists(st.sampled_from(slots), unique=True)) if slots else []
+        edges = [(u, v, draw(st.sampled_from("ab"))) for u, v in chosen]
+        return build_graph(labels, edges, table)
+
+    return graph(), graph()
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_pairs())
+def test_descent_lies_between_ged_and_its_start(pair):
+    g, q = pair
+    _, assignment = lb_from_branches(vertex_branches(g), vertex_branches(q))
+    before = list(assignment)
+    start = edit_cost(GraphMapping.from_assignment(assignment, g.n, q.n), g, q).total
+    cost, improved = descend_assignment(assignment, g, q)
+    assert assignment == before
+    assert sorted(improved) == list(range(len(assignment)))
+    assert edit_cost(GraphMapping.from_assignment(improved, g.n, q.n), g, q).total == cost
+    assert exhaustive_ged(g, q).distance <= cost <= start
