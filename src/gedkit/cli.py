@@ -13,6 +13,7 @@ from .engine import (
     DEFAULT_BEAM_WIDTH,
     DEFAULT_NODE_BUDGET,
     bss_ged,
+    check_search_args,
 )
 from .graphs import GraphFormatError, parse_graph_db, serialize_graph_db, vertex_partition
 from .oracle import exhaustive_ged
@@ -108,6 +109,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_search(args) -> int:
+    # Bad flags are refused before either file is read or indexed.
+    check_search_args(args.beam, args.budget, args.tau)
     db = GraphDatabase.from_graphs(*_parse(args.db))
     queries, _ = _parse(args.query, db.table)
     if not queries:

@@ -167,18 +167,21 @@ class SearchRun:
         # The beam stack: entry i holds layer i of the current descent.
         self.bs: list[Layer] = [Layer([root], 0, self.ub)]
 
-    def _generate(self, r: SearchNode) -> list[SearchNode]:
+    def _generate(self, r: SearchNode) -> list[SearchNode | None]:
         if self.succ_policy == "reduced":
-            return gen_succr(r, self.g, self.q, self.part, self.order, self.heuristic)
-        return basic_gen_succr(r, self.g, self.q, self.order, self.heuristic)
+            return gen_succr(r, self.g, self.q, self.part, self.order, self.heuristic, self.ub)
+        return basic_gen_succr(r, self.g, self.q, self.order, self.heuristic, self.ub)
 
     def expand_node(self, r: SearchNode) -> list[SearchNode]:
         """Successors of r admitted by the current interval.
 
-        Generates successors into r.children on first visit, then rereads
-        them. Successors at or above the upper bound, or already expanded,
-        are pruned for good and their children dropped; if that prunes all
-        of them, r itself is pruned and no later pass expands it.
+        On first visit generates successors at the current upper bound and
+        keeps the live ones in r.children; nodes_generated counts the dead
+        ones too. Later visits reread r.children. Successors at or above
+        the upper bound, or already expanded, are pruned for good and their
+        children dropped; if that prunes all of them, r itself is pruned and
+        no later pass expands it. The upper bound never rises, so a
+        successor dead when generated would have been pruned here at once.
         """
         stats = self.stats
         stats.nodes_expanded += 1
@@ -186,10 +189,11 @@ class SearchRun:
         if r.visits > stats.max_visits:
             stats.max_visits = r.visits
         if r.children is None:
-            r.children = self._generate(r)
-            stats.nodes_generated += len(r.children)
+            children = self._generate(r)
+            stats.nodes_generated += len(children)
             if stats.nodes_generated > self.node_budget:
                 raise _BudgetExceeded("nodes")
+            r.children = [n for n in children if n is not None]
         top = self.bs[-1]
         admitted = []
         all_safely_pruned = True

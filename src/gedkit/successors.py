@@ -27,8 +27,9 @@ class SearchNode:
     reproducible; ids of different runs are never compared.
 
     The search keeps its per-node state here: children is None until the
-    first expansion, then the generated successors, and () once the search
-    has no further use for them; visits counts the expansions.
+    first expansion, then the generated successors that were still live
+    (f below the upper bound) when they were generated, and () once the
+    search has no further use for them; visits counts the expansions.
     """
 
     __slots__ = ("id", "layer", "pairs", "g", "h", "f", "complete", "children", "visits")
@@ -127,7 +128,7 @@ def leaf_completion_cost(q: LabeledGraph, used_targets: Collection[int]) -> int:
 
 def _extend(r: SearchNode, g: LabeledGraph, q: LabeledGraph, classes: Sequence[Sequence[int]],
             dummy_only_when_forced: bool, order: Sequence[int],
-            heuristic: PairHeuristic | None) -> list[SearchNode]:
+            heuristic: PairHeuristic | None, ub: float) -> list[SearchNode | None]:
     """Successors of r: the smallest unmapped member of each target class,
     then the dummy target.
 
@@ -135,6 +136,11 @@ def _extend(r: SearchNode, g: LabeledGraph, q: LabeledGraph, classes: Sequence[S
     than target vertices remain unmapped, otherwise always. Once every source
     vertex is processed, a single leaf inserts all remaining target vertices.
     The heuristic bounds all children in one call.
+
+    A child whose f would be >= ub is dead on arrival and its slot holds
+    None, so the list still has one entry per generated successor. Its
+    edit cost is skipped when r.g + h already reaches ub, and it gets no
+    node once g + h does. The live nodes keep their creation order.
     """
     pairs = r.pairs
     # r is an inner node, so every pair has a real source: only the
@@ -145,8 +151,9 @@ def _extend(r: SearchNode, g: LabeledGraph, q: LabeledGraph, classes: Sequence[S
     n_g, n_q = g.n, q.n
     layer = r.layer + 1
     if depth >= n_g:
+        cost = r.g + leaf_completion_cost(q, preimage)
         inserted = tuple((None, z) for z in range(n_q) if z not in preimage)
-        return [SearchNode(layer, pairs + inserted, r.g + leaf_completion_cost(q, preimage), 0, True)]
+        return [SearchNode(layer, pairs + inserted, cost, 0, True) if cost < ub else None]
     u = order[depth]
     used = len(preimage)
     # Children are complete only on the last layer once every target is
@@ -164,30 +171,40 @@ def _extend(r: SearchNode, g: LabeledGraph, q: LabeledGraph, classes: Sequence[S
     hs = None
     if heuristic is not None and pending:
         hs = iter(heuristic.children(parent_map, preimage, u, pending))
-    succ = []
+    succ: list[SearchNode | None] = []
     for z, complete in kids:
-        delta = extension_cost(g, q, parent_map, u, z, preimage)
         h = 0 if complete or hs is None else next(hs)
-        succ.append(SearchNode(layer, pairs + ((u, z),), r.g + delta, h, complete))
+        if r.g + h >= ub:
+            succ.append(None)
+            continue
+        child_g = r.g + extension_cost(g, q, parent_map, u, z, preimage)
+        succ.append(SearchNode(layer, pairs + ((u, z),), child_g, h, complete) if child_g + h < ub else None)
     return succ
 
 
 def basic_gen_succr(r: SearchNode, g: LabeledGraph, q: LabeledGraph, order: Sequence[int],
-                    heuristic: PairHeuristic | None = None) -> list[SearchNode]:
-    """All successors of r: one per unmapped target plus a dummy, no reduction."""
-    return _extend(r, g, q, [(z,) for z in range(q.n)], False, order, heuristic)
+                    heuristic: PairHeuristic | None = None,
+                    ub: float = math.inf) -> list[SearchNode | None]:
+    """All successors of r: one per unmapped target plus a dummy, no reduction.
+
+    A successor with f >= ub is left as None in its slot (see _extend).
+    """
+    return _extend(r, g, q, [(z,) for z in range(q.n)], False, order, heuristic, ub)
 
 
 def gen_succr(r: SearchNode, g: LabeledGraph, q: LabeledGraph, part: VertexPartition,
-              order: Sequence[int], heuristic: PairHeuristic | None = None) -> list[SearchNode]:
+              order: Sequence[int], heuristic: PairHeuristic | None = None,
+              ub: float = math.inf) -> list[SearchNode | None]:
     """Reduced successors of r: class minima only, dummy only when forced.
 
     Per class of isomorphic target vertices, only the smallest unmapped
     member is extended; a dummy target is offered only while more source
     than target vertices remain unmapped. Cuts invalid and redundant
-    mappings from the tree while preserving the minimum cost.
+    mappings from the tree while preserving the minimum cost. A successor
+    with f >= ub is left as None in its slot, uncosted when its parent's g
+    plus its h already reach ub (see _extend).
     """
-    return _extend(r, g, q, part.classes, True, order, heuristic)
+    return _extend(r, g, q, part.classes, True, order, heuristic, ub)
 
 
 def make_root(g: LabeledGraph, q: LabeledGraph, heuristic: PairHeuristic | None = None) -> SearchNode:

@@ -365,6 +365,23 @@ def test_search_zero_beam_exit_code(square_star_db, tmp_path, capsys):
     assert "beam width" in capsys.readouterr().err
 
 
+def test_search_checks_flags_before_reading(square_star_db, capsys, monkeypatch):
+    # The database is never indexed and the query file never announced:
+    # the one line on stderr is the flag's error.
+    def refuse(*args, **kwargs):
+        raise AssertionError("GraphDatabase built before the flags were checked")
+
+    monkeypatch.setattr(GraphDatabase, "from_graphs", refuse)
+    argv = ["search", "--db", square_star_db, "--query", square_star_db, "--tau", "1"]
+    for flags, word in ((["--tau", "-1"], "threshold"), (["--beam", "0"], "beam width"),
+                        (["--budget", "0"], "node budget")):
+        assert main(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert word in captured.err
+
+
 def test_dist_bad_budget_exit_code(square_star_db, capsys):
     for budget in ("0", "-5"):
         assert main(["dist", square_star_db, "0", "1", "--budget", budget]) == 2

@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 
 from conftest import (
     PENDANT_PAIR_TEXT,
@@ -9,6 +11,9 @@ from conftest import (
     parse_pair,
     random_pair,
 )
+from gedkit import successors
+from gedkit.bounds import PairHeuristic
+from gedkit.engine import bss_ged
 from gedkit.graphs import vertex_partition
 from gedkit.mapping import GraphMapping, edit_cost
 from gedkit.successors import (
@@ -214,3 +219,54 @@ def test_empty_graph_edge_cases():
     layer_counts2, leaves2 = enumerate_search_tree(q, empty, reduced=True)
     assert len(leaves2) == 1
     assert leaves2[0].g == q.n + q.m
+
+
+def test_generators_leave_dead_successors_unbuilt(monkeypatch):
+    # Given ub, a generator returns one slot per successor it generates
+    # without ub: None where the child's f reaches ub, otherwise the same
+    # node in the same order. The edit cost runs only for children whose
+    # parent g plus own h stays below ub.
+    rng = random.Random(24)
+    calls = []
+    exact_cost = successors.extension_cost
+
+    def counting(g, q, parent_map, u, z, preimage):
+        calls.append((u, z))
+        return exact_cost(g, q, parent_map, u, z, preimage)
+
+    def fields(nodes):
+        return [(n.pairs, n.g, n.h, n.complete) for n in nodes]
+
+    monkeypatch.setattr(successors, "extension_cost", counting)
+    seen = Counter()
+    for _ in range(40):
+        g, q = random_pair(rng, max_n=6)
+        ged = bss_ged(g, q).distance
+        heuristic = PairHeuristic(g, q)
+        part = vertex_partition(q)
+        order = determine_order(g)
+        for reduced in (True, False):
+            def generate(node, ub=math.inf):
+                calls.clear()
+                if reduced:
+                    return gen_succr(node, g, q, part, order, heuristic, ub)
+                return basic_gen_succr(node, g, q, order, heuristic, ub)
+
+            node = make_root(g, q, heuristic)
+            while not node.complete:
+                full = generate(node)
+                fs = sorted({c.f for c in full})
+                # Every child f, one above the largest, the parent's f, the
+                # decision-mode bounds tau + 1 around the distance, and none.
+                for ub in {*fs, fs[-1] + 1, node.f, ged, ged + 1, math.inf}:
+                    kids = generate(node, ub)
+                    assert len(kids) == len(full)
+                    assert [k is None for k in kids] == [c.f >= ub for c in full]
+                    assert fields(k for k in kids if k is not None) == fields(c for c in full if c.f < ub)
+                    costed = [c for c in full if node.g + c.h < ub]
+                    assert calls == [c.pairs[-1] for c in costed if node.layer < g.n]
+                    seen["live"] += sum(c.f < ub for c in full)
+                    seen["costed, then dead"] += sum(c.f >= ub for c in costed)
+                    seen["dead uncosted"] += len(full) - len(costed)
+                node = rng.choice(full)
+    assert min(seen.values()) > 0, seen
