@@ -99,6 +99,11 @@ def check_search_args(w: int = DEFAULT_BEAM_WIDTH, node_budget: int = DEFAULT_NO
     node_budget >= 1; time_limit must be >= 0. A bool is an int subclass but
     not a count, so True and False are refused. Each bound is tested as
     `not x >= k`, so NaN fails it.
+
+    node_budget bounds generated nodes, the root and dead-on-arrival
+    children included, not expansions. The run checks it after each
+    expansion, so an exhausted run has generated more than node_budget
+    nodes, by at most one expansion's children (|V_Q| + 1).
     """
     if not _is_count(w) or not w >= 1:
         raise ValueError(f"beam width must be an int >= 1, got {w!r}")
@@ -129,6 +134,8 @@ class SearchRun:
     bound starts at tau + 1, which prunes everything beyond tau, and the
     first leaf accepted (the first entry of ub_history) ends the run.
     Every accepted leaf is checked against the edit cost of its mapping.
+    node_budget counts generated nodes and is checked after each expansion,
+    so only an exhausted run reports more (see check_search_args).
     """
 
     def __init__(self, g: LabeledGraph, q: LabeledGraph, w: int = DEFAULT_BEAM_WIDTH,

@@ -245,25 +245,19 @@ def enumerate_search_tree(g: LabeledGraph, q: LabeledGraph, reduced: bool = True
 def predicted_layer_count(l: int, n_g: int, n_q: int, class_sizes: Sequence[int]) -> int:
     """Predicted number of reduced-tree nodes in layer l.
 
-    Sums, over every admissible split of l processed vertices into the
-    target classes plus dummies, the number of distinct partial canonical
-    codes that split produces. Dummies are capped at max(0, |V_G| - |V_Q|),
-    the most the dummy rule ever admits along one path.
+    Each node is one partial canonical code: the sequence of targets that
+    the first l processed vertices take, a target class standing for its
+    members and the dummy for deletion. Class i occurs at most |C_i| times
+    and the dummy at most max(0, |V_G| - |V_Q|), the most the dummy rule
+    ever admits along one path. The count takes one symbol at a time:
+    ways[j] counts sequences of length j over the symbols taken so far,
+    and a symbol allowed s times fills x <= s of j positions in C(j, x)
+    ways. That is O((lambda + 1) * l * min(l, max |C_i|)) integer steps.
     """
     if not 0 <= l <= n_g:
         raise ValueError(f"layer {l} out of range 0..{n_g}")
-    dummy_cap = max(0, n_g - n_q)
-    total = 0
-    fact_l = math.factorial(l)
-
-    def rec(idx: int, left: int, denom: int):
-        nonlocal total
-        if idx == len(class_sizes):
-            if left <= dummy_cap:
-                total += fact_l // (denom * math.factorial(left))
-            return
-        for x in range(min(left, class_sizes[idx]) + 1):
-            rec(idx + 1, left - x, denom * math.factorial(x))
-
-    rec(0, l, 1)
-    return total
+    ways = [1] + [0] * l
+    for cap in (*class_sizes, max(0, n_g - n_q)):
+        ways = [sum(math.comb(j, x) * ways[j - x] for x in range(min(j, cap) + 1))
+                for j in range(l + 1)]
+    return ways[l]

@@ -321,6 +321,30 @@ def test_rejects_bad_budgets(square_star):
     assert bss_ged(g, q, node_budget=1).reason == "nodes"
 
 
+def test_node_budget_counts_generated_nodes():
+    # The budget bounds generated nodes, dead-on-arrival children included,
+    # and is checked after each expansion: an exhausted run stops past it by
+    # at most one expansion's children (every target plus the dummy), and a
+    # finished run stays within it.
+    rng = random.Random(64)
+    seen = {"exhausted": 0, "finished": 0}
+    for _ in range(40):
+        g, q = random_pair(rng, max_n=7)
+        for budget in (1, 5, 20, 100):
+            for succ_policy in ("reduced", "basic"):
+                res = bss_ged(g, q, 5, node_budget=budget, succ_policy=succ_policy)
+                generated = res.stats.nodes_generated
+                if res.status == BUDGET_EXHAUSTED:
+                    assert res.reason == "nodes"
+                    assert budget < generated <= budget + q.n + 1
+                    seen["exhausted"] += 1
+                else:
+                    assert res.status == EXACT
+                    assert generated <= budget
+                    seen["finished"] += 1
+    assert min(seen.values()) > 0, seen
+
+
 def test_stats_shapes(square_star):
     g, q = square_star
     res = bss_ged(g, q, 15)

@@ -1,6 +1,9 @@
+import itertools
 import math
 import random
 from collections import Counter
+
+import pytest
 
 from conftest import (
     PENDANT_PAIR_TEXT,
@@ -141,6 +144,38 @@ def test_predicted_layer_counts_match_actual_trees():
             layer_counts, _ = enumerate_search_tree(g, q, reduced=True, order=order)
             predicted = [predicted_layer_count(l, g.n, q.n, sizes) for l in range(g.n + 1)]
             assert layer_counts == predicted
+
+
+def test_predicted_layer_counts_match_brute_force():
+    # Layer l holds one node per sequence of l symbols over the target
+    # classes and the dummy, class i used at most |C_i| times and the dummy
+    # at most max(0, n_g - n_q) times.
+    rng = random.Random(36)
+    for _ in range(150):
+        n_q = rng.randint(0, 6)
+        n_g = rng.randint(0, 8)
+        sizes = []
+        while sum(sizes) < n_q:
+            sizes.append(rng.randint(1, n_q - sum(sizes)))
+        caps = sizes + [max(0, n_g - n_q)]
+        for l in range(min(n_g, 6) + 1):
+            brute = sum(
+                all(Counter(seq)[i] <= cap for i, cap in enumerate(caps))
+                for seq in itertools.product(range(len(caps)), repeat=l)
+            )
+            assert predicted_layer_count(l, n_g, n_q, sizes) == brute, (l, n_g, n_q, sizes)
+
+
+def test_predicted_layer_count_many_classes():
+    # 1,200 singleton classes, more than Python's default recursion limit
+    # of frames: layer 3 holds every ordered choice of three distinct targets.
+    assert predicted_layer_count(3, 1200, 1200, [1] * 1200) == 1200 * 1199 * 1198
+
+
+def test_predicted_layer_count_rejects_layer_out_of_range():
+    for l in (-1, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            predicted_layer_count(l, 4, 4, [2, 2])
 
 
 def test_reduced_leaves_have_max_size_length():
