@@ -312,12 +312,6 @@ def lb_from_branches(a: Sequence[Branch], b: Sequence[Branch], tau: int | None =
     return -(-value // 2), assignment
 
 
-def branch_bound(g: LabeledGraph, q: LabeledGraph) -> int:
-    """Lower bound on ged(g, q) from vertex branches (see lb_from_branches)."""
-    require_shared_table(g, q)
-    return lb_from_branches(vertex_branches(g), vertex_branches(q))[0]
-
-
 def _source_side(g: LabeledGraph, sources: Sequence[int]) -> tuple:
     """The source half of the remainder bounds once `sources` are mapped.
 

@@ -12,13 +12,14 @@ from .engine import (
     BUDGET_EXHAUSTED,
     DEFAULT_BEAM_WIDTH,
     DEFAULT_NODE_BUDGET,
+    EXACT,
     bss_ged,
     check_search_args,
 )
 from .graphs import GraphFormatError, parse_graph_db, serialize_graph_db, vertex_partition
 from .oracle import exhaustive_ged
 from .simsearch import GraphDatabase, range_query
-from .successors import determine_order, predicted_layer_count
+from .successors import determine_order, predicted_layer_counts
 from .synth import random_graph_db
 
 EXIT_OK = 0
@@ -169,11 +170,9 @@ def cmd_inspect(args) -> int:
     payload = {
         "g": args.id1,
         "q": args.id2,
-        "partition": {"lambda": part.lambda_q, "classes": [list(c) for c in part.classes]},
+        "partition": {"lambda": len(part.classes), "classes": [list(c) for c in part.classes]},
         "order": list(determine_order(g)),
-        "predicted_layer_counts": [
-            predicted_layer_count(l, g.n, q.n, sizes) for l in range(g.n + 1)
-        ],
+        "predicted_layer_counts": predicted_layer_counts(g.n, g.n, q.n, sizes),
     }
     if args.bounds:
         d1, d2 = delta_bounds(g, q)
@@ -185,6 +184,10 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # An explicit empty list is refused rather than read as "all graphs".
+    for flag, value in (("--queries", args.queries), ("--targets", args.targets)):
+        if value == "":
+            _usage_error(f"{flag} names no graph id")
     graphs = _load_graphs(args.db)
     queries = [int(x) for x in args.queries.split(",")] if args.queries else list(graphs)
     targets = [int(x) for x in args.targets.split(",")] if args.targets else list(graphs)
@@ -200,7 +203,7 @@ def cmd_bench(args) -> int:
                 node_budget=args.budget, time_limit=args.time_limit,
             )
             ms = (time.perf_counter() - t0) * 1000.0
-            solved += result.is_exact
+            solved += result.status == EXACT
             rows.append({
                 "query": qid,
                 "target": tid,

@@ -82,10 +82,6 @@ class GedResult:
     reason: str | None = None
     mapping: GraphMapping | None = None
 
-    @property
-    def is_exact(self) -> bool:
-        return self.status == EXACT
-
 
 def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)

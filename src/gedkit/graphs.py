@@ -154,10 +154,6 @@ class VertexPartition:
 
     classes: tuple[tuple[int, ...], ...]
 
-    @property
-    def lambda_q(self) -> int:
-        return len(self.classes)
-
 
 def vertex_partition(q: LabeledGraph) -> VertexPartition:
     """Group vertices of q by (label, labeled neighborhood) equivalence.

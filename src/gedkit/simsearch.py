@@ -75,9 +75,8 @@ class GraphDatabase:
         return db
 
     @classmethod
-    def from_text(cls, text: str, table: LabelTable | None = None) -> "GraphDatabase":
-        entries, table = parse_graph_db(text, table)
-        return cls.from_graphs(entries, table)
+    def from_text(cls, text: str) -> "GraphDatabase":
+        return cls.from_graphs(*parse_graph_db(text))
 
     def __len__(self):
         return len(self.graphs)
@@ -120,9 +119,9 @@ def filter_candidates(db: GraphDatabase, query: LabeledGraph, tau: int) -> list[
     need units (0 <= slack <= tau in an admissible bucket). Misses are
     counted for the whole bucket at once, saturating at slack + 1: at[j]
     holds the graphs that have missed more than j units so far, and a unit
-    whose mask is `mask` is missed by miss = full & ~mask. When need <= 0
-    the count test refutes nothing (a graph sharing no label with the query
-    may still pass), so the whole bucket goes to the pair bound.
+    whose mask is `mask` is missed by miss = full & ~mask. need <= 0 needs
+    no special case: then slack >= n_q + m_q, no graph can miss more units
+    than the query has, and the whole bucket goes to the pair bound.
     The graphs not returned cannot be within tau of the query.
     """
     check_search_args(threshold=tau)
@@ -135,28 +134,25 @@ def filter_candidates(db: GraphDatabase, query: LabeledGraph, tau: int) -> list[
     for (n, m), bucket in db.size_index.items():
         if abs(n - n_q) + abs(m - m_q) > tau:
             continue
-        members = bucket
-        need = max(n, n_q) + max(m, m_q) - tau
-        if need > 0:
-            full = (1 << len(bucket)) - 1
-            slack = n_q + m_q - need
-            at = [0] * (slack + 1)
-            for masks, counts in ((db.vertex_masks[n, m], qsum.vertex_labels),
-                                  (db.edge_masks[n, m], qsum.edge_labels)):
-                for lab, count in counts.items():
-                    levels = masks.get(lab, ())
-                    for k in range(count):
-                        miss = full ^ levels[k] if k < len(levels) else full
-                        for j in range(slack, 0, -1):
-                            at[j] |= at[j - 1] & miss
-                        at[0] |= miss
-            alive = full ^ at[slack]
-            members = []
-            while alive:
-                low = alive & -alive
-                members.append(bucket[low.bit_length() - 1])
-                alive ^= low
-        hits.extend(pos for pos in members if lb_from_summaries(summaries[ids[pos]], qsum) <= tau)
+        full = (1 << len(bucket)) - 1
+        slack = n_q + m_q - (max(n, n_q) + max(m, m_q) - tau)
+        at = [0] * (slack + 1)
+        for masks, counts in ((db.vertex_masks[n, m], qsum.vertex_labels),
+                              (db.edge_masks[n, m], qsum.edge_labels)):
+            for lab, count in counts.items():
+                levels = masks.get(lab, ())
+                for k in range(count):
+                    miss = full ^ levels[k] if k < len(levels) else full
+                    for j in range(slack, 0, -1):
+                        at[j] |= at[j - 1] & miss
+                    at[0] |= miss
+        alive = full ^ at[slack]
+        while alive:
+            low = alive & -alive
+            pos = bucket[low.bit_length() - 1]
+            if lb_from_summaries(summaries[ids[pos]], qsum) <= tau:
+                hits.append(pos)
+            alive ^= low
     hits.sort()
     return [ids[pos] for pos in hits]
 

@@ -243,16 +243,23 @@ def enumerate_search_tree(g: LabeledGraph, q: LabeledGraph, reduced: bool = True
 
 
 def predicted_layer_count(l: int, n_g: int, n_q: int, class_sizes: Sequence[int]) -> int:
-    """Predicted number of reduced-tree nodes in layer l.
+    """Predicted number of reduced-tree nodes in layer l (see
+    predicted_layer_counts)."""
+    return predicted_layer_counts(l, n_g, n_q, class_sizes)[l]
 
-    Each node is one partial canonical code: the sequence of targets that
-    the first l processed vertices take, a target class standing for its
-    members and the dummy for deletion. Class i occurs at most |C_i| times
-    and the dummy at most max(0, |V_G| - |V_Q|), the most the dummy rule
-    ever admits along one path. The count takes one symbol at a time:
-    ways[j] counts sequences of length j over the symbols taken so far,
-    and a symbol allowed s times fills x <= s of j positions in C(j, x)
-    ways. That is O((lambda + 1) * l * min(l, max |C_i|)) integer steps.
+
+def predicted_layer_counts(l: int, n_g: int, n_q: int, class_sizes: Sequence[int]) -> list[int]:
+    """Predicted numbers of reduced-tree nodes in layers 0..l, from one run.
+
+    A node of layer j is one partial canonical code: the sequence of
+    targets that the first j processed vertices take, a target class
+    standing for its members and the dummy for deletion. Class i occurs at
+    most |C_i| times and the dummy at most max(0, |V_G| - |V_Q|), the most
+    the dummy rule ever admits along one path. The count takes one symbol
+    at a time: ways[j] counts sequences of length j over the symbols taken
+    so far, and a symbol allowed s times fills x <= s of j positions in
+    C(j, x) ways. That is O((lambda + 1) * l * min(l, max |C_i|)) integer
+    steps.
     """
     if not 0 <= l <= n_g:
         raise ValueError(f"layer {l} out of range 0..{n_g}")
@@ -260,4 +267,4 @@ def predicted_layer_count(l: int, n_g: int, n_q: int, class_sizes: Sequence[int]
     for cap in (*class_sizes, max(0, n_g - n_q)):
         ways = [sum(math.comb(j, x) * ways[j - x] for x in range(min(j, cap) + 1))
                 for j in range(l + 1)]
-    return ways[l]
+    return ways

@@ -25,8 +25,6 @@ def random_graph(rng: random.Random, n: int, density: float,
         raise ValueError("label alphabet sizes must be >= 1")
     max_edges = n * (n - 1) // 2
     m = round(density * max_edges)
-    if m > max_edges:
-        raise ValueError(f"{m} edges infeasible for {n} vertices")
     labels = [table.intern(_vertex_token(rng.randrange(n_vertex_labels))) for _ in range(n)]
     pairs = sorted(rng.sample(list(itertools.combinations(range(n), 2)), m))
     edges = [(u, v, table.intern(_edge_token(rng.randrange(n_edge_labels)))) for u, v in pairs]
@@ -34,16 +32,14 @@ def random_graph(rng: random.Random, n: int, density: float,
 
 
 def random_graph_db(seed: int, count: int, n_min: int, n_max: int, density: float,
-                    n_vertex_labels: int, n_edge_labels: int,
-                    table: LabelTable | None = None):
+                    n_vertex_labels: int, n_edge_labels: int):
     """Seed-deterministic database of `count` random graphs with ids 0..count-1."""
     if count < 0:
         raise ValueError(f"graph count must be >= 0, got {count}")
     if n_min < 0 or n_max < n_min:
         raise ValueError(f"bad vertex range [{n_min}, {n_max}]")
     rng = random.Random(seed)
-    if table is None:
-        table = LabelTable()
+    table = LabelTable()
     entries = []
     for gid in range(count):
         n = rng.randint(n_min, n_max)

@@ -105,9 +105,9 @@ def identity_mapping(g: LabeledGraph) -> GraphMapping:
 # Canonical codes of the paper's reduction claims: the reduced generator
 # keeps exactly one mapping per code, the first under code_compare.
 def canonical_code(psi: GraphMapping, part: VertexPartition) -> tuple[int, ...]:
-    """Per-pair sequence of 1-based target class indices; dummies get lambda_q + 1."""
+    """Per-pair sequence of 1-based target class indices; dummies get the class count + 1."""
     class_of = {v: i for i, members in enumerate(part.classes, start=1) for v in members}
-    return tuple(class_of.get(t, part.lambda_q + 1) for _, t in psi.pairs)
+    return tuple(class_of.get(t, len(part.classes) + 1) for _, t in psi.pairs)
 
 
 def code_compare(psi: GraphMapping, other: GraphMapping, part: VertexPartition) -> int:

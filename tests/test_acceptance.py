@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from conftest import SQUARE_STAR_TEXT, canonical_code, unmapped_parts
 from gedkit.bounds import PairHeuristic, lb_graph, remainder_bounds
 from gedkit.cli import main
-from gedkit.engine import bss_ged
+from gedkit.engine import EXACT, bss_ged
 from gedkit.graphs import LabelTable, vertex_partition
 from gedkit.mapping import GraphMapping, edit_cost, realize_edit_path
 from gedkit.oracle import check_edit_path, exhaustive_ged
@@ -48,7 +48,7 @@ def test_criterion_01_square_star_distance(square_star, tmp_path):
             t0 = time.perf_counter()
             res = bss_ged(g, q, w)
             elapsed = time.perf_counter() - t0
-            assert res.is_exact and res.distance == 4
+            assert res.status == EXACT and res.distance == 4
             assert elapsed < 1.0
             assert main(["dist", str(db), "0", "1", "--beam", str(w), "--json"]) == 0
 
@@ -101,7 +101,7 @@ def test_criterion_06_oracle_equivalence_sweep(sweep):
         for pair in sweep:
             for w in WIDTHS:
                 res = bss_ged(pair.g, pair.q, w)
-                assert res.is_exact
+                assert res.status == EXACT
                 assert res.distance == pair.oracle.distance
         engine_seconds = time.perf_counter() - t0
         assert sweep.oracle_seconds + engine_seconds < 300
@@ -144,7 +144,7 @@ def test_criterion_08_reduction_properties(sweep):
             basic_leaf_count = pair.oracle.mappings_enumerated
             assert len(leaves) <= basic_leaf_count
             assert min(leaf.g for leaf in leaves) == pair.oracle.distance
-            if part.lambda_q < q.n:
+            if len(part.classes) < q.n:
                 assert len(leaves) < basic_leaf_count
             codes = [canonical_code(GraphMapping(leaf.pairs, g.n, q.n), part) for leaf in leaves]
             assert len(codes) == len(set(codes))

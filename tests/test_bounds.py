@@ -9,7 +9,6 @@ from conftest import build_graph, random_pair, unmapped_parts
 from gedkit.bounds import (
     PairHeuristic,
     _levels,
-    branch_bound,
     delta_bounds,
     lb_from_branches,
     lb_graph,
@@ -38,10 +37,10 @@ def as_mapping(pairs, g, q):
 
 
 @pytest.mark.parametrize("pairwise", [
-    lb_graph, branch_bound, delta_bounds,
+    lb_graph, delta_bounds, bss_ged,
     lambda g, q: edit_cost(GraphMapping(((0, 0),), 1, 1), g, q),
     lambda g, q: realize_edit_path(GraphMapping(((0, 0),), 1, 1), g, q),
-], ids=["lb_graph", "branch_bound", "delta_bounds", "edit_cost", "realize_edit_path"])
+], ids=["lb_graph", "delta_bounds", "bss_ged", "edit_cost", "realize_edit_path"])
 def test_pairwise_calls_need_one_label_table(pairwise):
     # One 'A' vertex each, interned as id 2 in one table and id 1 in the
     # other: compared as raw ids, the labels would differ although ged is 0.
@@ -610,6 +609,12 @@ def test_branch_stage_decides_like_full_bound():
         assert all(len(row) == len(qb) for row in rows.values())
     assert refuted > 100 and kept > 100
 
+
+def full_branch_bound(g: LabeledGraph, q: LabeledGraph) -> int:
+    """The vertex-branch bound of the whole graphs, without tau."""
+    return lb_from_branches(vertex_branches(g), vertex_branches(q))[0]
+
+
 def test_branch_bound_below_oracle(sweep):
     pairs = [(p.g, p.q, p.oracle.distance) for p in sweep]
     rng = random.Random(48)
@@ -621,7 +626,7 @@ def test_branch_bound_below_oracle(sweep):
     assert max(max(g.n, q.n) for g, q, _ in pairs) == 8
     tight = 0
     for g, q, ged in pairs:
-        bound = branch_bound(g, q)
+        bound = full_branch_bound(g, q)
         assert bound <= ged
         tight += bound == ged
     assert tight >= len(pairs) // 2
@@ -656,14 +661,14 @@ def test_branch_bound_below_bss_ged_on_larger_graphs():
         g = random_graph(rng, rng.randint(9, 12), rng.choice((0.2, 0.3, 0.5)),
                          rng.choice((2, 3, 5)), rng.choice((1, 2, 3)), table)
         q = perturbed(rng, g, rng.randint(1, 8), 12)
-        assert branch_bound(g, q) <= bss_ged(g, q).distance
+        assert full_branch_bound(g, q) <= bss_ged(g, q).distance
 
 
 def test_branch_bound_symmetric_and_empty():
     rng = random.Random(50)
     for _ in range(200):
         g, q = random_pair(rng, max_n=10, min_n=0)
-        assert branch_bound(g, q) == branch_bound(q, g)
+        assert full_branch_bound(g, q) == full_branch_bound(q, g)
         empty = LabeledGraph([], [], g.table)
-        assert branch_bound(g, empty) == branch_bound(empty, g) == g.n + g.m
-    assert branch_bound(empty, empty) == 0
+        assert full_branch_bound(g, empty) == full_branch_bound(empty, g) == g.n + g.m
+    assert full_branch_bound(empty, empty) == 0

@@ -3,9 +3,11 @@ import json
 import pytest
 
 from conftest import SQUARE_STAR_TEXT, PENDANT_PAIR_TEXT
+from gedkit import cli, successors
 from gedkit.cli import main
-from gedkit.graphs import parse_graph_db
+from gedkit.graphs import parse_graph_db, serialize_graph_db, vertex_partition
 from gedkit.simsearch import GraphDatabase
+from gedkit.synth import random_graph_db
 
 
 @pytest.fixture
@@ -219,6 +221,33 @@ def test_inspect_json(square_star_db, capsys):
     assert "lb" not in payload
 
 
+def test_inspect_runs_layer_recurrence_once(tmp_path, capsys, monkeypatch):
+    # Every layer's count comes from one run of the recurrence, and the
+    # output is the line the per-layer counts would print.
+    path = tmp_path / "pair.txt"
+    entries, _ = random_graph_db(0, 2, 9, 12, 0.3, 3, 2)
+    path.write_text(serialize_graph_db(entries))
+    (_, g), (_, q) = entries
+    assert g.n > q.n  # so that dummies occur
+    runs = []
+    recurrence = successors.predicted_layer_counts
+
+    def counted(*args):
+        runs.append(args)
+        return recurrence(*args)
+
+    monkeypatch.setattr(successors, "predicted_layer_counts", counted)
+    monkeypatch.setattr(cli, "predicted_layer_counts", counted)
+    assert main(["inspect", str(path), "0", "1"]) == 0
+    out = capsys.readouterr().out
+    assert len(runs) == 1
+    payload = json.loads(out)
+    sizes = [len(c) for c in vertex_partition(q).classes]
+    per_layer = [successors.predicted_layer_count(l, g.n, q.n, sizes) for l in range(g.n + 1)]
+    assert payload["predicted_layer_counts"] == per_layer
+    assert out == json.dumps(payload) + "\n"
+
+
 def test_inspect_bounds(square_star_db, capsys):
     code, payload = run_json(capsys, ["inspect", square_star_db, "0", "1", "--bounds"])
     assert code == 0
@@ -395,6 +424,17 @@ def test_bench_negative_time_limit_exit_code(square_star_db, capsys):
         assert main(argv + ["--json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "time limit" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--queries", "--targets"])
+def test_bench_empty_id_list_exit_code(square_star_db, capsys, flag):
+    # An explicit empty list is a usage error, not "every graph".
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", square_star_db, flag, "", "--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} names no graph id\n"
 
 
 def test_gen_negative_count_exit_code(tmp_path, capsys):

@@ -27,7 +27,7 @@ def test_square_star_all_widths_under_a_second(square_star):
     for w in WIDTHS:
         t0 = time.perf_counter()
         res = bss_ged(g, q, w)
-        assert res.is_exact and res.distance == 4
+        assert res.status == EXACT and res.distance == 4
         assert time.perf_counter() - t0 < 1.0
 
 
@@ -43,7 +43,7 @@ def test_oracle_equivalence_all_widths(small_sweep):
     for pair in small_sweep:
         for w in WIDTHS:
             res = bss_ged(pair.g, pair.q, w)
-            assert res.is_exact
+            assert res.status == EXACT
             assert res.distance == pair.oracle.distance, (
                 f"w={w}: got {res.distance}, oracle {pair.oracle.distance}"
             )
@@ -118,7 +118,7 @@ def test_interval_discipline_stepped(square_star):
 def test_w1_expands_at_most_one_node_per_layer_per_pass(pendant_pair):
     g, q = pendant_pair
     res = bss_ged(g, q, 1)
-    assert res.is_exact
+    assert res.status == EXACT
     # Each pass walks down at most one node per layer.
     assert res.stats.nodes_expanded <= res.stats.passes * (g.n + 2)
 
@@ -139,7 +139,7 @@ def test_budget_exhaustion():
     assert res.reason == "nodes"
     assert res.distance is None
     exact = bss_ged(g, q, 50)
-    assert exact.is_exact
+    assert exact.status == EXACT
     assert exact.reason is None
     if res.upper_bound is not None:
         assert res.upper_bound >= exact.distance
@@ -470,6 +470,6 @@ def test_policies_agree_beyond_oracle():
                 for w in (1, 15):
                     for x, y in ((a, b), (b, a)):
                         res = bss_ged(graphs[x], graphs[y], w, order_policy=order, succ_policy=succ)
-                        assert res.is_exact
+                        assert res.status == EXACT
                         distances.add(res.distance)
         assert len(distances) == 1, (a, b, distances)

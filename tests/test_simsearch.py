@@ -4,7 +4,7 @@ import pytest
 
 from conftest import SQUARE_STAR_TEXT, adjacency_built, build_graph, random_pair
 from gedkit import simsearch
-from gedkit.bounds import branch_bound, lb_from_summaries, summarize
+from gedkit.bounds import lb_from_branches, lb_from_summaries, summarize, vertex_branches
 from gedkit.engine import ABOVE_BOUND, BUDGET_EXHAUSTED, WITHIN_THRESHOLD, bss_ged
 from gedkit.graphs import LabelTable, LabeledGraph, serialize_graph_db
 from gedkit.mapping import edit_cost, realize_edit_path
@@ -282,6 +282,7 @@ def test_indexed_filter_equals_full_scan(monkeypatch):
     count_refuted = {}  # corpus seed -> share of the graphs it tests that the count test drops
     vertex_refuted = {}  # the same share for a count test of vertex labels alone
     disjoint_kept = 0
+    zero_need = 0  # admissible size buckets whose need is <= 0
     for seed, count, (n_min, n_max), n_labels, n_edge_labels, (q_min, q_max) in FILTER_CORPORA:
         density = rng.choice((0.1, 0.3, 0.5, 0.8))
         entries, table = random_graph_db(seed, count, n_min, n_max, density, n_labels, n_edge_labels)
@@ -312,6 +313,7 @@ def test_indexed_filter_equals_full_scan(monkeypatch):
                 vertex_dropped += sum(1 for s in near
                                       if _shared_vertex_labels(s, qsum) < max(s.n, qsum.n) - tau)
                 tested += sum(1 for s in near if max(s.n, qsum.n) + max(s.m, qsum.m) > tau)
+                zero_need += len({(s.n, s.m) for s in near if max(s.n, qsum.n) + max(s.m, qsum.m) <= tau})
                 if query.n:
                     disjoint_kept += sum(1 for gid in scan if db.graphs[gid].n
                                          and _shared_units(db.summaries[gid], qsum) == 0)
@@ -327,7 +329,8 @@ def test_indexed_filter_equals_full_scan(monkeypatch):
                 assert res.candidate_count == len(scan)
                 assert res.filtered_count == len(db) - len(scan)
                 # The branch stage refutes only what the engine refutes too.
-                refuted = [gid for gid in scan if branch_bound(db.graphs[gid], query) > tau]
+                refuted = [gid for gid in scan if lb_from_branches(
+                    vertex_branches(db.graphs[gid]), vertex_branches(query))[0] > tau]
                 assert all(outcomes[gid].status == ABOVE_BOUND for gid in refuted)
                 assert res.branch_refuted == len(refuted)
                 assert res.branch_refuted <= res.candidate_count - len(res.matches)
@@ -342,6 +345,7 @@ def test_indexed_filter_equals_full_scan(monkeypatch):
     assert vertex_refuted[7] == 0 and count_refuted[7] > 0.1
     assert all(count_refuted[seed] > vertex_refuted[seed] for seed in count_refuted)
     assert disjoint_kept > 0
+    assert zero_need > 0
 
 
 def test_database_builds_no_adjacency():

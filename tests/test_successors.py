@@ -27,6 +27,7 @@ from gedkit.successors import (
     identity_order,
     make_root,
     predicted_layer_count,
+    predicted_layer_counts,
 )
 
 
@@ -158,12 +159,15 @@ def test_predicted_layer_counts_match_brute_force():
         while sum(sizes) < n_q:
             sizes.append(rng.randint(1, n_q - sum(sizes)))
         caps = sizes + [max(0, n_g - n_q)]
+        per_layer = []
         for l in range(min(n_g, 6) + 1):
             brute = sum(
                 all(Counter(seq)[i] <= cap for i, cap in enumerate(caps))
                 for seq in itertools.product(range(len(caps)), repeat=l)
             )
             assert predicted_layer_count(l, n_g, n_q, sizes) == brute, (l, n_g, n_q, sizes)
+            per_layer.append(brute)
+        assert predicted_layer_counts(len(per_layer) - 1, n_g, n_q, sizes) == per_layer
 
 
 def test_predicted_layer_count_many_classes():
@@ -174,8 +178,9 @@ def test_predicted_layer_count_many_classes():
 
 def test_predicted_layer_count_rejects_layer_out_of_range():
     for l in (-1, 5):
-        with pytest.raises(ValueError, match="out of range"):
-            predicted_layer_count(l, 4, 4, [2, 2])
+        for count in (predicted_layer_count, predicted_layer_counts):
+            with pytest.raises(ValueError, match="out of range"):
+                count(l, 4, 4, [2, 2])
 
 
 def test_reduced_leaves_have_max_size_length():
@@ -199,7 +204,7 @@ def test_reduced_subset_of_basic_with_equal_minimum():
         assert reduced_costs <= basic_costs
         assert min(reduced_costs) == min(basic_costs)
         assert len(reduced_leaves) <= len(basic_leaves)
-        if vertex_partition(q).lambda_q < q.n:
+        if len(vertex_partition(q).classes) < q.n:
             assert len(reduced_leaves) < len(basic_leaves)
 
 
