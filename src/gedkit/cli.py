@@ -184,13 +184,9 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    # An explicit empty list is refused rather than read as "all graphs".
-    for flag, value in (("--queries", args.queries), ("--targets", args.targets)):
-        if value == "":
-            _usage_error(f"{flag} names no graph id")
     graphs = _load_graphs(args.db)
-    queries = [int(x) for x in args.queries.split(",")] if args.queries else list(graphs)
-    targets = [int(x) for x in args.targets.split(",")] if args.targets else list(graphs)
+    queries = [int(x) for x in args.queries.split(",")] if args.queries is not None else list(graphs)
+    targets = [int(x) for x in args.targets.split(",")] if args.targets is not None else list(graphs)
     rows = []
     solved = 0
     for qid in queries:

@@ -116,12 +116,14 @@ def filter_candidates(db: GraphDatabase, query: LabeledGraph, tau: int) -> list[
 
     The query has n_q + m_q label units, and a graph matches vinter +
     einter of them, so it passes when it misses at most slack = n_q + m_q -
-    need units (0 <= slack <= tau in an admissible bucket). Misses are
-    counted for the whole bucket at once, saturating at slack + 1: at[j]
-    holds the graphs that have missed more than j units so far, and a unit
-    whose mask is `mask` is missed by miss = full & ~mask. need <= 0 needs
-    no special case: then slack >= n_q + m_q, no graph can miss more units
-    than the query has, and the whole bucket goes to the pair bound.
+    max(need, 0) units (0 <= slack <= min(tau, n_q + m_q) in an admissible
+    bucket). Misses are counted for the whole bucket at once, saturating at
+    slack + 1: at[j] holds the graphs that have missed more than j units so
+    far, and a unit whose mask is `mask` is missed by miss = full & ~mask.
+    need <= 0 needs no special case: then slack = n_q + m_q, no graph can
+    miss more units than the query has, and the whole bucket goes to the
+    pair bound. Capping need at 0 keeps the miss table as small as the
+    query however large tau is.
     The graphs not returned cannot be within tau of the query.
     """
     check_search_args(threshold=tau)
@@ -135,7 +137,7 @@ def filter_candidates(db: GraphDatabase, query: LabeledGraph, tau: int) -> list[
         if abs(n - n_q) + abs(m - m_q) > tau:
             continue
         full = (1 << len(bucket)) - 1
-        slack = n_q + m_q - (max(n, n_q) + max(m, m_q) - tau)
+        slack = n_q + m_q - max(0, max(n, n_q) + max(m, m_q) - tau)
         at = [0] * (slack + 1)
         for masks, counts in ((db.vertex_masks[n, m], qsum.vertex_labels),
                               (db.edge_masks[n, m], qsum.edge_labels)):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -30,6 +31,24 @@ def test_filter_large_tau_keeps_everything(small_db):
     db, query, _ = small_db
     tau = max(g.n + g.m for g in db.graphs.values()) + query.n + query.m
     assert filter_candidates(db, query, tau) == list(db.ids)
+
+
+def test_filter_huge_tau_stays_small(small_db):
+    # need is capped at 0, so the miss table has at most n_q + m_q + 1
+    # entries however large tau is; uncapped, tau = 10**5 alone would build
+    # a list of 800 kB per bucket.
+    db, query, _ = small_db
+    tracemalloc.start()
+    try:
+        assert filter_candidates(db, query, 10**5) == list(db.ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000
+    assert filter_candidates(db, query, 10**9) == list(db.ids)
+    res = range_query(db, query, 10**9)
+    assert [m.graph_id for m in res.matches] == sorted(db.ids)
+    assert res.unknowns == [] and res.filtered_count == 0
 
 
 def test_filter_tau_zero_keeps_self(square_star):
