@@ -137,11 +137,14 @@ def cmd_search(args) -> int:
     if args.json:
         print(json.dumps(payload))
     else:
+        # Unknowns ran out of node budget undecided; they are listed below,
+        # not counted as engine verdicts.
+        engine = res.candidate_count - res.branch_refuted - res.certified - len(res.unknowns)
         print(f"{len(res.matches)} matches within tau={args.tau} "
               f"({res.filtered_count} filtered, {res.candidate_count} candidates: "
               f"{res.branch_refuted} refuted by branch bound, "
               f"{res.certified} certified by assignment, "
-              f"{res.candidate_count - res.branch_refuted - res.certified} verified by engine, "
+              f"{engine} verified by engine, "
               f"{ms:.1f}ms)")
         for m in res.matches:
             print(f"  graph {m.graph_id}: ged <= {m.bound}")

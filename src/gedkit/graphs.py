@@ -36,6 +36,9 @@ class LabelTable:
         return lid
 
     def token(self, label_id: int) -> str:
+        """The token interned as label_id; ValueError for an id never issued."""
+        if not 0 <= label_id < len(self._tokens):
+            raise ValueError(f"label id {label_id} was never issued by this table")
         return self._tokens[label_id]
 
 
@@ -53,17 +56,18 @@ class LabeledGraph:
       edge and ``adjacency[u].get(v)`` reads its label, in either orientation.
       All isolated vertices share one empty map.
 
-    ``adjacency`` is built from ``edges`` on its first read (see _Unbuilt);
-    later reads are plain slot reads. A database graph that only the filter
-    reads never builds it, and the per-vertex maps are most of a parsed
-    graph's memory. Threads that read it first at the same time may each
-    build an equal copy.
+    ``adjacency`` is a property that builds the maps from ``edges`` on its
+    first read and keeps them. A database graph that only the filter reads
+    never builds them, and the per-vertex maps are most of a parsed graph's
+    memory. Threads that read it first at the same time may each build an
+    equal copy. A graph's type never changes, so subclasses, with or
+    without ``__slots__``, keep their own type and methods.
 
     The attributes cannot be reassigned or deleted, so ``==``, ``hash`` and
     the two edge stores always agree.
     """
 
-    __slots__ = ("vertex_labels", "edges", "adjacency", "table")
+    __slots__ = ("vertex_labels", "edges", "_adjacency", "table")
 
     def __init__(self, vertex_labels, edges, table: LabelTable):
         vertex_labels = tuple(vertex_labels)
@@ -86,7 +90,7 @@ class LabeledGraph:
         init(self, "vertex_labels", vertex_labels)
         init(self, "edges", tuple(canon))
         init(self, "table", table)
-        init(self, "__class__", _Unbuilt)  # until adjacency is first read
+        init(self, "_adjacency", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LabeledGraph is immutable; cannot set {name!r}")
@@ -96,6 +100,18 @@ class LabeledGraph:
 
     def __reduce__(self):
         return LabeledGraph, (self.vertex_labels, self.edges, self.table)
+
+    @property
+    def adjacency(self) -> tuple:
+        adjacency = self._adjacency
+        if adjacency is None:
+            adj: list[dict[int, int]] = [{} for _ in self.vertex_labels]
+            for u, v, lab in self.edges:
+                adj[u][v] = lab
+                adj[v][u] = lab
+            adjacency = tuple(MappingProxyType(a) if a else _NO_NEIGHBOURS for a in adj)
+            object.__setattr__(self, "_adjacency", adjacency)
+        return adjacency
 
     @property
     def n(self) -> int:
@@ -115,33 +131,6 @@ class LabeledGraph:
 
     def __repr__(self):
         return f"LabeledGraph(n={self.n}, m={self.m})"
-
-
-class _Unbuilt(LabeledGraph):
-    """A LabeledGraph whose adjacency slot is still unset.
-
-    Python calls __getattr__ only when normal lookup fails: here, on the
-    first read of adjacency. It builds the maps from edges, fills the slot
-    and turns the graph back into a plain LabeledGraph. The hook lives on
-    this subclass, not on LabeledGraph, because CPython does not specialise
-    attribute reads on a class that defines __getattr__: there it would
-    make every read of every graph attribute several times slower, and the
-    search reads them per node.
-    """
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        if name != "adjacency":
-            raise AttributeError(f"'LabeledGraph' object has no attribute {name!r}")
-        adj: list[dict[int, int]] = [{} for _ in self.vertex_labels]
-        for u, v, lab in self.edges:
-            adj[u][v] = lab
-            adj[v][u] = lab
-        adjacency = tuple(MappingProxyType(a) if a else _NO_NEIGHBOURS for a in adj)
-        object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(self, "__class__", LabeledGraph)
-        return adjacency
 
 
 @dataclass(frozen=True)
@@ -280,8 +269,10 @@ def parse_graph_db(text: str, table: LabelTable | None = None) -> tuple[list[tup
 def serialize_graph_db(graphs: list[tuple[int, LabeledGraph]]) -> str:
     """Render graphs back into transaction text (inverse of parse_graph_db).
 
-    Raises ValueError for a label token that would not parse back as one
-    field: an empty token or one that holds whitespace.
+    Raises ValueError for what parse_graph_db would not read back: a graph
+    id that is not an int (bool included) or repeats an earlier one, a label
+    id the graph's table never issued, or a label token that is empty or
+    holds whitespace.
     """
 
     def field(table: LabelTable, label_id: int) -> str:
@@ -290,8 +281,14 @@ def serialize_graph_db(graphs: list[tuple[int, LabeledGraph]]) -> str:
             raise ValueError(f"label token {token!r} is empty or holds whitespace")
         return token
 
+    seen_ids: set[int] = set()
     lines: list[str] = []
     for gid, g in graphs:
+        if type(gid) is not int:
+            raise ValueError(f"graph id must be an integer, got {gid!r}")
+        if gid in seen_ids:
+            raise ValueError(f"duplicate graph id {gid}")
+        seen_ids.add(gid)
         lines.append(f"t # {gid}")
         for v in range(g.n):
             lines.append(f"v {v} {field(g.table, g.vertex_labels[v])}")

@@ -91,11 +91,7 @@ def build_graph(labels: list[str], edges: list[tuple[int, int, str]],
 
 def adjacency_built(g: LabeledGraph) -> bool:
     """Whether g has built its adjacency, read without building it."""
-    try:
-        LabeledGraph.adjacency.__get__(g, LabeledGraph)  # the bare slot
-    except AttributeError:
-        return False
-    return True
+    return g._adjacency is not None
 
 
 def identity_mapping(g: LabeledGraph) -> GraphMapping:

@@ -154,6 +154,29 @@ def test_search_certified_match_beats_node_budget(tmp_path, capsys):
     assert (payload["candidates"], payload["branch_refuted"], payload["certified"]) == (1, 0, 1)
 
 
+def test_search_budget_unknowns(tmp_path, capsys):
+    # At tau 5 with a one-node budget the engine decides none of the three
+    # candidates it runs on: they are unknowns, not engine verdicts.
+    db = str(tmp_path / "db.txt")
+    assert main(["gen", db, "--seed", "1"]) == 0
+    capsys.readouterr()
+    argv = ["search", "--db", db, "--query", db, "--tau", "5", "--budget", "1"]
+    code, payload = run_json(capsys, argv + ["--json"])
+    assert code == 0
+    assert [m["id"] for m in payload["matches"]] == [0, 24]
+    assert payload["unknown"] == [55, 61, 70]
+    assert (payload["candidates"], payload["branch_refuted"], payload["certified"]) == (14, 9, 2)
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("2 matches within tau=5 (86 filtered, 14 candidates: "
+                               "9 refuted by branch bound, 2 certified by assignment, "
+                               "0 verified by engine, ")
+    assert lines[1:] == ["  graph 0: ged <= 0", "  graph 24: ged <= 5",
+                         "  graph 55: unknown (budget exhausted)",
+                         "  graph 61: unknown (budget exhausted)",
+                         "  graph 70: unknown (budget exhausted)"]
+
+
 def test_search_names_the_answered_query(square_star_db, tmp_path, capsys):
     # Only the first graph of --query is answered; a file with more than one
     # says so on stderr and leaves stdout's JSON as it is.

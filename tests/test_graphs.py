@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -120,6 +121,37 @@ def test_serialize_refuses_unparseable_tokens(token):
               LabeledGraph([vertex.vertex_labels[0]] * 2, [(0, 1, bad)], table)):
         with pytest.raises(ValueError, match="label token"):
             serialize_graph_db([(0, g)])
+
+
+def test_serialize_refuses_label_ids_the_table_never_issued():
+    # Label ids index the table's tokens: -1 would read its last token and
+    # an id past the end has none, so neither may be written.
+    table = LabelTable()
+    a = table.intern("A")
+    table.intern("B")
+    for bad in (-1, 2):
+        g = LabeledGraph([a, bad], [(0, 1, a)], table)
+        with pytest.raises(ValueError, match=f"label id {bad} was never issued"):
+            serialize_graph_db([(0, g)])
+        h = LabeledGraph([a, a], [(0, 1, bad)], table)
+        with pytest.raises(ValueError, match=f"label id {bad} was never issued"):
+            serialize_graph_db([(0, h)])
+
+
+@pytest.mark.parametrize("ids, message", [
+    ((0, 0), "duplicate graph id 0"),
+    (("x",), "graph id must be an integer, got 'x'"),
+    ((True,), "graph id must be an integer, got True"),
+    ((1.5,), "graph id must be an integer, got 1.5"),
+], ids=["duplicate", "str", "bool", "float"])
+def test_serialize_refuses_graph_ids_that_do_not_parse_back(ids, message):
+    g = build_graph(["A", "B"], [(0, 1, "x")])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        serialize_graph_db([(gid, g) for gid in ids])
+    # parse_graph_db refuses the same ids.
+    text = "".join(f"t # {gid}\nv 0 A\n" for gid in ids)
+    with pytest.raises(GraphFormatError):
+        parse_graph_db(text)
 
 
 def test_neighborhood_square_star_q():
@@ -263,6 +295,42 @@ def test_adjacency_built_once_on_first_read():
     for g in (g, build_graph(["A"], [])):
         with pytest.raises(AttributeError, match="no attribute 'adjacencies'"):
             g.adjacencies
+
+
+def test_graph_type_never_changes():
+    g, _, _ = parse_pair(SQUARE_STAR_TEXT)
+    made = build_graph(["A", "B", "A"], [(0, 1, "x")])
+    for graph in (g, made, copy.copy(g), copy.deepcopy(made), pickle.loads(pickle.dumps(g))):
+        assert type(graph) is LabeledGraph and not adjacency_built(graph)
+        graph.adjacency
+        assert type(graph) is LabeledGraph and adjacency_built(graph)
+
+
+class _PlainGraph(LabeledGraph):
+    def degree(self, u: int) -> int:
+        return len(self.adjacency[u])
+
+
+class _SlottedGraph(LabeledGraph):
+    __slots__ = ()
+
+    def degree(self, u: int) -> int:
+        return len(self.adjacency[u])
+
+
+@pytest.mark.parametrize("cls", [_PlainGraph, _SlottedGraph])
+def test_subclasses_keep_type_and_methods(cls):
+    table = LabelTable()
+    a, x = table.intern("A"), table.intern("x")
+    g = cls([a, a, a], [(0, 1, x), (2, 1, x)], table)
+    assert type(g) is cls and not adjacency_built(g)
+    assert vertex_partition(g).classes == ((0, 2), (1,))
+    assert not adjacency_built(g)
+    assert [g.degree(u) for u in range(g.n)] == [1, 2, 1]
+    assert type(g) is cls and adjacency_built(g)
+    assert g == LabeledGraph(g.vertex_labels, g.edges, table)
+    with pytest.raises(AttributeError):
+        g.extra = 1
 
 
 def _partition_from_adjacency(q: LabeledGraph) -> VertexPartition:
