@@ -4,7 +4,8 @@ levels, the branch bound, and h(r)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Sequence
 
 from .graphs import LabeledGraph, multiset_intersection_size, require_shared_table
 from .mapping import GraphMapping
@@ -66,35 +67,6 @@ def _combine(n_g: int, n_q: int, vinter: int, over: int, under: int, m_q: int, e
     return max(n_g, n_q) - vinter + max(d1 + d2, d1 + m_q - einter)
 
 
-def _remainder(g: LabeledGraph, removed: Iterable[int]) -> tuple:
-    """Count what is left of g once the `removed` vertices are taken out.
-
-    One pass over the vertices and one over the edges. Returns (removed
-    flags, vertex count, label counts, edge-label counts, degrees by vertex,
-    edge count); a removed vertex has degree 0. Every pair bound, on whole
-    graphs or on the remainders below a search node, is built from these.
-    """
-    gone = [False] * g.n
-    for v in removed:
-        gone[v] = True
-    n = 0
-    counts: dict[int, int] = {}
-    for v, lab in enumerate(g.vertex_labels):
-        if not gone[v]:
-            n += 1
-            counts[lab] = counts.get(lab, 0) + 1
-    m = 0
-    ecounts: dict[int, int] = {}
-    deg = [0] * g.n
-    for a, b, lab in g.edges:
-        if not (gone[a] or gone[b]):
-            m += 1
-            deg[a] += 1
-            deg[b] += 1
-            ecounts[lab] = ecounts.get(lab, 0) + 1
-    return gone, n, counts, ecounts, deg, m
-
-
 @dataclass(frozen=True)
 class GraphSummary:
     """Per-graph inputs of the pair bound, precomputable for databases.
@@ -111,10 +83,19 @@ class GraphSummary:
 
 
 def summarize(g: LabeledGraph) -> GraphSummary:
-    """The whole graph's remainder: nothing removed, degrees sorted."""
-    _, n, counts, ecounts, deg, m = _remainder(g, ())
+    """Label counts and sorted degrees of the whole graph, read from its
+    edges, so that a database graph never builds its adjacency."""
+    counts: dict[int, int] = {}
+    for lab in g.vertex_labels:
+        counts[lab] = counts.get(lab, 0) + 1
+    ecounts: dict[int, int] = {}
+    deg = [0] * g.n
+    for a, b, lab in g.edges:
+        deg[a] += 1
+        deg[b] += 1
+        ecounts[lab] = ecounts.get(lab, 0) + 1
     deg.sort(reverse=True)
-    return GraphSummary(n, m, counts, ecounts, tuple(deg))
+    return GraphSummary(g.n, g.m, counts, ecounts, tuple(deg))
 
 
 def delta_bounds(g: LabeledGraph, q: LabeledGraph) -> tuple[int, int]:
@@ -312,69 +293,148 @@ def lb_from_branches(a: Sequence[Branch], b: Sequence[Branch], tau: int | None =
     return -(-value // 2), assignment
 
 
-def _source_side(g: LabeledGraph, sources: Sequence[int]) -> tuple:
+_edge_label = itemgetter(2)
+
+
+def _label_ids(g: LabeledGraph, q: LabeledGraph) -> dict[int, int]:
+    """Dense ids 0..k-1 for the k labels, vertex or edge, that the pair uses.
+
+    Label ids are table-wide, so a pair drawn from a table of many labels
+    can use large ids. The remainder halves index their count lists by
+    these dense ids instead, so the lists are k long whatever the table.
+    """
+    labels = {*g.vertex_labels, *q.vertex_labels, *map(_edge_label, g.edges), *map(_edge_label, q.edges)}
+    return dict(zip(labels, range(len(labels))))
+
+
+def _graph_totals(g: LabeledGraph, ids: dict[int, int]) -> tuple:
+    """The whole-graph tables that both remainder halves start from.
+
+    Returns (vertex labels, each vertex's row as (neighbour, edge label)
+    pairs, label counts, edge-label counts, degrees by vertex, edge count),
+    read from the vertex labels and the edges, with every label given by
+    its dense id in `ids` (_label_ids). The counts are lists indexed by
+    dense id: vertex and edge labels share the ids, so one length serves
+    both lists and both graphs of a pair.
+    """
+    labels = tuple(map(ids.__getitem__, g.vertex_labels))
+    counts = [0] * len(ids)
+    for lab in labels:
+        counts[lab] += 1
+    ecounts = [0] * len(ids)
+    rows: list[list[tuple[int, int]]] = [[] for _ in labels]
+    for a, b, lab in g.edges:
+        lab = ids[lab]
+        ecounts[lab] += 1
+        rows[a].append((b, lab))
+        rows[b].append((a, lab))
+    return labels, tuple(map(tuple, rows)), counts, ecounts, list(map(len, rows)), len(g.edges)
+
+
+def _source_side(totals: tuple, sources: Sequence[int], target: tuple) -> tuple:
     """The source half of the remainder bounds once `sources` are mapped.
 
-    Counts the unmapped part with _remainder and adds each source's outer
-    edges. Returns (n_g, label counts, edge-label counts, degrees of the
-    unmapped part by vertex, {source: (outer size, outer edge-label
-    counts)}, number of outer source vertices).
+    The whole graph's tables minus the mapped sources, in one walk of their
+    rows: an edge between two mapped sources leaves the remainder once,
+    counted from its smaller end, and an edge from a mapped s to an
+    unmapped v lowers v's degree and becomes one of s's outer edges.
+    Returns (label counts, edge-label counts, the unmapped part's nonzero
+    degrees, {source: (outer size, outer edge-label counts)}, outer size
+    summed over the sources, number of outer source vertices, and the
+    label and edge-label intersections with the whole `target` graph's
+    tables).
     """
-    mapped, n_g, counts, ecounts, deg, _ = _remainder(g, sources)
+    labels, rows, counts, ecounts, deg, _ = totals
+    counts, ecounts, deg = counts[:], ecounts[:], deg[:]
+    mapped = set(sources)
     outer = {}
+    total = 0
     a_g: set[int] = set()
-    adj_g = g.adjacency
     for s in sources:
+        counts[labels[s]] -= 1
+        deg[s] = 0
         c: dict[int, int] = {}
         size = 0
-        adj = adj_g[s]
-        for v in adj:
-            if not mapped[v]:
+        for v, lab in rows[s]:
+            if v not in mapped:
                 size += 1
-                lab = adj[v]
                 c[lab] = c.get(lab, 0) + 1
                 a_g.add(v)
+                deg[v] -= 1
+            elif v < s:
+                continue
+            ecounts[lab] -= 1
         outer[s] = (size, c)
-    return n_g, counts, ecounts, deg, outer, len(a_g)
+        total += size
+    _, _, t_counts, t_ecounts, _, _ = target
+    return (counts, ecounts, [d for d in deg if d], outer, total, len(a_g),
+            sum(map(min, t_counts, counts)), sum(map(min, t_ecounts, ecounts)))
 
 
-def _target_side(q: LabeledGraph, targets: Iterable[int],
-                 pairs: Iterable[tuple[int, int | None]], outer: dict) -> tuple:
-    """The target half of the remainder bounds once `targets` are used.
+def _target_side(totals: tuple, preimage: dict[int, int | None], source: tuple) -> tuple:
+    """The target half of the remainder bounds once the targets in
+    `preimage` are used, met with the source half `source`.
 
-    Counts the unused part with _remainder and meets each pair's target
-    outer edges with the source half's: pairs are the mapped (source,
-    target or None) pairs, outer the source half's outer edges. Returns
-    (used flags, label counts, edge-label counts, degrees of the unused part
-    by vertex, m_q, the outer-edge sums (max, target, source), the outer
-    target vertices, {target: (source size, source counts, target size,
-    target counts, shared labels)}).
+    preimage maps each used target to its source, or to None when the
+    target is inserted; an inserted target is only taken out. The walk is
+    the source half's, over the used targets' rows, and it also:
+    - keeps the label and edge-label intersections with the source half
+      up to date, starting from the whole graph's (_source_side): taking
+      one unit of a label out shrinks sum(min(T, S)) iff T <= S for it;
+    - meets each pair's target outer edges with its source's, label by
+      label, counting the labels they share.
+    The outer-edge sums start from the source half's outer total, which
+    counts every mapped source as if it were deleted; each pair then adds
+    the excess of its target's outer edges over its source's and takes
+    out the labels they share.
+
+    Returns (label counts, edge-label counts, degrees of the unused part by
+    vertex, m_q, vinter, einter, the outer-edge sums (max, target, source),
+    the outer target vertices, {target: (1 if its outer edges outnumber
+    its source's else 0, its outer edge-label counts, its source's)}); a
+    used target has degree 0.
     """
-    used, _, counts, ecounts, deg, m_q = _remainder(q, targets)
-    # Outer edges, from each pair to the unmapped part. Neighbours are read
-    # by key: on these short read-only views that beats .items().
-    adj_q = q.adjacency
-    sum_max = sum_tgt = sum_src = 0
+    labels, rows, counts, ecounts, deg, m_q = totals
+    s_counts, s_ecounts, _, outer, s_size, _, vinter, einter = source
+    counts, ecounts, deg = counts[:], ecounts[:], deg[:]
+    excess = sum_tgt = sum_inter = 0
     a_q: set[int] = set()
     outer_of: dict[int, tuple] = {}
-    for w, t in pairs:
-        size_u, c_u = outer[w]
+    for t, w in preimage.items():
+        lab = labels[t]
+        c = counts[lab]
+        if c <= s_counts[lab]:
+            vinter -= 1
+        counts[lab] = c - 1
+        deg[t] = 0
+        size_u, c_u = outer[w] if w is not None else (0, None)
+        d: dict[int, int] = {}
         size_t = inter = 0
-        if t is not None:
-            d: dict[int, int] = {}
-            adj = adj_q[t]
-            for v in adj:
-                if not used[v]:
+        for v, lab in rows[t]:
+            if v not in preimage:
+                deg[v] -= 1
+                if c_u is not None:
                     size_t += 1
+                    k = d.get(lab, 0)
+                    if k < c_u.get(lab, 0):
+                        inter += 1
+                    d[lab] = k + 1
                     a_q.add(v)
-                    lab = adj[v]
-                    d[lab] = d.get(lab, 0) + 1
-            inter = multiset_intersection_size(d, c_u)
-            outer_of[t] = (size_u, c_u, size_t, d, inter)
-        sum_max += (size_u if size_u > size_t else size_t) - inter
-        sum_tgt += size_t - inter
-        sum_src += size_u - inter
-    return used, counts, ecounts, deg, m_q, (sum_max, sum_tgt, sum_src), a_q, outer_of
+            elif v < t:
+                continue
+            m_q -= 1
+            c = ecounts[lab]
+            if c <= s_ecounts[lab]:
+                einter -= 1
+            ecounts[lab] = c - 1
+        if c_u is not None:
+            outer_of[t] = (1 if size_t > size_u else 0, d, c_u)
+            if size_t > size_u:
+                excess += size_t - size_u
+            sum_tgt += size_t
+            sum_inter += inter
+    sums = (s_size + excess - sum_inter, sum_tgt - sum_inter, s_size - sum_inter)
+    return counts, ecounts, deg, m_q, vinter, einter, sums, a_q, outer_of
 
 
 def remainder_bounds(mapping: GraphMapping, g: LabeledGraph, q: LabeledGraph) -> tuple[int, int, int]:
@@ -389,14 +449,15 @@ def remainder_bounds(mapping: GraphMapping, g: LabeledGraph, q: LabeledGraph) ->
     in O(|V| + |E|). tests/reference_bounds.py keeps an independent
     Counter-based original that tests compare both against.
     """
-    pairs = [(u, t) for u, t in mapping.pairs if u is not None]
-    targets = [t for _, t in mapping.pairs if t is not None]
-    n_g, s_counts, s_ecounts, deg_g, outer, a_g = _source_side(g, [u for u, _ in pairs])
-    _, t_counts, t_ecounts, deg_q, m_q, sums, a_q, _ = _target_side(q, targets, pairs, outer)
-    _, _, over, under = _levels(deg_g, deg_q)
-    base = _combine(n_g, q.n - len(targets), multiset_intersection_size(t_counts, s_counts),
-                    over, under, m_q, multiset_intersection_size(t_ecounts, s_ecounts))
-    n_aq = len(a_q)
+    ids = _label_ids(g, q)
+    q_totals = _graph_totals(q, ids)
+    sources = [u for u, _ in mapping.pairs if u is not None]
+    source = _source_side(_graph_totals(g, ids), sources, q_totals)
+    preimage = {t: u for u, t in mapping.pairs if t is not None}
+    _, _, deg_q, m_q, vinter, einter, sums, a_q, _ = _target_side(q_totals, preimage, source)
+    _, _, over, under = _levels(source[2], deg_q)
+    base = _combine(g.n - len(sources), q.n - len(preimage), vinter, over, under, m_q, einter)
+    a_g, n_aq = source[5], len(a_q)
     return (base + sums[0], base + sums[1] + max(0, a_g - n_aq), base + sums[2] + max(0, n_aq - a_g))
 
 
@@ -405,20 +466,35 @@ class PairHeuristic:
 
     Called on a mapping it returns max(remainder_bounds(mapping)); the
     engine calls it only at the root. children() gives the same values for
-    every child of one parent in one pass. Both compose _source_side and
-    _target_side. The source half depends only on which sources are mapped,
-    and sources are mapped in a fixed order, so within one run it depends
-    only on the depth: it is kept per depth, at most |V_G| + 1 entries, and
-    rebuilt when a different source sequence reaches that depth. The target
-    half is the parent's, computed once; each child's is the parent's with
-    its target z used, applied in O(deg z), and the dummy child takes the
-    same update with nothing used.
+    every child of one parent in one pass. Both compose the source half
+    (_source_side) and the target half (_target_side), each written once.
+
+    The heuristic builds each graph's whole-graph tables once
+    (_graph_totals): rows of (neighbour, edge label) pairs, label and
+    edge-label counts as lists indexed by the pair's dense label ids
+    (_label_ids), degrees and the edge count. A half is those totals
+    minus the mapped or used vertices, taken out in one walk of their
+    rows, so it costs copies of the tables plus the removed vertices'
+    degrees, not a pass over the graph.
+
+    The source half depends only on which sources are mapped, and sources
+    are mapped in a fixed order, so within one run it depends only on the
+    depth: it is kept per depth, at most |V_G| + 1 entries, and rebuilt
+    when a different source sequence reaches that depth. It carries its
+    label intersections with the whole target graph, which the target
+    half counts down as it takes targets out. The target half is the
+    parent's, computed once per call; each child's is the parent's with
+    its target z used, applied in O(deg z) with list reads by dense id,
+    and the dummy child takes the same update with nothing used.
     """
 
-    __slots__ = ("g", "q", "_sources")
+    __slots__ = ("g", "q", "_g_totals", "_q_totals", "_sources")
 
     def __init__(self, g: LabeledGraph, q: LabeledGraph):
         self.g, self.q = g, q
+        ids = _label_ids(g, q)
+        self._g_totals = _graph_totals(g, ids)
+        self._q_totals = _graph_totals(q, ids)
         self._sources: list[tuple | None] = [None] * (g.n + 1)
 
     def __call__(self, mapping: GraphMapping) -> int:
@@ -445,27 +521,28 @@ class PairHeuristic:
         neighbours' levels are raised one by one, in place, since two of
         them may share a level, and restored before the next child.
         """
-        q = self.q
         key = (*parent_map, u)
         entry = self._sources[len(key)]
         if entry is None or entry[0] != key:
-            entry = self._sources[len(key)] = (key, _source_side(self.g, key))
-        n_g, s_counts, s_ecounts, deg_g, outer, a_g = entry[1]
+            entry = self._sources[len(key)] = (key, _source_side(self._g_totals, key, self._q_totals))
+        source = entry[1]
+        s_counts, s_ecounts, deg_g, outer, _, a_g, _, _ = source
         # The parent's target half, met with the children's source half.
-        used, t_counts, t_ecounts, deg_q, m_q, sums, a_q, outer_of = _target_side(
-            q, preimage, parent_map.items(), outer)
+        t_counts, t_ecounts, deg_q, m_q, vinter, einter, sums, a_q, outer_of = _target_side(
+            self._q_totals, preimage, source)
         sum_max, sum_tgt, sum_src = sums
-        vinter = multiset_intersection_size(t_counts, s_counts)
-        einter = multiset_intersection_size(t_ecounts, s_ecounts)
-        n_q = q.n - len(preimage)
+        n_g = self.g.n - len(key)
+        n_q = self.q.n - len(preimage)
         n_aq = len(a_q)
         size_new, c_new = outer[u]
-        qlabels, adj_q = q.vertex_labels, q.adjacency
+        qlabels, rows = self._q_totals[:2]
         diff, pos, over, under = _levels(deg_g, deg_q)
+        vmax = max(n_g, n_q - 1)
+        vmax0 = max(n_g, n_q)
 
         hs = []
         for z in targets:
-            m, ei, vi, n_aq_z = m_q, einter, vinter, n_aq
+            ei, vi, n_aq_z = einter, vinter, n_aq
             smax, stgt, ssrc = sum_max, sum_tgt, sum_src
             gone: dict[int, int] = {}
             inter = 0
@@ -473,62 +550,72 @@ class PairHeuristic:
             # The dummy child (z None) takes the same update with no target
             # used and no neighbours.
             size_z = 0
-            adj = ()
+            row = ()
             if z is not None:
                 # Removing one target unit of a label shrinks an
                 # intersection sum(min(T, S)) iff T <= S for that label.
                 lab = qlabels[z]
-                vi = vinter - 1 if t_counts[lab] <= s_counts.get(lab, 0) else vinter
-                n_aq_z = n_aq - 1 if z in a_q else n_aq
+                if t_counts[lab] <= s_counts[lab]:
+                    vi -= 1
+                if z in a_q:
+                    n_aq_z -= 1
                 # The new pair's target outer edges: z's edges to unused vertices.
                 size_z = deg_q[z]
-                adj = adj_q[z]
+                row = rows[z]
             # z falls to degree 0, raising levels 1..deg z by one each:
             # pos[deg z] of them add to over, the rest take from under.
             ov = over + pos[size_z]
             un = under - size_z + pos[size_z]
-            for v in adj:
-                lab = adj[v]
-                if used[v]:
-                    # The pair of used neighbour v loses its outer edge to z.
-                    size_u, c_u, size_t, d, _ = outer_of[v]
-                    cut = 1 if d[lab] <= c_u.get(lab, 0) else 0
-                    smax += ((size_u if size_u >= size_t else size_t - 1)
-                             - (size_u if size_u > size_t else size_t) + cut)
-                    stgt += cut - 1
-                    ssrc += cut
-                else:
-                    # Edge z-v leaves the unmapped part and becomes an
-                    # outer edge of the new pair (u, z).
-                    m -= 1
-                    k = gone.get(lab, 0)
-                    if t_ecounts[lab] - k <= s_ecounts.get(lab, 0):
-                        ei -= 1
-                    gone[lab] = k + 1
-                    # gone is the new pair's target outer edge-label count;
-                    # its intersection with c_new grows while it fits.
-                    if k < c_new.get(lab, 0):
-                        inter += 1
-                    if v not in a_q:
-                        n_aq_z += 1
-                    # v falls from level k, on top of z's own rise there
-                    # when k <= deg z and of earlier neighbours' rises.
-                    k = deg_q[v]
-                    c = diff[k]
-                    if c + (k <= size_z) >= 0:
-                        ov += 1
+            for v, lab in row:
+                if v in preimage:
+                    # The pair of used neighbour v loses its target outer
+                    # edge to z: one unit of its excess over the source
+                    # side if it has one (drop), and either a label shared
+                    # with the source side or an unshared target edge.
+                    drop, d, c_u = outer_of[v]
+                    if d[lab] <= c_u.get(lab, 0):
+                        smax += 1 - drop
+                        ssrc += 1
                     else:
-                        un -= 1
-                    diff[k] = c + 1
-                    raised.append(k)
+                        smax -= drop
+                        stgt -= 1
+                    continue
+                # Edge z-v leaves the unmapped part and becomes an outer
+                # edge of the new pair (u, z).
+                k = gone.get(lab, 0)
+                if t_ecounts[lab] - k <= s_ecounts[lab]:
+                    ei -= 1
+                gone[lab] = k + 1
+                # gone is the new pair's target outer edge-label count;
+                # its intersection with c_new grows while it fits.
+                if k < c_new.get(lab, 0):
+                    inter += 1
+                if v not in a_q:
+                    n_aq_z += 1
+                # v falls from level k, on top of z's own rise there when
+                # k <= deg z and of earlier neighbours' rises.
+                k = deg_q[v]
+                c = diff[k]
+                if c + (k <= size_z) >= 0:
+                    ov += 1
+                else:
+                    un -= 1
+                diff[k] = c + 1
+                raised.append(k)
             for k in raised:
                 diff[k] -= 1
-            smax += (size_new if size_new > size_z else size_z) - inter
+            # The source half already counts u's outer edges, as if u were
+            # deleted; the pair (u, z) adds the excess of z's and takes
+            # out the shared labels.
+            smax += (size_z - size_new if size_z > size_new else 0) - inter
             stgt += size_z - inter
-            ssrc += size_new - inter
-            base = _combine(n_g, n_q if z is None else n_q - 1, vi, ov, un, m, ei)
-            lb1 = base + smax
-            lb2 = base + stgt + (a_g - n_aq_z if a_g > n_aq_z else 0)
-            lb3 = base + ssrc + (n_aq_z - a_g if n_aq_z > a_g else 0)
-            hs.append(max(lb1, lb2, lb3))
+            ssrc -= inter
+            # _combine, written out: a call would cost a fifth of the child.
+            d2 = -(-un // 2)
+            e = m_q - size_z - ei
+            base = (vmax if z is not None else vmax0) - vi - (-ov // 2) + (d2 if d2 > e else e)
+            # The three bounds share base; the outer-vertex correction x
+            # goes to the second when positive, and -x to the third.
+            x = a_g - n_aq_z
+            hs.append(base + (max(smax, stgt + x, ssrc) if x > 0 else max(smax, stgt, ssrc - x)))
         return hs

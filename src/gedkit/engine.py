@@ -11,6 +11,7 @@ prunes from its first pass and always holds a mapping.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -92,9 +93,10 @@ def check_search_args(w: int = DEFAULT_BEAM_WIDTH, node_budget: int = DEFAULT_NO
     """Raise ValueError unless the search arguments are in range.
 
     w, threshold and node_budget must be ints, w >= 1, threshold >= 0 and
-    node_budget >= 1; time_limit must be >= 0. A bool is an int subclass but
-    not a count, so True and False are refused. Each bound is tested as
-    `not x >= k`, so NaN fails it.
+    node_budget >= 1; time_limit must be a real number >= 0 (seconds). A
+    bool is an int subclass but neither a count nor a duration, so True and
+    False are refused. Each bound is tested as `not x >= k`, so NaN fails
+    it.
 
     node_budget bounds generated nodes, the root and dead-on-arrival
     children included, not expansions. The run checks it after each
@@ -107,8 +109,9 @@ def check_search_args(w: int = DEFAULT_BEAM_WIDTH, node_budget: int = DEFAULT_NO
         raise ValueError(f"threshold must be an int >= 0, got {threshold!r}")
     if not _is_count(node_budget) or not node_budget >= 1:
         raise ValueError(f"node budget must be an int >= 1, got {node_budget!r}")
-    if time_limit is not None and not time_limit >= 0:
-        raise ValueError(f"time limit must be >= 0, got {time_limit!r}")
+    if time_limit is not None and (not isinstance(time_limit, numbers.Real)
+                                   or isinstance(time_limit, bool) or not time_limit >= 0):
+        raise ValueError(f"time limit must be a number >= 0, got {time_limit!r}")
 
 
 def _priority(node: SearchNode):

@@ -61,7 +61,8 @@ class LabeledGraph:
     never builds them, and the per-vertex maps are most of a parsed graph's
     memory. Threads that read it first at the same time may each build an
     equal copy. A graph's type never changes, so subclasses, with or
-    without ``__slots__``, keep their own type and methods.
+    without ``__slots__``, keep their own type and methods, also through
+    ``copy`` and ``pickle``, which rebuild ``type(self)``.
 
     The attributes cannot be reassigned or deleted, so ``==``, ``hash`` and
     the two edge stores always agree.
@@ -99,7 +100,7 @@ class LabeledGraph:
         raise AttributeError(f"LabeledGraph is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
-        return LabeledGraph, (self.vertex_labels, self.edges, self.table)
+        return type(self), (self.vertex_labels, self.edges, self.table)
 
     @property
     def adjacency(self) -> tuple:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Collection, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .bounds import PairHeuristic
 from .graphs import LabeledGraph, VertexPartition, vertex_partition
@@ -86,24 +86,26 @@ def determine_order(g: LabeledGraph) -> tuple[int, ...]:
     return tuple(order)
 
 
-def extension_cost(g: LabeledGraph, q: LabeledGraph, parent_map: dict[int, int | None],
-                   u: int, z: int | None, preimage: dict[int, int]) -> int:
+def extension_cost(adj_u: Mapping[int, int], label_u: int, adj_z: Mapping[int, int] | None,
+                   label_z: int | None, parent_map: dict[int, int | None],
+                   preimage: dict[int, int]) -> int:
     """Edit-cost delta of appending the pair (u -> z) to a partial mapping.
 
     Counts the vertex operation for u plus every edge operation that becomes
     decidable once u is mapped: source edges to already-mapped vertices and
-    target edges between z and already-used targets. preimage is the
-    target -> source inverse of parent_map's real pairs.
+    target edges between z and already-used targets. adj_u and label_u are
+    u's adjacency row and label in the source graph, adj_z and label_z z's
+    in the target, both None for the dummy target. The caller reads u's row
+    once for all children of one expansion. preimage is the target -> source
+    inverse of parent_map's real pairs.
     """
-    adj_u = g.adjacency[u]
-    if z is None:
+    if adj_z is None:
         cost = 1
         for w in adj_u:
             if w in parent_map:
                 cost += 1
         return cost
-    adj_z = q.adjacency[z]
-    cost = int(g.vertex_labels[u] != q.vertex_labels[z])
+    cost = int(label_u != label_z)
     for w in adj_u:
         if w not in parent_map:
             continue
@@ -155,6 +157,8 @@ def _extend(r: SearchNode, g: LabeledGraph, q: LabeledGraph, classes: Sequence[S
         inserted = tuple((None, z) for z in range(n_q) if z not in preimage)
         return [SearchNode(layer, pairs + inserted, cost, 0, True) if cost < ub else None]
     u = order[depth]
+    adj_u, label_u = g.adjacency[u], g.vertex_labels[u]
+    adj_q, labels_q = q.adjacency, q.vertex_labels
     used = len(preimage)
     # Children are complete only on the last layer once every target is
     # used: all real children at once, or the dummy alone.
@@ -177,7 +181,8 @@ def _extend(r: SearchNode, g: LabeledGraph, q: LabeledGraph, classes: Sequence[S
         if r.g + h >= ub:
             succ.append(None)
             continue
-        child_g = r.g + extension_cost(g, q, parent_map, u, z, preimage)
+        adj_z, label_z = (None, None) if z is None else (adj_q[z], labels_q[z])
+        child_g = r.g + extension_cost(adj_u, label_u, adj_z, label_z, parent_map, preimage)
         succ.append(SearchNode(layer, pairs + ((u, z),), child_g, h, complete) if child_g + h < ub else None)
     return succ
 

@@ -5,8 +5,8 @@ and `remainder_bounds`, kept unchanged and independent of the package's
 code. Tests require the package's `summarize`, its flat
 `lb_from_summaries` and `remainder_bounds`, and every child bound of
 `PairHeuristic.children`, to return identical values. The package's
-`summarize`, `remainder_bounds` and `children` all read one remainder
-counting pass, so only this module can serve as their oracle.
+`remainder_bounds` and `children` compose the same source and target
+halves, so only this module can serve as their oracle.
 """
 
 from __future__ import annotations

@@ -339,6 +339,55 @@ def test_children_dummy_only_and_empty_source_remainder():
         assert got == want, pairs
 
 
+def test_children_on_label_indexed_tables():
+    # The heuristic counts labels in lists indexed by label id, one length
+    # for the pair's vertex and edge labels, and keeps the source half per
+    # depth. Child by child it must equal the reference below every parent
+    # of the full unreduced tree, on pairs where:
+    # - the two graphs draw on disjoint alphabets of one table, so that
+    #   every id of one graph exceeds every id of the other;
+    # - one token is a vertex label in one graph and an edge label in the
+    #   other, so one id is counted in both lists;
+    # - a graph has no edges, or no vertices;
+    # - the source order is neither identity nor DFS, and one heuristic
+    #   serves every order, so its per-depth source half is re-keyed.
+    table = LabelTable()
+    low = build_graph(["A", "B", "A", "C"], [(0, 1, "a"), (1, 2, "b"), (2, 3, "a")], table)
+    high = build_graph(["X", "Y", "X"], [(0, 1, "x"), (1, 2, "y"), (0, 2, "x")], table)
+    mixed = build_graph(["a", "A", "b", "x"], [(0, 1, "A"), (1, 2, "X"), (2, 3, "A")], table)
+    edgeless = build_graph(["A", "X", "B"], [], table)
+    empty = build_graph([], [], table)
+
+    def ids(g):
+        return {*g.vertex_labels, *(lab for _, _, lab in g.edges)}
+
+    assert max(ids(low)) < min(ids(high))
+    assert set(mixed.vertex_labels) & {lab for _, _, lab in low.edges}
+    assert {lab for _, _, lab in mixed.edges} & set(low.vertex_labels)
+    graphs = (low, high, mixed, edgeless, empty)
+    seen = Counter()
+    for g, q in itertools.product(graphs, repeat=2):
+        heuristic = PairHeuristic(g, q)
+        shuffled = list(range(g.n))
+        random.Random(g.n).shuffle(shuffled)
+        orders = {identity_order(g), determine_order(g), tuple(reversed(range(g.n))), tuple(shuffled)}
+        for order in orders:
+            seen["other order"] += order not in (identity_order(g), determine_order(g))
+            stack = [make_root(g, q, heuristic)]
+            while stack:
+                node = stack.pop()
+                for c in basic_gen_succr(node, g, q, order, heuristic):
+                    if c.complete:
+                        continue
+                    mapping = GraphMapping(c.pairs, g.n, q.n)
+                    assert c.h == max(reference.remainder_bounds(mapping, g, q)), (g, q, order, c.pairs)
+                    stack.append(c)
+                    seen["children"] += 1
+                    seen["empty target"] += q.n == 0
+                    seen["edgeless"] += g is edgeless or q is edgeless
+    assert seen["other order"] >= 6 and min(seen.values()) > 0 and seen["children"] > 5000, seen
+
+
 def test_sibling_bounds_do_not_depend_on_each_other():
     # children(..., targets) equals one call per target, in any order: no
     # per-child state may leak into the next sibling.

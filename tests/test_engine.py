@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from gedkit.engine import (
     WITHIN_THRESHOLD,
     SearchRun,
     bss_ged,
+    check_search_args,
 )
 from gedkit import successors
 from gedkit.bounds import lb_from_branches, vertex_branches
@@ -319,6 +321,20 @@ def test_rejects_bad_budgets(square_star):
         with pytest.raises(ValueError, match="time limit"):
             SearchRun(g, q, time_limit=limit)
     assert bss_ged(g, q, node_budget=1).reason == "nodes"
+
+
+def test_time_limit_must_be_a_number(square_star):
+    # True would run as a 1-second limit and "5" would fail a comparison
+    # with TypeError; both are refused as bad arguments, like a bool count.
+    g, q = square_star
+    for limit in (True, False, "5", [1]):
+        with pytest.raises(ValueError, match="time limit"):
+            SearchRun(g, q, time_limit=limit)
+        with pytest.raises(ValueError, match="time limit"):
+            check_search_args(time_limit=limit)
+    for limit in (0, 2, 0.5, Fraction(1, 2)):
+        check_search_args(time_limit=limit)
+    assert bss_ged(g, q, time_limit=Fraction(60)).distance == 4
 
 
 def test_node_budget_counts_generated_nodes():

@@ -331,6 +331,10 @@ def test_subclasses_keep_type_and_methods(cls):
     assert g == LabeledGraph(g.vertex_labels, g.edges, table)
     with pytest.raises(AttributeError):
         g.extra = 1
+    # Copies and pickles rebuild the subclass, not a plain LabeledGraph.
+    for copied in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert type(copied) is cls and copied == g
+        assert [copied.degree(u) for u in range(copied.n)] == [1, 2, 1]
 
 
 def _partition_from_adjacency(q: LabeledGraph) -> VertexPartition:

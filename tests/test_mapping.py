@@ -181,7 +181,11 @@ def incremental_total(g, q, psi):
     for s, t in psi.pairs:
         if s is None:
             break
-        total += extension_cost(g, q, assigned, s, t, preimage)
+        if t is None:
+            total += extension_cost(g.adjacency[s], g.vertex_labels[s], None, None, assigned, preimage)
+        else:
+            total += extension_cost(g.adjacency[s], g.vertex_labels[s], q.adjacency[t],
+                                    q.vertex_labels[t], assigned, preimage)
         assigned[s] = t
         if t is not None:
             preimage[t] = s

@@ -270,9 +270,15 @@ def test_generators_leave_dead_successors_unbuilt(monkeypatch):
     calls = []
     exact_cost = successors.extension_cost
 
-    def counting(g, q, parent_map, u, z, preimage):
-        calls.append((u, z))
-        return exact_cost(g, q, parent_map, u, z, preimage)
+    def counting(adj_u, label_u, adj_z, label_z, parent_map, preimage):
+        calls.append((adj_u, label_u, adj_z, label_z))
+        return exact_cost(adj_u, label_u, adj_z, label_z, parent_map, preimage)
+
+    def rows(g, q, u, z):
+        """The arguments that identify the child (u, z) in a call."""
+        if z is None:
+            return (g.adjacency[u], g.vertex_labels[u], None, None)
+        return (g.adjacency[u], g.vertex_labels[u], q.adjacency[z], q.vertex_labels[z])
 
     def fields(nodes):
         return [(n.pairs, n.g, n.h, n.complete) for n in nodes]
@@ -304,7 +310,7 @@ def test_generators_leave_dead_successors_unbuilt(monkeypatch):
                     assert [k is None for k in kids] == [c.f >= ub for c in full]
                     assert fields(k for k in kids if k is not None) == fields(c for c in full if c.f < ub)
                     costed = [c for c in full if node.g + c.h < ub]
-                    assert calls == [c.pairs[-1] for c in costed if node.layer < g.n]
+                    assert calls == [rows(g, q, *c.pairs[-1]) for c in costed if node.layer < g.n]
                     seen["live"] += sum(c.f < ub for c in full)
                     seen["costed, then dead"] += sum(c.f >= ub for c in costed)
                     seen["dead uncosted"] += len(full) - len(costed)
