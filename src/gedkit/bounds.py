@@ -8,7 +8,6 @@ from operator import itemgetter
 from typing import Sequence
 
 from .graphs import LabeledGraph, multiset_intersection_size, require_shared_table
-from .mapping import GraphMapping
 
 
 def _levels(degs_g: Sequence[int], degs_q: Sequence[int]) -> tuple[list[int], list[int], int, int]:
@@ -371,13 +370,14 @@ def _source_side(totals: tuple, sources: Sequence[int], target: tuple) -> tuple:
             sum(map(min, t_counts, counts)), sum(map(min, t_ecounts, ecounts)))
 
 
-def _target_side(totals: tuple, preimage: dict[int, int | None], source: tuple) -> tuple:
+def _target_side(totals: tuple, preimage: dict[int, int], source: tuple) -> tuple:
     """The target half of the remainder bounds once the targets in
     `preimage` are used, met with the source half `source`.
 
-    preimage maps each used target to its source, or to None when the
-    target is inserted; an inserted target is only taken out. The walk is
-    the source half's, over the used targets' rows, and it also:
+    preimage maps each used target to the source mapped onto it: the
+    search inserts targets only at its leaves, which are never bounded,
+    so every used target has one. The walk is the source half's, over the
+    used targets' rows, and it also:
     - keeps the label and edge-label intersections with the source half
       up to date, starting from the whole graph's (_source_side): taking
       one unit of a label out shrinks sum(min(T, S)) iff T <= S for it;
@@ -407,19 +407,18 @@ def _target_side(totals: tuple, preimage: dict[int, int | None], source: tuple) 
             vinter -= 1
         counts[lab] = c - 1
         deg[t] = 0
-        size_u, c_u = outer[w] if w is not None else (0, None)
+        size_u, c_u = outer[w]
         d: dict[int, int] = {}
         size_t = inter = 0
         for v, lab in rows[t]:
             if v not in preimage:
                 deg[v] -= 1
-                if c_u is not None:
-                    size_t += 1
-                    k = d.get(lab, 0)
-                    if k < c_u.get(lab, 0):
-                        inter += 1
-                    d[lab] = k + 1
-                    a_q.add(v)
+                size_t += 1
+                k = d.get(lab, 0)
+                if k < c_u.get(lab, 0):
+                    inter += 1
+                d[lab] = k + 1
+                a_q.add(v)
             elif v < t:
                 continue
             m_q -= 1
@@ -427,47 +426,44 @@ def _target_side(totals: tuple, preimage: dict[int, int | None], source: tuple) 
             if c <= s_ecounts[lab]:
                 einter -= 1
             ecounts[lab] = c - 1
-        if c_u is not None:
-            outer_of[t] = (1 if size_t > size_u else 0, d, c_u)
-            if size_t > size_u:
-                excess += size_t - size_u
-            sum_tgt += size_t
-            sum_inter += inter
+        outer_of[t] = (1 if size_t > size_u else 0, d, c_u)
+        if size_t > size_u:
+            excess += size_t - size_u
+        sum_tgt += size_t
+        sum_inter += inter
     sums = (s_size + excess - sum_inter, sum_tgt - sum_inter, s_size - sum_inter)
     return counts, ecounts, deg, m_q, vinter, einter, sums, a_q, outer_of
 
 
-def remainder_bounds(mapping: GraphMapping, g: LabeledGraph, q: LabeledGraph) -> tuple[int, int, int]:
-    """The three remainder bounds below a partial mapping; h is their max.
+def remainder_bounds(g_totals: tuple, q_totals: tuple) -> int:
+    """h at the root, read from the two graphs' whole-graph tables
+    (_graph_totals).
 
-    Each starts from the pair bound on the unmapped parts and adds, per
-    mapped vertex, the cheapest reconciliation of its outer edges; the last
-    two trade per-vertex tightness for a global outer-vertex correction.
-    An insertion pair (None, t), anywhere in the mapping, only marks t used.
+    Nothing is mapped at the root, so no vertex has outer edges and each
+    of the three remainder bounds is the pair bound LB(G, Q), as lb_graph
+    computes it. Here it comes from the tables that PairHeuristic already
+    holds, so a run builds them once. Every other node is bounded by
+    PairHeuristic.children; tests/reference_bounds.py keeps the general
+    evaluator of any mapping.
 
-    Built from the same source and target halves as PairHeuristic.children,
-    in O(|V| + |E|). tests/reference_bounds.py keeps an independent
-    Counter-based original that tests compare both against.
+    The name is that of the general evaluator this replaced, because
+    bench/spans.py traces bounds.remainder_bounds to count one root bound
+    per engine run, until ROADMAP item 6 stops binding it.
     """
-    ids = _label_ids(g, q)
-    q_totals = _graph_totals(q, ids)
-    sources = [u for u, _ in mapping.pairs if u is not None]
-    source = _source_side(_graph_totals(g, ids), sources, q_totals)
-    preimage = {t: u for u, t in mapping.pairs if t is not None}
-    _, _, deg_q, m_q, vinter, einter, sums, a_q, _ = _target_side(q_totals, preimage, source)
-    _, _, over, under = _levels(source[2], deg_q)
-    base = _combine(g.n - len(sources), q.n - len(preimage), vinter, over, under, m_q, einter)
-    a_g, n_aq = source[5], len(a_q)
-    return (base + sums[0], base + sums[1] + max(0, a_g - n_aq), base + sums[2] + max(0, n_aq - a_g))
+    g_labels, _, g_counts, g_ecounts, g_deg, _ = g_totals
+    q_labels, _, q_counts, q_ecounts, q_deg, m_q = q_totals
+    _, _, over, under = _levels(g_deg, q_deg)
+    return _combine(len(g_labels), len(q_labels), sum(map(min, g_counts, q_counts)),
+                    over, under, m_q, sum(map(min, g_ecounts, q_ecounts)))
 
 
 class PairHeuristic:
-    """h for one graph pair: per mapping, or for all children of one parent.
+    """h for one graph pair: at the root, or for all children of one parent.
 
-    Called on a mapping it returns max(remainder_bounds(mapping)); the
-    engine calls it only at the root. children() gives the same values for
-    every child of one parent in one pass. Both compose the source half
-    (_source_side) and the target half (_target_side), each written once.
+    root() gives the pair bound through remainder_bounds; children() gives
+    h of every child of one parent in one pass, composing the source half
+    (_source_side) and the target half (_target_side). These are the
+    search's only evaluators of h.
 
     The heuristic builds each graph's whole-graph tables once
     (_graph_totals): rows of (neighbour, edge label) pairs, label and
@@ -488,25 +484,28 @@ class PairHeuristic:
     and the dummy child takes the same update with nothing used.
     """
 
-    __slots__ = ("g", "q", "_g_totals", "_q_totals", "_sources")
+    __slots__ = ("_g_totals", "_q_totals", "_sources")
 
     def __init__(self, g: LabeledGraph, q: LabeledGraph):
-        self.g, self.q = g, q
         ids = _label_ids(g, q)
         self._g_totals = _graph_totals(g, ids)
         self._q_totals = _graph_totals(q, ids)
         self._sources: list[tuple | None] = [None] * (g.n + 1)
 
-    def __call__(self, mapping: GraphMapping) -> int:
-        return max(remainder_bounds(mapping, self.g, self.q))
+    def root(self) -> int:
+        # remainder_bounds is looked up in the module at each call, so a
+        # tracer that rebinds bounds.remainder_bounds sees every root bound.
+        return remainder_bounds(self._g_totals, self._q_totals)
 
     def children(self, parent_map: dict[int, int | None], preimage: dict[int, int],
                  u: int, targets: Sequence[int | None]) -> list[int]:
         """h of each child that extends the parent by (u, z), z in targets.
 
         parent_map and preimage are the parent's source -> target and
-        target -> source maps; None in targets is the dummy child. Equals
-        max(remainder_bounds(child mapping)) child by child.
+        target -> source maps, every pair with a real source; None in
+        targets is the dummy child. Equals, child by child, the max of the
+        three remainder bounds of the child mapping, which
+        tests/reference_bounds.py evaluates from scratch.
 
         The degree surpluses are read from degree levels: _levels shows
         that they equal those of the sorted sequences, and it computes the
@@ -531,11 +530,11 @@ class PairHeuristic:
         t_counts, t_ecounts, deg_q, m_q, vinter, einter, sums, a_q, outer_of = _target_side(
             self._q_totals, preimage, source)
         sum_max, sum_tgt, sum_src = sums
-        n_g = self.g.n - len(key)
-        n_q = self.q.n - len(preimage)
+        qlabels, rows = self._q_totals[:2]
+        n_g = len(self._g_totals[0]) - len(key)
+        n_q = len(qlabels) - len(preimage)
         n_aq = len(a_q)
         size_new, c_new = outer[u]
-        qlabels, rows = self._q_totals[:2]
         diff, pos, over, under = _levels(deg_g, deg_q)
         vmax = max(n_g, n_q - 1)
         vmax0 = max(n_g, n_q)

@@ -64,17 +64,24 @@ class LabeledGraph:
     without ``__slots__``, keep their own type and methods, also through
     ``copy`` and ``pickle``, which rebuild ``type(self)``.
 
+    ``n`` and ``m`` are the vertex and edge counts, set once, since the
+    search reads them at every node. Edge endpoints must be ints (bool
+    refused): anything else raises ValueError, as it could not be
+    serialised and read back.
+
     The attributes cannot be reassigned or deleted, so ``==``, ``hash`` and
     the two edge stores always agree.
     """
 
-    __slots__ = ("vertex_labels", "edges", "_adjacency", "table")
+    __slots__ = ("vertex_labels", "edges", "_adjacency", "table", "n", "m")
 
     def __init__(self, vertex_labels, edges, table: LabelTable):
         vertex_labels = tuple(vertex_labels)
         n = len(vertex_labels)
         canon = []
         for u, v, lab in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge endpoints must be integers, got ({u!r},{v!r})")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) references unknown vertex")
             if u == v:
@@ -92,6 +99,8 @@ class LabeledGraph:
         init(self, "edges", tuple(canon))
         init(self, "table", table)
         init(self, "_adjacency", None)
+        init(self, "n", n)
+        init(self, "m", len(canon))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LabeledGraph is immutable; cannot set {name!r}")
@@ -113,14 +122,6 @@ class LabeledGraph:
             adjacency = tuple(MappingProxyType(a) if a else _NO_NEIGHBOURS for a in adj)
             object.__setattr__(self, "_adjacency", adjacency)
         return adjacency
-
-    @property
-    def n(self) -> int:
-        return len(self.vertex_labels)
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledGraph):

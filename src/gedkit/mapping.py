@@ -14,7 +14,8 @@ class GraphMapping:
 
     pairs holds (source, target) entries in processing order; either side may
     be None for a dummy, never both. A mapping is complete when every vertex
-    of both graphs is covered. Construction raises ValueError for a repeated
+    of both graphs is covered. Construction raises ValueError for a vertex
+    or a vertex count that is not an int (bool included), a repeated
     source or target, a dummy-to-dummy pair or a vertex out of range.
     """
 
@@ -25,6 +26,10 @@ class GraphMapping:
     def __post_init__(self):
         srcs = [s for s, _ in self.pairs if s is not None]
         tgts = [t for _, t in self.pairs if t is not None]
+        if type(self.n_source) is not int or type(self.n_target) is not int:
+            raise ValueError("vertex counts must be integers")
+        if any(type(v) is not int for v in (*srcs, *tgts)):
+            raise ValueError("mapping vertices must be integers")
         if len(srcs) != len(set(srcs)):
             raise ValueError("repeated source vertex in mapping")
         if len(tgts) != len(set(tgts)):

@@ -8,7 +8,6 @@ from typing import Collection, Mapping, Sequence
 
 from .bounds import PairHeuristic
 from .graphs import LabeledGraph, VertexPartition, vertex_partition
-from .mapping import GraphMapping
 
 _node_ids = itertools.count()
 
@@ -214,7 +213,7 @@ def gen_succr(r: SearchNode, g: LabeledGraph, q: LabeledGraph, part: VertexParti
 
 def make_root(g: LabeledGraph, q: LabeledGraph, heuristic: PairHeuristic | None = None) -> SearchNode:
     complete = g.n == 0 and q.n == 0
-    h = heuristic(GraphMapping((), g.n, q.n)) if heuristic and not complete else 0
+    h = heuristic.root() if heuristic and not complete else 0
     return SearchNode(0, (), 0, h, complete)
 
 

@@ -3,10 +3,15 @@
 These are the Counter-based originals of `summarize`, `lb_from_summaries`
 and `remainder_bounds`, kept unchanged and independent of the package's
 code. Tests require the package's `summarize`, its flat
-`lb_from_summaries` and `remainder_bounds`, and every child bound of
-`PairHeuristic.children`, to return identical values. The package's
-`remainder_bounds` and `children` compose the same source and target
-halves, so only this module can serve as their oracle.
+`lb_from_summaries`, the root h of `make_root` and every child bound of
+`PairHeuristic.children` to return identical values.
+
+`remainder_bounds` here is the only evaluator of the three bounds on a
+general mapping: partial or complete, with deletions and insertions
+anywhere. The package bounds only the nodes the search makes, the root
+(`gedkit.bounds.remainder_bounds`, which keeps the name but takes no
+mapping) and each child of an expanded node (`PairHeuristic.children`),
+so assertions on any other mapping read this module.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ import random
 import time
 from contextlib import contextmanager
 
+import reference_bounds as reference
 from conftest import SQUARE_STAR_TEXT, canonical_code, unmapped_parts
-from gedkit.bounds import PairHeuristic, lb_graph, remainder_bounds
+from gedkit.bounds import PairHeuristic, lb_graph
 from gedkit.cli import main
 from gedkit.engine import EXACT, bss_ged
 from gedkit.graphs import LabelTable, vertex_partition
@@ -83,9 +84,10 @@ def test_criterion_04_heuristic_example(pendant_pair):
         g, q = pendant_pair
         mapping = GraphMapping(((0, 0), (1, 1)), g.n, q.n)
         assert lb_graph(*unmapped_parts(mapping, g, q)) == 2
-        lb1, lb2, lb3 = remainder_bounds(mapping, g, q)
+        lb1, lb2, lb3 = reference.remainder_bounds(mapping, g, q)
         assert (lb1, lb2, lb3) == (2, 2, 3)
-        assert max(lb1, lb2, lb3) == 3
+        # The search bounds that node as the child (1, 1) of {0->0}.
+        assert PairHeuristic(g, q).children({0: 0}, {0: 0}, 1, [1]) == [max(lb1, lb2, lb3)] == [3]
 
 
 def test_criterion_05_processing_order(pendant_pair):

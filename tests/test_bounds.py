@@ -13,7 +13,6 @@ from gedkit.bounds import (
     lb_from_branches,
     lb_graph,
     min_cost_assignment,
-    remainder_bounds,
     summarize,
     lb_from_summaries,
     vertex_branches,
@@ -90,7 +89,9 @@ def test_node_split_example5(pendant_pair):
     mapping = as_mapping(((0, 0), (1, 1)), g, q)
     g2, q2 = unmapped_parts(mapping, g, q)
     assert (g2.n, q2.n) == (3, 4)
-    assert remainder_bounds(mapping, g, q) == (2, 2, 3)
+    assert reference.remainder_bounds(mapping, g, q) == (2, 2, 3)
+    # The search bounds that node as the child (1, 1) of the parent {0->0}.
+    assert PairHeuristic(g, q).children({0: 0}, {0: 0}, 1, [1]) == [3]
 
 
 def test_node_split_root_and_leaf(square_star):
@@ -98,34 +99,58 @@ def test_node_split_root_and_leaf(square_star):
     root = as_mapping((), g, q)
     assert unmapped_parts(root, g, q)[0] == g
     # No outer edges at the root: every bound is the pair bound.
-    assert remainder_bounds(root, g, q) == (lb_graph(g, q),) * 3
+    assert reference.remainder_bounds(root, g, q) == (lb_graph(g, q),) * 3
+    assert make_root(g, q, PairHeuristic(g, q)).h == lb_graph(g, q)
+    # The search never bounds a complete mapping: its leaves take h = 0.
     leaf = as_mapping(((0, 0), (1, 1), (2, 2), (3, 3)), g, q)
     assert unmapped_parts(leaf, g, q)[0].n == 0
-    assert remainder_bounds(leaf, g, q) == (0, 0, 0)
+    assert reference.remainder_bounds(leaf, g, q) == (0, 0, 0)
 
 
 def test_h_example5(pendant_pair):
     g, q = pendant_pair
     mapping = as_mapping(((0, 0), (1, 1)), g, q)
-    assert remainder_bounds(mapping, g, q) == (2, 2, 3)
-    assert PairHeuristic(g, q)(mapping) == 3
+    assert reference.remainder_bounds(mapping, g, q) == (2, 2, 3)
+    assert PairHeuristic(g, q).children({0: 0}, {0: 0}, 1, [1]) == [3]
 
 
 def test_h_at_root_and_leaf(square_star, pendant_pair):
     for g, q in (square_star, pendant_pair):
-        root = as_mapping((), g, q)
-        assert PairHeuristic(g, q)(root) == lb_graph(g, q)
+        assert make_root(g, q, PairHeuristic(g, q)).h == lb_graph(g, q)
     g, q = square_star
     leaf = as_mapping(((0, 0), (1, 1), (2, 2), (3, 3)), g, q)
-    assert PairHeuristic(g, q)(leaf) == 0
+    assert max(reference.remainder_bounds(leaf, g, q)) == 0
+    # The last pair completes the mapping; bounded as a child, it gets 0.
+    parent = {0: 0, 1: 1, 2: 2}
+    assert PairHeuristic(g, q).children(parent, parent, 3, [3]) == [0]
 
 
 def test_h_with_dummy_target(pendant_pair):
     # Outer edges of a vertex mapped to a dummy must all be paid for.
     g, q = pendant_pair
-    mapping = as_mapping(((0, None),), g, q)
-    lb1, lb2, lb3 = remainder_bounds(mapping, g, q)
-    assert lb1 >= len(g.adjacency[0])
+    assert PairHeuristic(g, q).children({}, {}, 0, [None]) == [7]
+    assert 7 >= len(g.adjacency[0]) == 2
+
+
+def test_root_h_is_pair_bound():
+    # At the root nothing is mapped, so h is the pair bound: the root bound
+    # reads it off the heuristic's tables, lb_graph off the summaries and
+    # the reference off the unmapped parts, here the whole graphs.
+    rng = random.Random(49)
+    seen = Counter()
+    for trial in range(200):
+        table = LabelTable()
+        alphabet = 1 if trial % 4 == 0 else rng.choice((2, 5))
+        density = rng.choice((0.1, 0.3, 0.6))
+        g = random_graph(rng, rng.randint(0, 12), density, alphabet, rng.choice((1, 2)), table)
+        q = random_graph(rng, rng.randint(0, 12), density, alphabet, rng.choice((1, 2)), table)
+        for a, b in ((g, q), (q, g)):
+            want = max(reference.remainder_bounds(as_mapping((), a, b), a, b))
+            assert make_root(a, b, PairHeuristic(a, b)).h == lb_graph(a, b) == want, (a, b)
+        seen["empty"] += g.n == 0 or q.n == 0
+        seen["one label"] += alphabet == 1
+        seen["unequal"] += g.n != q.n
+    assert min(seen.values()) > 5, seen
 
 
 def test_lb_soundness_against_oracle(small_sweep):
@@ -157,9 +182,8 @@ def test_admissibility_on_full_reduced_trees():
 def test_batched_child_bounds_equal_remainder_bounds():
     # The successor generators bound all children of a parent in one
     # PairHeuristic.children call; each child's h must equal the
-    # independent reference max(remainder_bounds) on its own mapping: the
-    # package's remainder_bounds shares its halves with children, so it
-    # cannot serve as the oracle. Small pairs are expanded in full, larger
+    # independent reference max(remainder_bounds) on its own mapping, the
+    # only evaluator of a general mapping. Small pairs are expanded in full, larger
     # ones along random root-to-leaf descents. One shared heuristic serves
     # both orders, so its per-depth source cache is also rebuilt when the
     # source sequence changes.
@@ -377,9 +401,11 @@ def test_children_on_label_indexed_tables():
             while stack:
                 node = stack.pop()
                 for c in basic_gen_succr(node, g, q, order, heuristic):
-                    if c.complete:
-                        continue
                     mapping = GraphMapping(c.pairs, g.n, q.n)
+                    if c.complete:
+                        assert c.h == 0 == max(reference.remainder_bounds(mapping, g, q))
+                        seen["complete"] += 1
+                        continue
                     assert c.h == max(reference.remainder_bounds(mapping, g, q)), (g, q, order, c.pairs)
                     stack.append(c)
                     seen["children"] += 1
@@ -475,13 +501,23 @@ def test_lb_from_summaries_matches_lb_graph():
 
 
 def test_h_never_negative_and_zero_when_done():
+    # Every complete mapping has h = 0. The search bounds only those that
+    # insert nothing, as the child that maps the last source.
     rng = random.Random(44)
+    bounded = 0
     for _ in range(10):
         g, q = random_pair(rng, max_n=4)
         from conftest import all_complete_mappings
 
+        heuristic = PairHeuristic(g, q)
         for psi in all_complete_mappings(g, q):
-            assert PairHeuristic(g, q)(psi) == 0
+            assert max(reference.remainder_bounds(psi, g, q)) == 0
+            *parent, (u, z) = psi.pairs
+            if u is not None:
+                got, want = children_against_reference(g, q, tuple(parent), u, [z], heuristic)
+                assert got == want == [0], psi
+                bounded += 1
+    assert bounded > 10
 
 
 def random_mapping(rng: random.Random, g: LabeledGraph, q: LabeledGraph) -> GraphMapping:
@@ -507,23 +543,32 @@ def random_mapping(rng: random.Random, g: LabeledGraph, q: LabeledGraph) -> Grap
 
 
 def test_flat_bounds_match_reference():
+    # The pair bound against the reference on both argument orders, and
+    # h below random parents in random source orders. The search inserts
+    # targets only at its leaves, so the children bounded are the random
+    # mappings with their insertion pairs left out; one heuristic per pair
+    # serves all ten, re-keying its per-depth source half.
     rng = random.Random(45)
-    checked = inserting = 0
-    kinds = set()
+    seen = Counter()
     for _ in range(300):
         g, q = random_pair(rng, max_n=12, min_n=0)
         sg, sq = summarize(g), summarize(q)
         assert lb_from_summaries(sg, sq) == reference.lb_from_summaries(sg, sq)
         assert lb_from_summaries(sq, sg) == reference.lb_from_summaries(sq, sg)
+        heuristic = PairHeuristic(g, q)
         for _ in range(10):
             mapping = random_mapping(rng, g, q)
-            assert remainder_bounds(mapping, g, q) == reference.remainder_bounds(mapping, g, q)
-            checked += 1
-            if mapping.is_complete() and mapping.pairs and mapping.pairs[-1][0] is None:
-                inserting += 1
-            kinds.update((s is None, t is None) for s, t in mapping.pairs)
-    assert checked >= 3000 and inserting >= 300
-    assert kinds == {(False, False), (False, True), (True, False)}
+            real = [p for p in mapping.pairs if p[0] is not None]
+            if not real:
+                continue
+            (u, z), parent = real[-1], tuple(real[:-1])
+            got, want = children_against_reference(g, q, parent, u, [z], heuristic)
+            assert got == want, (g, q, real)
+            seen["children"] += 1
+            seen["dummy"] += z is None
+            seen["insertions left out"] += len(real) < len(mapping.pairs)
+            seen["complete"] += len(real) == g.n and {t for _, t in real} >= set(range(q.n))
+    assert seen["children"] >= 2500 and min(seen.values()) >= 100, seen
 
 
 def test_pair_bound_size_corollary():

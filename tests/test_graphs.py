@@ -186,6 +186,20 @@ def test_constructor_rejects_bad_edges():
         LabeledGraph([A, A], [(0, 1, a), (1, 0, b)], table)
 
 
+@pytest.mark.parametrize("u, v", [(0.5, 1), (True, 0), (0, False), ("0", 1), (1.0, 0)])
+def test_constructor_refuses_endpoints_that_are_not_ints(u, v):
+    # 0.5 and True would be written out as "e 0.5 1" and "e 0 True", which
+    # parse_graph_db refuses; a str would fail the range check with a
+    # TypeError.
+    table = LabelTable()
+    A, a = table.intern("A"), table.intern("a")
+    with pytest.raises(ValueError, match="edge endpoints must be integers"):
+        LabeledGraph([A, A], [(u, v, a)], table)
+    g = LabeledGraph([A, A], [(1, 0, a)], table)
+    assert (g.n, g.m) == (2, 1)
+    assert parse_graph_db(serialize_graph_db([(0, g)]), table)[0] == [(0, g)]
+
+
 def test_constructor_ignores_edge_order_and_orientation():
     rng = random.Random(17)
     for _ in range(40):

@@ -155,6 +155,24 @@ def test_mapping_validation():
     GraphMapping((), 0, 0)
 
 
+@pytest.mark.parametrize("pairs, n_source, n_target, reason", [
+    (((0, 0), (0.5, 1), (2, 2)), 3, 3, "mapping vertices"),
+    (((0, 0), (1, 1.0)), 2, 2, "mapping vertices"),
+    (((True, 0),), 2, 2, "mapping vertices"),
+    (((0, False),), 2, 2, "mapping vertices"),
+    ((("0", 0),), 2, 2, "mapping vertices"),
+    (((0, 0),), "3", 3, "vertex counts"),
+    (((0, 0),), 3.5, 3, "vertex counts"),
+    (((0, 0),), 3, True, "vertex counts"),
+])
+def test_mapping_refuses_values_that_are_not_ints(pairs, n_source, n_target, reason):
+    # With 0.5 in place of source 1, a mapping of three pairs between
+    # 3-vertex graphs would report itself complete although source 1 is
+    # unmapped, and edit_cost would then fail on it with a KeyError.
+    with pytest.raises(ValueError, match=reason):
+        GraphMapping(pairs, n_source, n_target)
+
+
 @pytest.mark.parametrize("pairs, n_source, n_target", [
     (((0, 0), (1, 1)), 4, 4),
     (((0, 0), (1, 1), (2, 2), (3, 3)), 7, 4),
