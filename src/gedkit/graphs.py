@@ -7,6 +7,7 @@ from types import MappingProxyType
 
 # The adjacency of every isolated vertex: one shared read-only empty map.
 _NO_NEIGHBOURS = MappingProxyType({})
+_INT = frozenset((int,))
 
 
 class GraphFormatError(ValueError):
@@ -65,23 +66,39 @@ class LabeledGraph:
     ``copy`` and ``pickle``, which rebuild ``type(self)``.
 
     ``n`` and ``m`` are the vertex and edge counts, set once, since the
-    search reads them at every node. Edge endpoints must be ints (bool
-    refused): anything else raises ValueError, as it could not be
-    serialised and read back.
+    search reads them at every node. Edge endpoints and vertex and edge
+    label ids must be ints (bool refused): anything else raises ValueError,
+    as it could not be serialised and read back.
+
+    Two more private slots keep what the search derives from this graph
+    alone: ``_partition`` (vertex_partition) and ``_order``
+    (successors.determine_order). Each is left unset when the graph is
+    built, filled by its function's first call and returned as is by
+    every later call; both values are immutable. Copies and pickles
+    rebuild the graph from its labels and edges, so they start without
+    the kept values and recompute equal ones. Kept, they cost one pointer
+    each per graph plus the value: a database partitions every member when
+    it is built, and that same object is the one kept.
 
     The attributes cannot be reassigned or deleted, so ``==``, ``hash`` and
     the two edge stores always agree.
     """
 
-    __slots__ = ("vertex_labels", "edges", "_adjacency", "table", "n", "m")
+    __slots__ = ("vertex_labels", "edges", "_adjacency", "table", "n", "m", "_partition", "_order")
 
     def __init__(self, vertex_labels, edges, table: LabelTable):
         vertex_labels = tuple(vertex_labels)
+        # One pass at C speed over the vertex labels' types.
+        if not _INT.issuperset(map(type, vertex_labels)):
+            bad = next(lab for lab in vertex_labels if type(lab) is not int)
+            raise ValueError(f"label ids must be integers, got {bad!r}")
         n = len(vertex_labels)
         canon = []
         for u, v, lab in edges:
             if type(u) is not int or type(v) is not int:
                 raise ValueError(f"edge endpoints must be integers, got ({u!r},{v!r})")
+            if type(lab) is not int:
+                raise ValueError(f"label ids must be integers, got {lab!r}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) references unknown vertex")
             if u == v:
@@ -150,7 +167,12 @@ def vertex_partition(q: LabeledGraph) -> VertexPartition:
     """Group vertices of q by (label, labeled neighborhood) equivalence.
 
     Reads q.edges, so partitioning a graph does not build its adjacency.
+    The first call keeps the partition on q, and later calls return that
+    same object; a copy of q computes its own.
     """
+    part = getattr(q, "_partition", None)
+    if part is not None:
+        return part
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(q.n)]
     for u, v, lab in q.edges:
         nbrs[u].append((v, lab))
@@ -159,7 +181,9 @@ def vertex_partition(q: LabeledGraph) -> VertexPartition:
     for v, lab in enumerate(q.vertex_labels):
         groups.setdefault((lab, frozenset(nbrs[v])), []).append(v)
     classes = sorted(groups.values(), key=lambda c: c[0])
-    return VertexPartition(tuple(tuple(c) for c in classes))
+    part = VertexPartition(tuple(tuple(c) for c in classes))
+    object.__setattr__(q, "_partition", part)
+    return part
 
 
 def require_shared_table(g: LabeledGraph, q: LabeledGraph) -> None:

@@ -15,8 +15,9 @@ class GraphMapping:
     pairs holds (source, target) entries in processing order; either side may
     be None for a dummy, never both. A mapping is complete when every vertex
     of both graphs is covered. Construction raises ValueError for a vertex
-    or a vertex count that is not an int (bool included), a repeated
-    source or target, a dummy-to-dummy pair or a vertex out of range.
+    or a vertex count that is not an int (bool included), a negative vertex
+    count, a repeated source or target, a dummy-to-dummy pair or a vertex
+    out of range.
     """
 
     pairs: tuple[tuple[int | None, int | None], ...]
@@ -28,6 +29,8 @@ class GraphMapping:
         tgts = [t for _, t in self.pairs if t is not None]
         if type(self.n_source) is not int or type(self.n_target) is not int:
             raise ValueError("vertex counts must be integers")
+        if self.n_source < 0 or self.n_target < 0:
+            raise ValueError("vertex counts must be >= 0")
         if any(type(v) is not int for v in (*srcs, *tgts)):
             raise ValueError("mapping vertices must be integers")
         if len(srcs) != len(set(srcs)):

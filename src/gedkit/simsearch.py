@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .bounds import GraphSummary, lb_from_branches, lb_from_summaries, summarize, vertex_branches
+from .bounds import Branch, GraphSummary, lb_from_branches, lb_from_summaries, summarize, vertex_branches
 from .engine import (
     BUDGET_EXHAUSTED,
     DEFAULT_BEAM_WIDTH,
@@ -38,7 +38,15 @@ class GraphDatabase:
 
     Building the database reads each graph's edges, never its adjacency, so
     a graph builds its per-vertex maps only when range_query's branch bound
-    first checks it as a candidate.
+    first checks it as a candidate. partitions[gid] is the partition kept
+    on the graph itself (see vertex_partition), not a second copy.
+
+    The database also keeps, in _branches, the vertex branches of each
+    member that range_query has checked by its branch bound, as a tuple
+    built on the member's first check. Equal branches of all members are
+    one object, shared through the one dict _branch_pool, so a kept tuple
+    costs about one pointer per vertex. Neither field takes part in the
+    constructor, repr or ==.
     """
 
     graphs: dict[int, LabeledGraph]
@@ -49,6 +57,8 @@ class GraphDatabase:
     size_index: dict[tuple[int, int], list[int]]
     vertex_masks: dict[tuple[int, int], dict[int, list[int]]]
     edge_masks: dict[tuple[int, int], dict[int, list[int]]]
+    _branches: dict[int, tuple[Branch, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _branch_pool: dict[Branch, Branch] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_graphs(cls, entries: list[tuple[int, LabeledGraph]], table: LabelTable) -> "GraphDatabase":
@@ -188,7 +198,10 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
     cost rows, row and column minima, then a capped solve) may refute it.
     A cost row depends only on a candidate vertex's branch and the query's
     branches, so one dict of rows by branch is shared by every candidate of
-    this query and dropped when the call returns.
+    this query and dropped when the call returns. The query's branches are
+    built once per call; a candidate's are kept by db from its first check
+    on (see GraphDatabase), and the engine keeps a candidate's DFS order
+    and the query's partition on the graphs themselves.
 
     A candidate the branch bound does not refute has been solved to
     optimality, and its assignment induces a complete mapping
@@ -216,12 +229,16 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
 
     qbranches = vertex_branches(query)
     rows: dict = {}
+    kept, pool = db._branches, db._branch_pool
     matches = []
     unknowns = []
     branch_refuted = certified = 0
     for gid in candidates:
         g = db.graphs[gid]
-        bound, assignment = lb_from_branches(vertex_branches(g), qbranches, tau, rows)
+        branches = kept.get(gid)
+        if branches is None:
+            branches = kept[gid] = tuple([pool.setdefault(b, b) for b in vertex_branches(g)])
+        bound, assignment = lb_from_branches(branches, qbranches, tau, rows)
         if bound > tau:
             branch_refuted += 1
             continue

@@ -57,8 +57,12 @@ def determine_order(g: LabeledGraph) -> tuple[int, ...]:
 
     The global rank sorts vertices by (degree ascending, id ascending);
     the DFS restarts from the lowest-ranked vertex not yet seen, so every
-    component is covered.
+    component is covered. The first call keeps the order on g, and later
+    calls return that same tuple; a copy of g computes its own.
     """
+    kept = getattr(g, "_order", None)
+    if kept is not None:
+        return kept
     rank = sorted(range(g.n), key=lambda u: (len(g.adjacency[u]), u))
     pos = {u: i for i, u in enumerate(rank)}
     seen = [False] * g.n
@@ -82,7 +86,9 @@ def determine_order(g: LabeledGraph) -> tuple[int, ...]:
                     break
             else:
                 stack.pop()
-    return tuple(order)
+    kept = tuple(order)
+    object.__setattr__(g, "_order", kept)
+    return kept
 
 
 def extension_cost(adj_u: Mapping[int, int], label_u: int, adj_z: Mapping[int, int] | None,

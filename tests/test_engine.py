@@ -489,3 +489,50 @@ def test_policies_agree_beyond_oracle():
                         assert res.status == EXACT
                         distances.add(res.distance)
         assert len(distances) == 1, (a, b, distances)
+
+
+# A mid-size exact corpus past the oracle's reach: 9-11-vertex pairs of
+# mixed sizes drawn by random_graph_db(5, 20, 9, 11, 0.3, 5, 2), pair
+# (2i, 2i + 1). (source id, target id) -> (distance, nodes_expanded,
+# nodes_generated, max_open) of the default exact run (w 15, dfs order,
+# reduced successors). The search tree does not depend on the machine: a
+# pure speed-up leaves these alone, a pruning change lowers the counts.
+PINNED_MID_SIZE = {
+    (0, 1): (17, 3223, 13808, 124),  # 11 -> 10 vertices
+    (2, 3): (13, 503, 1870, 76),  # 9 -> 9
+    (4, 5): (19, 930, 4754, 162),  # 10 -> 11
+    (6, 7): (13, 796, 3377, 142),  # 9 -> 10
+    (8, 9): (14, 1772, 7912, 150),  # 10 -> 11
+    (10, 11): (14, 574, 2529, 97),  # 10 -> 9
+    (12, 13): (17, 7663, 31888, 146),  # 11 -> 11
+    (14, 15): (15, 1126, 5267, 106),  # 10 -> 11
+    (16, 17): (17, 2739, 12018, 105),  # 9 -> 11
+    (18, 19): (18, 2070, 7891, 123),  # 10 -> 9
+}
+# Pairs whose run at w = 10**6 expands 20,000-50,000 nodes (about a second
+# each); their distances are checked at w 1 and 15 only, which keeps the
+# test under 5 s.
+SLOW_UNBOUNDED = {(4, 5), (6, 7), (8, 9), (12, 13)}
+
+
+def test_mid_size_corpus_pinned():
+    # No oracle reaches 9-11 vertices, so each pinned distance is checked
+    # by agreement: every beam width is exact, and so is either successor
+    # policy, so all runs must find one distance. Widths are swept with
+    # reduced successors; basic successors run at the default width.
+    entries, _ = random_graph_db(5, 20, 9, 11, 0.3, 5, 2)
+    graphs = dict(entries)
+    sizes = set()
+    for (a, b), want in PINNED_MID_SIZE.items():
+        g, q = graphs[a], graphs[b]
+        sizes.add((g.n, q.n))
+        res = bss_ged(g, q)
+        s = res.stats
+        assert (res.distance, s.nodes_expanded, s.nodes_generated, s.max_open) == want, (a, b)
+        runs = [(1, "reduced"), (15, "basic")]
+        if (a, b) not in SLOW_UNBOUNDED:
+            runs.append((10**6, "reduced"))
+        for w, succ in runs:
+            res = bss_ged(g, q, w, succ_policy=succ)
+            assert (res.status, res.distance) == (EXACT, want[0]), (a, b, w, succ)
+    assert len(sizes) >= 6 and any(n != m for n, m in sizes)

@@ -26,6 +26,7 @@ from gedkit.graphs import (
 )
 from gedkit.bounds import summarize
 from gedkit.mapping import edit_cost
+from gedkit.successors import determine_order
 from gedkit.synth import random_graph
 from conftest import all_complete_mappings
 
@@ -200,6 +201,23 @@ def test_constructor_refuses_endpoints_that_are_not_ints(u, v):
     assert parse_graph_db(serialize_graph_db([(0, g)]), table)[0] == [(0, g)]
 
 
+@pytest.mark.parametrize("vertex_label, edge_label", [
+    ("x", 0), (True, 0), (1.0, 0), (0, "x"), (0, 0.5), (0, True), (0, False), (None, 0),
+])
+def test_constructor_refuses_labels_that_are_not_ints(vertex_label, edge_label):
+    # serialize_graph_db could not write these out: a str label failed with
+    # TypeError when LabelTable.token compared it to an int, a float one
+    # with TypeError when it indexed the token list.
+    table = LabelTable()
+    A, a = table.intern("A"), table.intern("a")
+    with pytest.raises(ValueError, match="label ids must be integers"):
+        LabeledGraph([A, vertex_label, A], [(0, 1, a), (2, 1, edge_label)], table)
+    # A bad label is caught before sorting can compare it with an int label
+    # of a duplicate edge.
+    with pytest.raises(ValueError, match="label ids must be integers"):
+        LabeledGraph([vertex_label, A], [(0, 1, a), (1, 0, edge_label)], table)
+
+
 def test_constructor_ignores_edge_order_and_orientation():
     rng = random.Random(17)
     for _ in range(40):
@@ -345,10 +363,21 @@ def test_subclasses_keep_type_and_methods(cls):
     assert g == LabeledGraph(g.vertex_labels, g.edges, table)
     with pytest.raises(AttributeError):
         g.extra = 1
-    # Copies and pickles rebuild the subclass, not a plain LabeledGraph.
+    # The partition and the DFS order are kept on the graph: later calls
+    # return the first call's objects.
+    part, order = vertex_partition(g), determine_order(g)
+    assert vertex_partition(g) is part and determine_order(g) is order
+    assert order == (0, 1, 2)
+    # Copies and pickles rebuild the subclass, not a plain LabeledGraph, and
+    # do not share the kept values: each copy recomputes equal ones.
     for copied in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
         assert type(copied) is cls and copied == g
         assert [copied.degree(u) for u in range(copied.n)] == [1, 2, 1]
+        kept = vertex_partition(copied)
+        assert kept == part and kept is not part and vertex_partition(copied) is kept
+        kept = determine_order(copied)
+        assert kept == order and kept is not order and determine_order(copied) is kept
+    assert vertex_partition(g) is part and determine_order(g) is order
 
 
 def _partition_from_adjacency(q: LabeledGraph) -> VertexPartition:

@@ -164,11 +164,16 @@ def test_mapping_validation():
     (((0, 0),), "3", 3, "vertex counts"),
     (((0, 0),), 3.5, 3, "vertex counts"),
     (((0, 0),), 3, True, "vertex counts"),
+    ((), -1, 0, "vertex counts must be >= 0"),
+    ((), 0, -2, "vertex counts must be >= 0"),
+    (((0, 0),), 1, -1, "vertex counts must be >= 0"),
 ])
 def test_mapping_refuses_values_that_are_not_ints(pairs, n_source, n_target, reason):
     # With 0.5 in place of source 1, a mapping of three pairs between
     # 3-vertex graphs would report itself complete although source 1 is
-    # unmapped, and edit_cost would then fail on it with a KeyError.
+    # unmapped, and edit_cost would then fail on it with a KeyError. A
+    # negative count is refused too: an empty mapping between -1 and 0
+    # vertices holds no vertex that a range test could catch.
     with pytest.raises(ValueError, match=reason):
         GraphMapping(pairs, n_source, n_target)
 

@@ -1,16 +1,18 @@
+import copy
 import random
 import tracemalloc
 
 import pytest
 
 from conftest import SQUARE_STAR_TEXT, adjacency_built, build_graph, random_pair
-from gedkit import simsearch
+from gedkit import engine, simsearch
 from gedkit.bounds import lb_from_branches, lb_from_summaries, summarize, vertex_branches
 from gedkit.engine import ABOVE_BOUND, BUDGET_EXHAUSTED, WITHIN_THRESHOLD, bss_ged
-from gedkit.graphs import LabelTable, LabeledGraph, serialize_graph_db
+from gedkit.graphs import LabelTable, LabeledGraph, serialize_graph_db, vertex_partition
 from gedkit.mapping import edit_cost, realize_edit_path
 from gedkit.oracle import check_edit_path, exhaustive_ged
 from gedkit.simsearch import GraphDatabase, filter_candidates, range_query
+from gedkit.successors import determine_order
 from gedkit.synth import random_graph, random_graph_db
 
 
@@ -365,6 +367,68 @@ def test_indexed_filter_equals_full_scan(monkeypatch):
     assert all(count_refuted[seed] > vertex_refuted[seed] for seed in count_refuted)
     assert disjoint_kept > 0
     assert zero_need > 0
+
+
+def test_per_graph_structures_built_once(monkeypatch):
+    # Branches, DFS orders and partitions depend on one graph each, so over
+    # several queries on one database each is built at most once per graph:
+    # the branches of a database graph on its first check as a candidate,
+    # the query's partition and each source graph's DFS order on the first
+    # engine run. Only the query's branches are built once per call. A
+    # kept structure is the first build's object, so builds are counted as
+    # distinct results. The answers equal those of a fresh database and a
+    # fresh query per call, built by copying, which drops every kept value.
+    def answer(res):
+        return ([(m.graph_id, m.bound) for m in res.matches], res.unknowns, res.filtered_count,
+                res.candidate_count, res.branch_refuted, res.certified)
+
+    entries, table = random_graph_db(seed=77, count=60, n_min=4, n_max=8, density=0.4,
+                                     n_vertex_labels=2, n_edge_labels=2)
+    db = GraphDatabase.from_graphs(entries, table)
+    rng = random.Random(78)
+    queries = [random_graph(rng, rng.randint(5, 7), 0.4, 2, 2, table) for _ in range(3)]
+    queries.append(copy.copy(db.graphs[5]))
+    calls = [(queries[0], 4), (queries[1], 4), (queries[0], 3), (queries[2], 4), (queries[3], 4)]
+    fresh = [answer(range_query(GraphDatabase.from_graphs([(gid, copy.copy(g)) for gid, g in entries], table),
+                                copy.copy(query), tau))
+             for query, tau in calls]
+
+    branch_builds, orders, partitions = {}, {}, {}
+
+    def counting(fn, seen):
+        def wrapper(g):
+            result = fn(g)
+            seen.setdefault(id(g), {})[id(result)] = result
+            return result
+        return wrapper
+
+    def counted_branches(g):
+        branch_builds[id(g)] = branch_builds.get(id(g), 0) + 1
+        return vertex_branches(g)
+
+    monkeypatch.setattr(simsearch, "vertex_branches", counted_branches)
+    monkeypatch.setattr(engine, "determine_order", counting(engine.determine_order, orders))
+    monkeypatch.setattr(engine, "vertex_partition", counting(engine.vertex_partition, partitions))
+    engine_runs = 0
+    for (query, tau), expected in zip(calls, fresh):
+        res = range_query(db, query, tau)
+        assert answer(res) == expected
+        engine_runs += res.candidate_count - res.branch_refuted - res.certified
+    assert answer(res)[0][0] == (5, 0)
+    db_graphs = {id(g) for g in db.graphs.values()}
+    for query in queries:
+        assert branch_builds.pop(id(query)) == sum(q is query for q, _ in calls)
+    assert branch_builds and set(branch_builds) <= db_graphs
+    assert set(branch_builds.values()) == {1}
+    # Every engine run above partitioned its query and ordered its source;
+    # each of them got one build, shared by all of its runs.
+    assert set(partitions) == {id(q) for q in queries} and set(orders) <= db_graphs
+    assert all(len(built) == 1 for built in (*orders.values(), *partitions.values()))
+    assert engine_runs > len(orders) + len(partitions)
+    for g in (*db.graphs.values(), *queries):
+        for seen, build in ((orders, determine_order), (partitions, vertex_partition)):
+            if id(g) in seen:
+                assert list(seen[id(g)].values()) == [build(copy.copy(g))]
 
 
 def test_database_builds_no_adjacency():
