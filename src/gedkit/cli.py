@@ -19,7 +19,7 @@ from .engine import (
 from .graphs import GraphFormatError, parse_graph_db, serialize_graph_db, vertex_partition
 from .oracle import exhaustive_ged
 from .simsearch import GraphDatabase, range_query
-from .successors import determine_order, predicted_layer_counts
+from .successors import DEFAULT_ORDER_POLICY, ORDER_POLICIES, determine_order, predicted_layer_counts
 from .synth import random_graph_db
 
 EXIT_OK = 0
@@ -52,7 +52,8 @@ def _pick(graphs: dict, gid: int):
 
 def _add_engine_flags(p: argparse.ArgumentParser):
     p.add_argument("--beam", type=int, default=DEFAULT_BEAM_WIDTH, help="beam width w")
-    p.add_argument("--order", choices=("default", "dfs"), default="dfs")
+    p.add_argument("--order", choices=tuple(ORDER_POLICIES), default=DEFAULT_ORDER_POLICY,
+                   help="vertex processing order (connected: most-connected first; dfs: the paper's)")
     p.add_argument("--succ", choices=("basic", "reduced"), default="reduced")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="node budget")
 
@@ -174,7 +175,8 @@ def cmd_inspect(args) -> int:
         "g": args.id1,
         "q": args.id2,
         "partition": {"lambda": len(part.classes), "classes": [list(c) for c in part.classes]},
-        "order": list(determine_order(g)),
+        "order_policy": DEFAULT_ORDER_POLICY,
+        "order": list(determine_order(g, DEFAULT_ORDER_POLICY)),
         "predicted_layer_counts": predicted_layer_counts(g.n, g.n, q.n, sizes),
     }
     if args.bounds:

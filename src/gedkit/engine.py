@@ -19,11 +19,11 @@ from .bounds import PairHeuristic, lb_from_branches, vertex_branches
 from .graphs import LabeledGraph, require_shared_table, vertex_partition
 from .mapping import GraphMapping, descend_assignment, edit_cost
 from .successors import (
+    DEFAULT_ORDER_POLICY,
     SearchNode,
     basic_gen_succr,
     determine_order,
     gen_succr,
-    identity_order,
     make_root,
 )
 
@@ -101,7 +101,8 @@ def check_search_args(w: int = DEFAULT_BEAM_WIDTH, node_budget: int = DEFAULT_NO
     node_budget bounds generated nodes, the root and dead-on-arrival
     children included, not expansions. The run checks it after each
     expansion, so an exhausted run has generated more than node_budget
-    nodes, by at most one expansion's children (|V_Q| + 1).
+    nodes, by at most one expansion's children (|V_Q| + 1, V_Q the run's
+    target: an exact bss_ged may search from either graph).
     """
     if not _is_count(w) or not w >= 1:
         raise ValueError(f"beam width must be an int >= 1, got {w!r}")
@@ -138,18 +139,13 @@ class SearchRun:
     """
 
     def __init__(self, g: LabeledGraph, q: LabeledGraph, w: int = DEFAULT_BEAM_WIDTH,
-                 order_policy: str = "dfs", succ_policy: str = "reduced",
+                 order_policy: str = DEFAULT_ORDER_POLICY, succ_policy: str = "reduced",
                  node_budget: int = DEFAULT_NODE_BUDGET, time_limit: float | None = None,
                  threshold: int | None = None):
         check_search_args(w, node_budget, threshold, time_limit)
         require_shared_table(g, q)
         self.g, self.q, self.w = g, q, w
-        if order_policy == "dfs":
-            self.order = determine_order(g)
-        elif order_policy == "default":
-            self.order = identity_order(g)
-        else:
-            raise ValueError(f"unknown order policy {order_policy!r}")
+        self.order = determine_order(g, order_policy)
         if succ_policy not in ("basic", "reduced"):
             raise ValueError(f"unknown successor policy {succ_policy!r}")
         self.succ_policy = succ_policy
@@ -290,17 +286,30 @@ class SearchRun:
 
 
 def bss_ged(g: LabeledGraph, q: LabeledGraph, w: int = DEFAULT_BEAM_WIDTH, *,
-            order_policy: str = "dfs", succ_policy: str = "reduced",
+            order_policy: str = DEFAULT_ORDER_POLICY, succ_policy: str = "reduced",
             node_budget: int = DEFAULT_NODE_BUDGET, time_limit: float | None = None,
             threshold: int | None = None) -> GedResult:
     """GED via beam-stack search: exact, or with a threshold the decision
-    ged <= threshold; see SearchRun for the knobs."""
+    ged <= threshold; see SearchRun for the knobs.
+
+    An exact run under the default order policy searches from the smaller
+    graph: when q has fewer vertices than g it runs SearchRun(q, g), which
+    gives the same distance since GED is symmetric, and inverts the
+    mapping, so the result still maps g onto q. Under the most-connected
+    order the smaller source expands fewer nodes; under the paper's orders
+    no such rule held, so they search from g as called, and so does every
+    decision run.
+    """
+    swap = threshold is None and order_policy == DEFAULT_ORDER_POLICY and q.n < g.n
     run = SearchRun(
-        g, q, w,
+        *((q, g) if swap else (g, q)), w,
         order_policy=order_policy,
         succ_policy=succ_policy,
         node_budget=node_budget,
         time_limit=time_limit,
         threshold=threshold,
     )
-    return run.run()
+    result = run.run()
+    if swap:
+        result.mapping = result.mapping.inverse()
+    return result

@@ -71,10 +71,10 @@ class LabeledGraph:
     as it could not be serialised and read back.
 
     Two more private slots keep what the search derives from this graph
-    alone: ``_partition`` (vertex_partition) and ``_order``
-    (successors.determine_order). Each is left unset when the graph is
-    built, filled by its function's first call and returned as is by
-    every later call; both values are immutable. Copies and pickles
+    alone: ``_partition`` (vertex_partition) and ``_order`` (the default
+    policy's order, successors.determine_order). Each is left unset when
+    the graph is built, filled by its function's first call and returned
+    as is by every later call; both values are immutable. Copies and pickles
     rebuild the graph from its labels and edges, so they start without
     the kept values and recompute equal ones. Kept, they cost one pointer
     each per graph plus the value: a database partitions every member when
@@ -152,12 +152,14 @@ class LabeledGraph:
         return f"LabeledGraph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexPartition:
     """Equivalence classes of isomorphic vertices of a target graph.
 
     Two vertices share a class iff they carry the same label and the same
     labeled neighborhood. Classes are ordered by their smallest member.
+    Every graph that is searched or indexed keeps one, so instances carry
+    no __dict__.
     """
 
     classes: tuple[tuple[int, ...], ...]

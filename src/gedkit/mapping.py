@@ -55,6 +55,11 @@ class GraphMapping:
         return cls(tuple((i if i < n_source else None, j if j < n_target else None)
                          for i, j in enumerate(assignment)), n_source, n_target)
 
+    def inverse(self) -> "GraphMapping":
+        """The same mapping read from the target side: each pair (s, t)
+        becomes (t, s), in the same order, and the vertex counts swap."""
+        return GraphMapping(tuple((t, s) for s, t in self.pairs), self.n_target, self.n_source)
+
     def mapped_sources(self) -> dict[int, int | None]:
         """source vertex -> target (or None) for non-dummy sources."""
         return {s: t for s, t in self.pairs if s is not None}

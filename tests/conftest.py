@@ -7,6 +7,7 @@ import random
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import strategies as st
 
 from gedkit.graphs import LabelTable, LabeledGraph, VertexPartition, parse_graph_db
 from gedkit.mapping import GraphMapping
@@ -215,3 +216,19 @@ def sweep():
 def small_sweep():
     """Cheaper corpus for unit-level property tests."""
     return make_sweep(60, seed=99, max_n=6).pairs
+
+
+@st.composite
+def oracle_pairs(draw, max_n=7):
+    """Two graphs of 0..max_n vertices over one table, two labels of each kind."""
+    table = LabelTable()
+
+    def graph():
+        n = draw(st.integers(0, max_n))
+        labels = draw(st.lists(st.sampled_from("AB"), min_size=n, max_size=n))
+        slots = list(itertools.combinations(range(n), 2))
+        chosen = draw(st.lists(st.sampled_from(slots), unique=True)) if slots else []
+        edges = [(u, v, draw(st.sampled_from("ab"))) for u, v in chosen]
+        return build_graph(labels, edges, table)
+
+    return graph(), graph()

@@ -44,7 +44,10 @@ def test_dist_human_budget_without_leaf(square_star_db, capsys):
 
 
 def test_dist_human_budget_with_upper_bound(pendant_pair_db, capsys):
-    assert main(["dist", pendant_pair_db, "0", "1", "--beam", "1", "--budget", "10"]) == 3
+    # The default order finishes this pair in one expansion; the paper's
+    # dfs order needs more than 10 nodes.
+    assert main(["dist", pendant_pair_db, "0", "1", "--beam", "1", "--budget", "10",
+                 "--order", "dfs"]) == 3
     out = capsys.readouterr().out
     assert out.strip() == "nodes budget exhausted; best upper bound 5"
 
@@ -69,7 +72,7 @@ def test_dist_budget_exhaustion_exit_code(square_star_db, capsys):
 
 
 def test_dist_policies(square_star_db, capsys):
-    for order in ("default", "dfs"):
+    for order in ("default", "dfs", "connected"):
         for succ in ("basic", "reduced"):
             code, payload = run_json(
                 capsys,
@@ -244,6 +247,43 @@ def test_inspect_json(square_star_db, capsys):
     assert "lb" not in payload
 
 
+def test_inspect_prints_the_default_order(pendant_pair_db, capsys):
+    # The order a default run processes, not the paper's dfs order
+    # (1, 3, 0, 2, 4) of this graph.
+    code, payload = run_json(capsys, ["inspect", pendant_pair_db, "0", "1"])
+    assert code == 0
+    assert payload["order_policy"] == "connected"
+    assert payload["order"] == [3, 4, 0, 2, 1]
+
+
+def test_order_flag(pendant_pair_db, capsys, monkeypatch):
+    # dist and bench pass --order to the engine, connected when it is not
+    # given; every policy finds the same distance.
+    seen = []
+    engine_run = cli.bss_ged
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["order_policy"])
+        return engine_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "bss_ged", recording)
+    dists = set()
+    for flags in ([], ["--order", "connected"], ["--order", "dfs"], ["--order", "default"]):
+        code, payload = run_json(capsys, ["dist", pendant_pair_db, "0", "1", "--json", *flags])
+        assert code == 0
+        dists.add(payload["ged"])
+        code, payload = run_json(capsys, ["bench", pendant_pair_db, "--queries", "0",
+                                          "--targets", "1", "--json", *flags])
+        assert code == 0
+        dists.add(payload["rows"][0]["ged"])
+    assert dists == {5}
+    assert seen == [p for p in ("connected", "connected", "dfs", "default") for _ in range(2)]
+    for command in (["dist", pendant_pair_db, "0", "1"], ["bench", pendant_pair_db]):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--order", "random"])
+        assert exc.value.code == 2
+
+
 def test_inspect_runs_layer_recurrence_once(tmp_path, capsys, monkeypatch):
     # Every layer's count comes from one run of the recurrence, and the
     # output is the line the per-layer counts would print.
@@ -363,7 +403,7 @@ def test_bench_human_table(square_star_db, pendant_pair_db, capsys):
         assert "solve ratio: 0.000" in out
         assert _table_rows(out)[0][:6] == ["1", "0", "-", "budget_exhausted", reason, "4"]
     assert main(["bench", pendant_pair_db, "--queries", "1", "--targets", "0",
-                 "--beam", "1", "--budget", "10"]) == 0
+                 "--beam", "1", "--budget", "10", "--order", "dfs"]) == 0
     out = capsys.readouterr().out
     assert _table_rows(out)[0][:6] == ["1", "0", "-", "budget_exhausted", "nodes", "5"]
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import random
 import re
@@ -363,11 +364,11 @@ def test_subclasses_keep_type_and_methods(cls):
     assert g == LabeledGraph(g.vertex_labels, g.edges, table)
     with pytest.raises(AttributeError):
         g.extra = 1
-    # The partition and the DFS order are kept on the graph: later calls
-    # return the first call's objects.
-    part, order = vertex_partition(g), determine_order(g)
-    assert vertex_partition(g) is part and determine_order(g) is order
-    assert order == (0, 1, 2)
+    # The partition and the default (connected) order are kept on the
+    # graph: later calls return the first call's objects.
+    part, order = vertex_partition(g), determine_order(g, "connected")
+    assert vertex_partition(g) is part and determine_order(g, "connected") is order
+    assert order == (1, 0, 2)
     # Copies and pickles rebuild the subclass, not a plain LabeledGraph, and
     # do not share the kept values: each copy recomputes equal ones.
     for copied in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
@@ -375,9 +376,23 @@ def test_subclasses_keep_type_and_methods(cls):
         assert [copied.degree(u) for u in range(copied.n)] == [1, 2, 1]
         kept = vertex_partition(copied)
         assert kept == part and kept is not part and vertex_partition(copied) is kept
-        kept = determine_order(copied)
-        assert kept == order and kept is not order and determine_order(copied) is kept
-    assert vertex_partition(g) is part and determine_order(g) is order
+        kept = determine_order(copied, "connected")
+        assert kept == order and kept is not order and determine_order(copied, "connected") is kept
+    assert vertex_partition(g) is part and determine_order(g, "connected") is order
+
+
+def test_partition_has_slots_and_compares_by_value():
+    # Every searched or indexed graph keeps its partition, so it carries no
+    # per-instance __dict__; equality, hashing and immutability are the
+    # frozen dataclass's as before.
+    g = build_graph(["A", "A", "A"], [(0, 1, "x"), (2, 1, "x")])
+    part = vertex_partition(g)
+    assert not hasattr(part, "__dict__") and VertexPartition.__slots__ == ("classes",)
+    same = VertexPartition(((0, 2), (1,)))
+    assert part == same and hash(part) == hash(same) == hash((((0, 2), (1,)),))
+    assert part != VertexPartition(((0,), (1,), (2,)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        part.classes = ()
 
 
 def _partition_from_adjacency(q: LabeledGraph) -> VertexPartition:

@@ -1,8 +1,7 @@
-import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from conftest import (
     all_complete_mappings,
@@ -10,10 +9,11 @@ from conftest import (
     canonical_code,
     code_compare,
     identity_mapping,
+    oracle_pairs,
     random_pair,
 )
 from gedkit.bounds import lb_from_branches, vertex_branches
-from gedkit.graphs import LabelTable, vertex_partition
+from gedkit.graphs import vertex_partition
 from gedkit.mapping import (
     GraphMapping,
     descend_assignment,
@@ -271,20 +271,14 @@ def test_dummy_pair_repair_strictly_cheaper():
                 break
 
 
-@st.composite
-def oracle_pairs(draw, max_n=7):
-    """Two graphs of 0..max_n vertices over one table, two labels of each kind."""
-    table = LabelTable()
-
-    def graph():
-        n = draw(st.integers(0, max_n))
-        labels = draw(st.lists(st.sampled_from("AB"), min_size=n, max_size=n))
-        slots = list(itertools.combinations(range(n), 2))
-        chosen = draw(st.lists(st.sampled_from(slots), unique=True)) if slots else []
-        edges = [(u, v, draw(st.sampled_from("ab"))) for u, v in chosen]
-        return build_graph(labels, edges, table)
-
-    return graph(), graph()
+def test_inverse_reads_the_mapping_from_the_target_side(square_star):
+    g, q = square_star
+    psi = GraphMapping(((0, 3), (1, None), (None, 1), (2, 0), (3, 2)), g.n, q.n)
+    inv = psi.inverse()
+    assert inv.pairs == ((3, 0), (None, 1), (1, None), (0, 2), (2, 3))
+    assert (inv.n_source, inv.n_target) == (q.n, g.n)
+    assert inv.inverse() == psi
+    assert edit_cost(inv, q, g).total == edit_cost(psi, g, q).total
 
 
 @settings(max_examples=150, deadline=None)

@@ -12,7 +12,7 @@ from gedkit.graphs import LabelTable, LabeledGraph, serialize_graph_db, vertex_p
 from gedkit.mapping import edit_cost, realize_edit_path
 from gedkit.oracle import check_edit_path, exhaustive_ged
 from gedkit.simsearch import GraphDatabase, filter_candidates, range_query
-from gedkit.successors import determine_order
+from gedkit.successors import connected_order
 from gedkit.synth import random_graph, random_graph_db
 
 
@@ -396,8 +396,8 @@ def test_per_graph_structures_built_once(monkeypatch):
     branch_builds, orders, partitions = {}, {}, {}
 
     def counting(fn, seen):
-        def wrapper(g):
-            result = fn(g)
+        def wrapper(g, *policy):
+            result = fn(g, *policy)
             seen.setdefault(id(g), {})[id(result)] = result
             return result
         return wrapper
@@ -426,7 +426,7 @@ def test_per_graph_structures_built_once(monkeypatch):
     assert all(len(built) == 1 for built in (*orders.values(), *partitions.values()))
     assert engine_runs > len(orders) + len(partitions)
     for g in (*db.graphs.values(), *queries):
-        for seen, build in ((orders, determine_order), (partitions, vertex_partition)):
+        for seen, build in ((orders, connected_order), (partitions, vertex_partition)):
             if id(g) in seen:
                 assert list(seen[id(g)].values()) == [build(copy.copy(g))]
 

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import (
     PENDANT_PAIR_TEXT,
@@ -11,16 +12,20 @@ from conftest import (
     build_graph,
     canonical_code,
     code_compare,
+    oracle_pairs,
     parse_pair,
     random_pair,
 )
 from gedkit import successors
 from gedkit.bounds import PairHeuristic
-from gedkit.engine import bss_ged
+from gedkit.engine import EXACT, bss_ged
 from gedkit.graphs import vertex_partition
 from gedkit.mapping import GraphMapping, edit_cost
+from gedkit.oracle import exhaustive_ged
 from gedkit.successors import (
+    ORDER_POLICIES,
     basic_gen_succr,
+    connected_order,
     determine_order,
     enumerate_search_tree,
     gen_succr,
@@ -125,6 +130,88 @@ def test_determine_order_long_path():
     n = 1500
     g = build_graph(["A"] * n, [(i, i + 1, "x") for i in range(n - 1)])
     assert determine_order(g) == tuple(range(n))
+
+
+def test_connected_order_pendant_pair_tie_breaks():
+    # g: 0 A, 1 B, 2 A, 3 A, 4 C; edges 0-2, 0-3, 1-3, 2-4, 3-4.
+    g, _, _ = parse_pair(PENDANT_PAIR_TEXT)
+    # 3 has the highest degree (3). Its neighbours 0, 1 and 4 then have one
+    # ordered neighbour each: 1 has degree 1 against 2, and 4 (C, one
+    # vertex) is rarer than 0 (A, three). Then 0 and 2 tie on one ordered
+    # neighbour, degree 2 and label A, and the lower id goes first. 2 now
+    # has two ordered neighbours, and 1 comes last.
+    assert connected_order(g) == (3, 4, 0, 2, 1)
+    assert determine_order(g, "connected") == (3, 4, 0, 2, 1)
+
+
+def _component_of(g):
+    comp = list(range(g.n))
+
+    def find(u):
+        while comp[u] != u:
+            comp[u] = comp[comp[u]]
+            u = comp[u]
+        return u
+
+    for u, v, _ in g.edges:
+        comp[find(u)] = find(v)
+    return [find(u) for u in range(g.n)]
+
+
+def reference_connected_order(g):
+    """connected_order's rule, one full scan per step."""
+    rarity = Counter(g.vertex_labels)
+    order = []
+    while len(order) < g.n:
+        placed = set(order)
+        order.append(max((u for u in range(g.n) if u not in placed),
+                         key=lambda u: (sum(v in placed for v in g.adjacency[u]),
+                                        len(g.adjacency[u]), -rarity[g.vertex_labels[u]], -u)))
+    return tuple(order)
+
+
+def test_connected_order_grows_each_component():
+    rng = random.Random(34)
+    for _ in range(200):
+        g, _ = random_pair(rng, max_n=12, min_n=0, densities=(0.1, 0.2, 0.3, 0.5, 0.8))
+        order = connected_order(g)
+        assert sorted(order) == list(range(g.n))
+        assert order == reference_connected_order(g)
+        # Within each component every vertex after the first has a
+        # neighbour placed earlier, and the components do not interleave.
+        comp = _component_of(g)
+        started, placed = [], set()
+        for u in order:
+            if comp[u] not in started:
+                started.append(comp[u])
+            else:
+                assert comp[u] == started[-1]
+                assert any(v in placed for v in g.adjacency[u])
+            placed.add(u)
+
+
+def test_order_policies():
+    g, _, _ = parse_pair(PENDANT_PAIR_TEXT)
+    assert determine_order(g, "default") == identity_order(g) == (0, 1, 2, 3, 4)
+    assert determine_order(g, "dfs") == determine_order(g) == (1, 3, 0, 2, 4)
+    with pytest.raises(ValueError, match="order policy"):
+        determine_order(g, "random")
+    # Only the default policy's order is kept on the graph.
+    assert getattr(g, "_order", None) is None
+    order = determine_order(g, "connected")
+    assert determine_order(g, "connected") is order and g._order is order
+    assert determine_order(g, "dfs") == (1, 3, 0, 2, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_pairs())
+def test_every_policy_finds_the_oracle_distance(pair):
+    g, q = pair
+    want = exhaustive_ged(g, q).distance
+    for order in ORDER_POLICIES:
+        for succ in ("basic", "reduced"):
+            res = bss_ged(g, q, order_policy=order, succ_policy=succ)
+            assert (res.status, res.distance) == (EXACT, want), (order, succ)
 
 
 def test_predicted_layer_counts_square_star(square_star):
