@@ -15,6 +15,7 @@ from .engine import (
     EXACT,
     bss_ged,
     check_search_args,
+    searches_from_q,
 )
 from .graphs import GraphFormatError, parse_graph_db, serialize_graph_db, vertex_partition
 from .oracle import exhaustive_ged
@@ -50,6 +51,18 @@ def _pick(graphs: dict, gid: int):
     return graphs[gid]
 
 
+def _add_pair_args(p: argparse.ArgumentParser):
+    p.add_argument("db")
+    p.add_argument("id1", type=int)
+    p.add_argument("id2", type=int)
+
+
+def _load_pair(args):
+    """The graphs id1 and id2 of the file db."""
+    graphs = _load_graphs(args.db)
+    return _pick(graphs, args.id1), _pick(graphs, args.id2)
+
+
 def _add_engine_flags(p: argparse.ArgumentParser):
     p.add_argument("--beam", type=int, default=DEFAULT_BEAM_WIDTH, help="beam width w")
     p.add_argument("--order", choices=tuple(ORDER_POLICIES), default=DEFAULT_ORDER_POLICY,
@@ -58,14 +71,24 @@ def _add_engine_flags(p: argparse.ArgumentParser):
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="node budget")
 
 
-def _outcome(result) -> dict:
-    """The status of an exact engine result; when a budget ran out, also
-    which one and the best upper bound, which an exact run always has."""
-    out = {"status": result.status}
+def _run_pair(args, g, q, time_limit=None) -> dict:
+    """Run exact bss_ged(g, q) with the command's engine flags and return
+    its record: ged and status; when a budget ran out, also which one and
+    the best upper bound, which an exact run always has; then the search
+    counters and the wall time."""
+    t0 = time.perf_counter()
+    result = bss_ged(
+        g, q, args.beam,
+        order_policy=args.order, succ_policy=args.succ,
+        node_budget=args.budget, time_limit=time_limit,
+    )
+    ms = (time.perf_counter() - t0) * 1000.0
+    record = {"ged": result.distance, "status": result.status}
     if result.status == BUDGET_EXHAUSTED:
-        out["reason"] = result.reason
-        out["upper_bound"] = result.upper_bound
-    return out
+        record.update(reason=result.reason, upper_bound=result.upper_bound)
+    record.update(expanded=result.stats.nodes_expanded, backtracks=result.stats.backtracks,
+                  passes=result.stats.passes, time_ms=round(ms, 3))
+    return record
 
 
 def _or_dash(value) -> str:
@@ -73,39 +96,22 @@ def _or_dash(value) -> str:
 
 
 def cmd_dist(args) -> int:
-    graphs = _load_graphs(args.db)
-    g, q = _pick(graphs, args.id1), _pick(graphs, args.id2)
-    t0 = time.perf_counter()
-    result = bss_ged(
-        g, q, args.beam,
-        order_policy=args.order, succ_policy=args.succ, node_budget=args.budget,
-    )
-    ms = (time.perf_counter() - t0) * 1000.0
-    payload = {
-        "ged": result.distance,
-        **_outcome(result),
-        "expanded": result.stats.nodes_expanded,
-        "backtracks": result.stats.backtracks,
-        "passes": result.stats.passes,
-        "time_ms": round(ms, 3),
-    }
+    r = _run_pair(args, *_load_pair(args))
     if args.json:
-        print(json.dumps(payload))
-    elif result.status == BUDGET_EXHAUSTED:
-        print(f"{result.reason} budget exhausted; best upper bound {result.upper_bound}")
+        print(json.dumps(r))
+    elif r["status"] == BUDGET_EXHAUSTED:
+        print(f"{r['reason']} budget exhausted; best upper bound {r['upper_bound']}")
     else:
         print(
-            f"ged({args.id1}, {args.id2}) = {result.distance}  "
-            f"[expanded={payload['expanded']} backtracks={payload['backtracks']} "
-            f"passes={payload['passes']} time={payload['time_ms']}ms]"
+            f"ged({args.id1}, {args.id2}) = {r['ged']}  "
+            f"[expanded={r['expanded']} backtracks={r['backtracks']} "
+            f"passes={r['passes']} time={r['time_ms']}ms]"
         )
-    return EXIT_BUDGET if result.status == BUDGET_EXHAUSTED else EXIT_OK
+    return EXIT_BUDGET if r["status"] == BUDGET_EXHAUSTED else EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    graphs = _load_graphs(args.db)
-    g, q = _pick(graphs, args.id1), _pick(graphs, args.id2)
-    res = exhaustive_ged(g, q)
+    res = exhaustive_ged(*_load_pair(args))
     print(json.dumps({"ged": res.distance, "mappings_enumerated": res.mappings_enumerated}))
     return EXIT_OK
 
@@ -167,17 +173,20 @@ def cmd_gen(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    graphs = _load_graphs(args.db)
-    g, q = _pick(graphs, args.id1), _pick(graphs, args.id2)
-    part = vertex_partition(q)
+    g, q = _load_pair(args)
+    # The pair as a default exact run searches it: from source into target.
+    swap = searches_from_q(g, q)
+    source, target = (q, g) if swap else (g, q)
+    part = vertex_partition(target)
     sizes = [len(c) for c in part.classes]
     payload = {
         "g": args.id1,
         "q": args.id2,
+        "source": args.id2 if swap else args.id1,
         "partition": {"lambda": len(part.classes), "classes": [list(c) for c in part.classes]},
         "order_policy": DEFAULT_ORDER_POLICY,
-        "order": list(determine_order(g, DEFAULT_ORDER_POLICY)),
-        "predicted_layer_counts": predicted_layer_counts(g.n, g.n, q.n, sizes),
+        "order": list(determine_order(source, DEFAULT_ORDER_POLICY)),
+        "predicted_layer_counts": predicted_layer_counts(source.n, source.n, target.n, sizes),
     }
     if args.bounds:
         d1, d2 = delta_bounds(g, q)
@@ -192,28 +201,12 @@ def cmd_bench(args) -> int:
     graphs = _load_graphs(args.db)
     queries = [int(x) for x in args.queries.split(",")] if args.queries is not None else list(graphs)
     targets = [int(x) for x in args.targets.split(",")] if args.targets is not None else list(graphs)
-    rows = []
-    solved = 0
-    for qid in queries:
-        for tid in targets:
-            g, q = _pick(graphs, tid), _pick(graphs, qid)
-            t0 = time.perf_counter()
-            result = bss_ged(
-                g, q, args.beam,
-                order_policy=args.order, succ_policy=args.succ,
-                node_budget=args.budget, time_limit=args.time_limit,
-            )
-            ms = (time.perf_counter() - t0) * 1000.0
-            solved += result.status == EXACT
-            rows.append({
-                "query": qid,
-                "target": tid,
-                "ged": result.distance,
-                **_outcome(result),
-                "time_ms": round(ms, 3),
-                "expanded": result.stats.nodes_expanded,
-                "backtracks": result.stats.backtracks,
-            })
+    rows = [
+        {"query": qid, "target": tid,
+         **_run_pair(args, _pick(graphs, tid), _pick(graphs, qid), args.time_limit)}
+        for qid in queries for tid in targets
+    ]
+    solved = sum(r["status"] == EXACT for r in rows)
     ratio = solved / len(rows) if rows else 1.0
     if args.json:
         print(json.dumps({"rows": rows, "solve_ratio": ratio}))
@@ -233,17 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dist", help="exact GED between two database graphs")
-    p.add_argument("db")
-    p.add_argument("id1", type=int)
-    p.add_argument("id2", type=int)
+    _add_pair_args(p)
     _add_engine_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_dist)
 
     p = sub.add_parser("oracle", help="brute-force GED (small graphs only)")
-    p.add_argument("db")
-    p.add_argument("id1", type=int)
-    p.add_argument("id2", type=int)
+    _add_pair_args(p)
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("search", help="graphs within edit distance tau of a query")
@@ -268,9 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("inspect", help="partition, order, and predicted layer sizes")
-    p.add_argument("db")
-    p.add_argument("id1", type=int)
-    p.add_argument("id2", type=int)
+    _add_pair_args(p)
     p.add_argument("--bounds", action="store_true")
     p.set_defaults(fn=cmd_inspect)
 

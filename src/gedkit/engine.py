@@ -285,6 +285,17 @@ class SearchRun:
         return GedResult(EXACT, self.ub, self.ub, self.stats, mapping=self.best)
 
 
+def searches_from_q(g: LabeledGraph, q: LabeledGraph, order_policy: str = DEFAULT_ORDER_POLICY,
+                    threshold: int | None = None) -> bool:
+    """True when bss_ged(g, q) runs SearchRun(q, g): an exact run under the
+    most-connected order with q smaller than g. Under that order the
+    smaller source expands fewer nodes; under the paper's orders no such
+    rule held, so they search from g as called, and so does every decision
+    run.
+    """
+    return threshold is None and order_policy == "connected" and q.n < g.n
+
+
 def bss_ged(g: LabeledGraph, q: LabeledGraph, w: int = DEFAULT_BEAM_WIDTH, *,
             order_policy: str = DEFAULT_ORDER_POLICY, succ_policy: str = "reduced",
             node_budget: int = DEFAULT_NODE_BUDGET, time_limit: float | None = None,
@@ -292,15 +303,11 @@ def bss_ged(g: LabeledGraph, q: LabeledGraph, w: int = DEFAULT_BEAM_WIDTH, *,
     """GED via beam-stack search: exact, or with a threshold the decision
     ged <= threshold; see SearchRun for the knobs.
 
-    An exact run under the default order policy searches from the smaller
-    graph: when q has fewer vertices than g it runs SearchRun(q, g), which
-    gives the same distance since GED is symmetric, and inverts the
-    mapping, so the result still maps g onto q. Under the most-connected
-    order the smaller source expands fewer nodes; under the paper's orders
-    no such rule held, so they search from g as called, and so does every
-    decision run.
+    When searches_from_q holds it runs SearchRun(q, g), which gives the
+    same distance since GED is symmetric, and inverts the mapping, so the
+    result still maps g onto q.
     """
-    swap = threshold is None and order_policy == DEFAULT_ORDER_POLICY and q.n < g.n
+    swap = searches_from_q(g, q, order_policy, threshold)
     run = SearchRun(
         *((q, g) if swap else (g, q)), w,
         order_policy=order_policy,

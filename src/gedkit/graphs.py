@@ -78,7 +78,7 @@ class LabeledGraph:
     rebuild the graph from its labels and edges, so they start without
     the kept values and recompute equal ones. Kept, they cost one pointer
     each per graph plus the value: a database partitions every member when
-    it is built, and that same object is the one kept.
+    it is built, and keeps no copy of its own.
 
     The attributes cannot be reassigned or deleted, so ``==``, ``hash`` and
     the two edge stores always agree.

@@ -14,7 +14,7 @@ from .engine import (
     bss_ged,
     check_search_args,
 )
-from .graphs import LabelTable, LabeledGraph, VertexPartition, parse_graph_db, vertex_partition
+from .graphs import LabelTable, LabeledGraph, parse_graph_db, vertex_partition
 from .mapping import GraphMapping, edit_cost
 
 
@@ -38,8 +38,9 @@ class GraphDatabase:
 
     Building the database reads each graph's edges, never its adjacency, so
     a graph builds its per-vertex maps only when range_query's branch bound
-    first checks it as a candidate. partitions[gid] is the partition kept
-    on the graph itself (see vertex_partition), not a second copy.
+    first checks it as a candidate. Each member's partition is computed
+    once at build time and kept on the graph itself (see vertex_partition);
+    the database holds no copy.
 
     The database also keeps, in _branches, the vertex branches of each
     member that range_query has checked by its branch bound, as a tuple
@@ -51,7 +52,6 @@ class GraphDatabase:
 
     graphs: dict[int, LabeledGraph]
     summaries: dict[int, GraphSummary]
-    partitions: dict[int, VertexPartition]
     table: LabelTable
     ids: list[int]
     size_index: dict[tuple[int, int], list[int]]
@@ -62,7 +62,7 @@ class GraphDatabase:
 
     @classmethod
     def from_graphs(cls, entries: list[tuple[int, LabeledGraph]], table: LabelTable) -> "GraphDatabase":
-        db = cls(graphs={}, summaries={}, partitions={}, table=table, ids=[],
+        db = cls(graphs={}, summaries={}, table=table, ids=[],
                  size_index={}, vertex_masks={}, edge_masks={})
         for gid, g in entries:
             if gid in db.graphs:
@@ -80,7 +80,8 @@ class GraphDatabase:
             _add_units(db.edge_masks.setdefault(size, {}), s.edge_labels, bit)
             db.graphs[gid] = g
             db.summaries[gid] = s
-            db.partitions[gid] = vertex_partition(g)
+            # Kept on g: an exact run into a member reads it as the target's.
+            vertex_partition(g)
             db.ids.append(gid)
         return db
 

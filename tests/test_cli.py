@@ -286,12 +286,13 @@ def test_order_flag(pendant_pair_db, capsys, monkeypatch):
 
 def test_inspect_runs_layer_recurrence_once(tmp_path, capsys, monkeypatch):
     # Every layer's count comes from one run of the recurrence, and the
-    # output is the line the per-layer counts would print.
+    # output is the line the per-layer counts would print. Graph 0 is the
+    # larger, so a default run, and inspect, search from graph 1 into it.
     path = tmp_path / "pair.txt"
     entries, _ = random_graph_db(0, 2, 9, 12, 0.3, 3, 2)
     path.write_text(serialize_graph_db(entries))
-    (_, g), (_, q) = entries
-    assert g.n > q.n  # so that dummies occur
+    (_, q), (_, g) = entries
+    assert g.n < q.n
     runs = []
     recurrence = successors.predicted_layer_counts
 
@@ -305,10 +306,28 @@ def test_inspect_runs_layer_recurrence_once(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert len(runs) == 1
     payload = json.loads(out)
+    assert payload["source"] == 1
     sizes = [len(c) for c in vertex_partition(q).classes]
     per_layer = [successors.predicted_layer_count(l, g.n, q.n, sizes) for l in range(g.n + 1)]
     assert payload["predicted_layer_counts"] == per_layer
     assert out == json.dumps(payload) + "\n"
+
+
+def test_inspect_describes_the_run_dist_makes(pendant_pair_db, capsys):
+    # Graph 0 has 5 vertices and graph 1 has 6, so a default exact run on
+    # (1, 0) searches from graph 0, and inspect prints graph 0's order and
+    # graph 1's partition. The bounds stay as called: delta1 counts
+    # deletions from graph 1.
+    code, swapped = run_json(capsys, ["inspect", pendant_pair_db, "1", "0", "--bounds"])
+    assert code == 0
+    assert (swapped["g"], swapped["q"], swapped["source"]) == (1, 0, 0)
+    assert swapped["order"] == [3, 4, 0, 2, 1]
+    code, as_called = run_json(capsys, ["inspect", pendant_pair_db, "0", "1", "--bounds"])
+    assert as_called["source"] == 0
+    for key in ("partition", "order", "predicted_layer_counts", "lb"):
+        assert swapped[key] == as_called[key]
+    assert len(swapped["predicted_layer_counts"]) == 6
+    assert (swapped["delta1"], swapped["delta2"]) == (as_called["delta2"], as_called["delta1"])
 
 
 def test_inspect_bounds(square_star_db, capsys):
@@ -383,6 +402,25 @@ def test_bench_reduced_expands_no_more_than_basic(square_star_db, pendant_pair_d
         for rb, rr in zip(basic["rows"], reduced["rows"]):
             assert rr["expanded"] <= rb["expanded"]
             assert rr["ged"] == rb["ged"]
+
+
+def test_dist_and_bench_print_one_record(square_star_db, pendant_pair_db, capsys):
+    # A pair that finishes, one that runs out of nodes, and one that a
+    # default run searches from its smaller graph: bench's row for target a
+    # and query b is dist a b's record, timing apart.
+    statuses = []
+    for db, a, b, flags in ((square_star_db, "0", "1", []),
+                            (square_star_db, "0", "1", ["--budget", "2"]),
+                            (pendant_pair_db, "1", "0", [])):
+        _, record = run_json(capsys, ["dist", db, a, b, "--json", *flags])
+        _, table = run_json(capsys, ["bench", db, "--queries", b, "--targets", a, "--json", *flags])
+        (row,) = table["rows"]
+        assert (row.pop("query"), row.pop("target")) == (int(b), int(a))
+        assert row.keys() == record.keys()
+        assert {k: v for k, v in row.items() if k != "time_ms"} == \
+            {k: v for k, v in record.items() if k != "time_ms"}
+        statuses.append(record["status"])
+    assert statuses == ["exact", "budget_exhausted", "exact"]
 
 
 def _table_rows(out: str) -> list[list[str]]:

@@ -13,6 +13,7 @@ from gedkit.engine import (
     SearchRun,
     bss_ged,
     check_search_args,
+    searches_from_q,
 )
 from gedkit import successors
 from gedkit.bounds import lb_from_branches, vertex_branches
@@ -84,7 +85,8 @@ def test_symmetry(small_sweep):
 def test_exact_run_searches_from_the_smaller_graph():
     # A default exact run on a pair of unequal size runs SearchRun from the
     # smaller graph, and still reports a mapping from g onto q. Decision
-    # runs and the paper's orders search from g as called.
+    # runs and the paper's orders search from g as called, as
+    # searches_from_q says.
     entries, _ = random_graph_db(11, 20, 8, 10, 0.3, 5, 2)
     graphs = dict(entries)
     pairs = [(graphs[a], graphs[b]) for a in range(0, 20, 3) for b in range(1, 20, 4)]
@@ -100,7 +102,9 @@ def test_exact_run_searches_from_the_smaller_graph():
         small, large = (q, g) if q.n < g.n else (g, q)
         alone = SearchRun(small, large).run()
         assert (alone.distance, alone.stats) == (res.distance, res.stats)
-        for kw in ({"order_policy": "dfs"}, {"threshold": res.distance}):
+        assert searches_from_q(g, q) == (q.n < g.n)
+        for kw in ({"order_policy": "dfs"}, {"order_policy": "default"}, {"threshold": res.distance}):
+            assert not searches_from_q(g, q, **kw)
             assert bss_ged(g, q, **kw).stats == SearchRun(g, q, **kw).run().stats
 
 

@@ -228,12 +228,14 @@ def test_certified_matches_are_proven(monkeypatch):
 
 
 def test_database_precomputation_consistent(small_db):
-    from gedkit.graphs import vertex_partition
-
     db, _, _ = small_db
     for gid, g in db.graphs.items():
         assert db.summaries[gid] == summarize(g)
-        assert db.partitions[gid] == vertex_partition(g)
+        # The build keeps each member's partition on the member itself: a
+        # call returns the kept object, equal to a copy's fresh partition.
+        kept = g._partition
+        assert kept is not None and vertex_partition(g) is kept
+        assert kept == vertex_partition(copy.copy(g))
     by_size = {}
     for pos, gid in enumerate(db.ids):
         by_size.setdefault((db.graphs[gid].n, db.graphs[gid].m), []).append(pos)
