@@ -66,7 +66,7 @@ def _combine(n_g: int, n_q: int, vinter: int, over: int, under: int, m_q: int, e
     return max(n_g, n_q) - vinter + max(d1 + d2, d1 + m_q - einter)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphSummary:
     """Per-graph inputs of the pair bound, precomputable for databases.
 
@@ -330,109 +330,76 @@ def _graph_totals(g: LabeledGraph, ids: dict[int, int]) -> tuple:
     return labels, tuple(map(tuple, rows)), counts, ecounts, list(map(len, rows)), len(g.edges)
 
 
-def _source_side(totals: tuple, sources: Sequence[int], target: tuple) -> tuple:
-    """The source half of the remainder bounds once `sources` are mapped.
+_UNPAIRED = {None: (0, {}, 0, {})}
 
-    The whole graph's tables minus the mapped sources, in one walk of their
-    rows: an edge between two mapped sources leaves the remainder once,
-    counted from its smaller end, and an edge from a mapped s to an
-    unmapped v lowers v's degree and becomes one of s's outer edges.
-    Returns (label counts, edge-label counts, the unmapped part's nonzero
-    degrees, {source: (outer size, outer edge-label counts)}, outer size
-    summed over the sources, number of outer source vertices, and the
-    label and edge-label intersections with the whole `target` graph's
-    tables).
+
+def _half(totals: tuple, removed: dict, partners: dict, o_counts: list, o_ecounts: list,
+          vinter: int, einter: int) -> tuple:
+    """One graph's whole-graph tables (_graph_totals) minus the vertices in
+    `removed`, taken out in one walk of their rows and met with a partner.
+
+    removed maps each vertex to take out to its partner's key in partners,
+    whose entries have the shape of this function's per-vertex entries: a
+    used target's partner is the source mapped onto it, among the source
+    half's entries, and a mapped source's is _UNPAIRED[None], with no outer
+    edges. o_counts and o_ecounts
+    are the other side's label and edge-label counts, and vinter and einter
+    the intersections of this graph's whole tables with them: the other
+    side is the whole target for the source half, and the source half for
+    the target half.
+
+    An edge between two removed vertices leaves the remainder once, counted
+    from its smaller end; an edge from a removed t to a kept v lowers v's
+    degree and becomes one of t's outer edges. Taking one unit of a label
+    out shrinks an intersection sum(min(T, S)) iff T <= S for it. Each
+    removed vertex's outer edges meet its partner's label by label,
+    counting the labels they share.
+
+    Returns (label counts, edge-label counts, vinter, einter, degrees by
+    vertex (a removed vertex has 0), edge count, {vertex: (outer size,
+    outer edge-label counts, 1 if that size exceeds the partner's else 0,
+    the partner's outer edge-label counts)}, the outer vertices, and the
+    excess over the partners, outer size and shared labels summed over the
+    removed vertices).
     """
-    labels, rows, counts, ecounts, deg, _ = totals
+    labels, rows, counts, ecounts, deg, m = totals
     counts, ecounts, deg = counts[:], ecounts[:], deg[:]
-    mapped = set(sources)
-    outer = {}
-    total = 0
-    a_g: set[int] = set()
-    for s in sources:
-        counts[labels[s]] -= 1
-        deg[s] = 0
-        c: dict[int, int] = {}
-        size = 0
-        for v, lab in rows[s]:
-            if v not in mapped:
-                size += 1
-                c[lab] = c.get(lab, 0) + 1
-                a_g.add(v)
-                deg[v] -= 1
-            elif v < s:
-                continue
-            ecounts[lab] -= 1
-        outer[s] = (size, c)
-        total += size
-    _, _, t_counts, t_ecounts, _, _ = target
-    return (counts, ecounts, [d for d in deg if d], outer, total, len(a_g),
-            sum(map(min, t_counts, counts)), sum(map(min, t_ecounts, ecounts)))
-
-
-def _target_side(totals: tuple, preimage: dict[int, int], source: tuple) -> tuple:
-    """The target half of the remainder bounds once the targets in
-    `preimage` are used, met with the source half `source`.
-
-    preimage maps each used target to the source mapped onto it: the
-    search inserts targets only at its leaves, which are never bounded,
-    so every used target has one. The walk is the source half's, over the
-    used targets' rows, and it also:
-    - keeps the label and edge-label intersections with the source half
-      up to date, starting from the whole graph's (_source_side): taking
-      one unit of a label out shrinks sum(min(T, S)) iff T <= S for it;
-    - meets each pair's target outer edges with its source's, label by
-      label, counting the labels they share.
-    The outer-edge sums start from the source half's outer total, which
-    counts every mapped source as if it were deleted; each pair then adds
-    the excess of its target's outer edges over its source's and takes
-    out the labels they share.
-
-    Returns (label counts, edge-label counts, degrees of the unused part by
-    vertex, m_q, vinter, einter, the outer-edge sums (max, target, source),
-    the outer target vertices, {target: (1 if its outer edges outnumber
-    its source's else 0, its outer edge-label counts, its source's)}); a
-    used target has degree 0.
-    """
-    labels, rows, counts, ecounts, deg, m_q = totals
-    s_counts, s_ecounts, _, outer, s_size, _, vinter, einter = source
-    counts, ecounts, deg = counts[:], ecounts[:], deg[:]
-    excess = sum_tgt = sum_inter = 0
-    a_q: set[int] = set()
-    outer_of: dict[int, tuple] = {}
-    for t, w in preimage.items():
+    excess = total = shared = 0
+    outer_vertices: set[int] = set()
+    outer: dict[int, tuple] = {}
+    for t, w in removed.items():
         lab = labels[t]
         c = counts[lab]
-        if c <= s_counts[lab]:
+        if c <= o_counts[lab]:
             vinter -= 1
         counts[lab] = c - 1
         deg[t] = 0
-        size_u, c_u = outer[w]
+        size_w, c_w, _, _ = partners[w]
         d: dict[int, int] = {}
-        size_t = inter = 0
+        size = inter = 0
         for v, lab in rows[t]:
-            if v not in preimage:
+            if v not in removed:
                 deg[v] -= 1
-                size_t += 1
+                size += 1
                 k = d.get(lab, 0)
-                if k < c_u.get(lab, 0):
+                if k < c_w.get(lab, 0):
                     inter += 1
                 d[lab] = k + 1
-                a_q.add(v)
+                outer_vertices.add(v)
             elif v < t:
                 continue
-            m_q -= 1
+            m -= 1
             c = ecounts[lab]
-            if c <= s_ecounts[lab]:
+            if c <= o_ecounts[lab]:
                 einter -= 1
             ecounts[lab] = c - 1
-        outer_of[t] = (1 if size_t > size_u else 0, d, c_u)
-        if size_t > size_u:
-            excess += size_t - size_u
-        sum_tgt += size_t
-        sum_inter += inter
-    sums = (s_size + excess - sum_inter, sum_tgt - sum_inter, s_size - sum_inter)
-    return counts, ecounts, deg, m_q, vinter, einter, sums, a_q, outer_of
+        drop = 1 if size > size_w else 0
+        outer[t] = (size, d, drop, c_w)
+        if drop:
+            excess += size - size_w
+        total += size
+        shared += inter
+    return counts, ecounts, vinter, einter, deg, m, outer, outer_vertices, excess, total, shared
 
 
 def remainder_bounds(g_totals: tuple, q_totals: tuple) -> int:
@@ -448,7 +415,7 @@ def remainder_bounds(g_totals: tuple, q_totals: tuple) -> int:
 
     The name is that of the general evaluator this replaced, because
     bench/spans.py traces bounds.remainder_bounds to count one root bound
-    per engine run, until ROADMAP item 6 stops binding it.
+    per engine run, until ROADMAP item 7 stops binding it.
     """
     g_labels, _, g_counts, g_ecounts, g_deg, _ = g_totals
     q_labels, _, q_counts, q_ecounts, q_deg, m_q = q_totals
@@ -461,35 +428,40 @@ class PairHeuristic:
     """h for one graph pair: at the root, or for all children of one parent.
 
     root() gives the pair bound through remainder_bounds; children() gives
-    h of every child of one parent in one pass, composing the source half
-    (_source_side) and the target half (_target_side). These are the
-    search's only evaluators of h.
+    h of every child of one parent in one pass, composing a source half
+    and a target half. These are the search's only evaluators of h.
 
     The heuristic builds each graph's whole-graph tables once
     (_graph_totals): rows of (neighbour, edge label) pairs, label and
     edge-label counts as lists indexed by the pair's dense label ids
-    (_label_ids), degrees and the edge count. A half is those totals
-    minus the mapped or used vertices, taken out in one walk of their
-    rows, so it costs copies of the tables plus the removed vertices'
-    degrees, not a pass over the graph.
+    (_label_ids), degrees and the edge count. Both halves come from one
+    walk (_half): the totals minus the mapped sources or the used
+    targets, taken out along their rows, so a half costs copies of the
+    tables plus the removed vertices' degrees, not a pass over the graph.
 
     The source half depends only on which sources are mapped, and sources
     are mapped in a fixed order, so within one run it depends only on the
     depth: it is kept per depth, at most |V_G| + 1 entries, and rebuilt
-    when a different source sequence reaches that depth. It carries its
-    label intersections with the whole target graph, which the target
-    half counts down as it takes targets out. The target half is the
-    parent's, computed once per call; each child's is the parent's with
+    when a different source sequence reaches that depth. Its sources meet
+    no partner, and its intersections are counted down from the whole
+    graphs'. The target half is the parent's, computed once per call with
+    each used target met by its source; each child's is the parent's with
     its target z used, applied in O(deg z) with list reads by dense id,
     and the dummy child takes the same update with nothing used.
     """
 
-    __slots__ = ("_g_totals", "_q_totals", "_sources")
+    __slots__ = ("_g_totals", "_q_totals", "_q_whole", "_sources")
 
     def __init__(self, g: LabeledGraph, q: LabeledGraph):
         ids = _label_ids(g, q)
-        self._g_totals = _graph_totals(g, ids)
-        self._q_totals = _graph_totals(q, ids)
+        self._g_totals = g_totals = _graph_totals(g, ids)
+        self._q_totals = q_totals = _graph_totals(q, ids)
+        # The source half's other side: the whole target's counts and their
+        # intersections with the whole source's.
+        _, _, g_counts, g_ecounts, _, _ = g_totals
+        _, _, q_counts, q_ecounts, _, _ = q_totals
+        self._q_whole = (q_counts, q_ecounts, sum(map(min, g_counts, q_counts)),
+                         sum(map(min, g_ecounts, q_ecounts)))
         self._sources: list[tuple | None] = [None] * (g.n + 1)
 
     def root(self) -> int:
@@ -520,21 +492,29 @@ class PairHeuristic:
         neighbours' levels are raised one by one, in place, since two of
         them may share a level, and restored before the next child.
         """
+        # The source half of this depth, kept with its nonzero degrees, its
+        # number of outer vertices and its number of unmapped sources.
         key = (*parent_map, u)
         entry = self._sources[len(key)]
         if entry is None or entry[0] != key:
-            entry = self._sources[len(key)] = (key, _source_side(self._g_totals, key, self._q_totals))
-        source = entry[1]
-        s_counts, s_ecounts, deg_g, outer, _, a_g, _, _ = source
+            source = _half(self._g_totals, dict.fromkeys(key), _UNPAIRED, *self._q_whole)
+            entry = self._sources[len(key)] = (key, source, [d for d in source[4] if d], len(source[7]),
+                                               len(self._g_totals[0]) - len(key))
+        _, source, deg_g, a_g, n_g = entry
+        s_counts, s_ecounts, s_vinter, s_einter, _, _, outer, _, _, s_size, _ = source
         # The parent's target half, met with the children's source half.
-        t_counts, t_ecounts, deg_q, m_q, vinter, einter, sums, a_q, outer_of = _target_side(
-            self._q_totals, preimage, source)
-        sum_max, sum_tgt, sum_src = sums
-        qlabels, rows = self._q_totals[:2]
-        n_g = len(self._g_totals[0]) - len(key)
+        # preimage gives every used target a source: the search inserts
+        # targets only at its leaves, which are never bounded. The source
+        # half counts every mapped source as if it were deleted;
+        # each pair adds the excess of its target's outer edges over its
+        # source's and takes out the labels they share.
+        t_counts, t_ecounts, vinter, einter, deg_q, m_q, outer_of, a_q, excess, sum_tgt, shared = _half(
+            self._q_totals, preimage, outer, s_counts, s_ecounts, s_vinter, s_einter)
+        sum_max, sum_tgt, sum_src = s_size + excess - shared, sum_tgt - shared, s_size - shared
+        qlabels, rows, _, _, _, _ = self._q_totals
         n_q = len(qlabels) - len(preimage)
         n_aq = len(a_q)
-        size_new, c_new = outer[u]
+        size_new, c_new, _, _ = outer[u]
         diff, pos, over, under = _levels(deg_g, deg_q)
         vmax = max(n_g, n_q - 1)
         vmax0 = max(n_g, n_q)
@@ -571,7 +551,7 @@ class PairHeuristic:
                     # edge to z: one unit of its excess over the source
                     # side if it has one (drop), and either a label shared
                     # with the source side or an unshared target edge.
-                    drop, d, c_u = outer_of[v]
+                    _, d, drop, c_u = outer_of[v]
                     if d[lab] <= c_u.get(lab, 0):
                         smax += 1 - drop
                         ssrc += 1

@@ -7,7 +7,12 @@ import pytest
 import reference_bounds as reference
 from conftest import build_graph, random_pair, unmapped_parts
 from gedkit.bounds import (
+    GraphSummary,
     PairHeuristic,
+    _UNPAIRED,
+    _graph_totals,
+    _half,
+    _label_ids,
     _levels,
     delta_bounds,
     lb_from_branches,
@@ -22,6 +27,7 @@ from gedkit.engine import bss_ged
 from gedkit.mapping import GraphMapping, edit_cost, realize_edit_path
 from gedkit.oracle import count_complete_basic_mappings, exhaustive_ged
 from gedkit.successors import (
+    ORDER_POLICIES,
     basic_gen_succr,
     determine_order,
     gen_succr,
@@ -412,6 +418,96 @@ def test_children_on_label_indexed_tables():
                     seen["empty target"] += q.n == 0
                     seen["edgeless"] += g is edgeless or q is edgeless
     assert seen["other order"] >= 6 and min(seen.values()) > 0 and seen["children"] > 5000, seen
+
+
+def half_from_scratch(g, ids, removed, partner_labels, other_counts, other_ecounts):
+    """What _half returns, counted from g.edges: g minus the vertices in
+    `removed`, each met with the outer edge labels partner_labels[t]."""
+    kept = [v for v in range(g.n) if v not in removed]
+    counts = Counter(ids[g.vertex_labels[v]] for v in kept)
+    inner = [(a, b, ids[lab]) for a, b, lab in g.edges if a not in removed and b not in removed]
+    ecounts = Counter(lab for _, _, lab in inner)
+    deg = [0] * g.n
+    for a, b, _ in inner:
+        deg[a] += 1
+        deg[b] += 1
+    labels = {t: Counter() for t in removed}
+    outer_vertices = set()
+    for a, b, lab in g.edges:
+        for t, v in ((a, b), (b, a)):
+            if t in removed and v not in removed:
+                labels[t][ids[lab]] += 1
+                outer_vertices.add(v)
+    outer = {}
+    excess = total = shared = 0
+    for t in removed:
+        size, size_w = labels[t].total(), partner_labels[t].total()
+        outer[t] = (size, labels[t], int(size > size_w), partner_labels[t])
+        excess += max(size - size_w, 0)
+        total += size
+        shared += (labels[t] & partner_labels[t]).total()
+    k = len(ids)
+    return ([counts[i] for i in range(k)], [ecounts[i] for i in range(k)],
+            sum(min(counts[i], other_counts[i]) for i in range(k)),
+            sum(min(ecounts[i], other_ecounts[i]) for i in range(k)),
+            deg, len(inner), outer, outer_vertices, excess, total, shared)
+
+
+def test_half_walk_against_edges():
+    # The one walk that builds both halves of h, checked output by output
+    # rather than through max(LB1, LB2, LB3), where an error that lowers a
+    # term other than the maximum would not show. Its source form removes a
+    # prefix of a source order, each source met with no partner, against
+    # the whole target; its target form removes the used targets of an
+    # injective preimage, each met with its source, against that source
+    # half. Both must equal a count from scratch over g.edges and q.edges.
+    names = ("label counts", "edge-label counts", "vinter", "einter", "degrees", "edge count",
+             "outer", "outer vertices", "excess", "outer size", "shared labels")
+    rng = random.Random(101)
+    seen = Counter()
+    for _ in range(1000):
+        table = LabelTable()
+        alphabet = rng.choice((1, 2, 5))
+        density = rng.choice((0.2, 0.5, 0.8))
+        g, q = (random_graph(rng, rng.randint(0, 9), density, alphabet, rng.choice((1, 2, 5)), table)
+                for _ in range(2))
+        ids = _label_ids(g, q)
+        g_totals, q_totals = _graph_totals(g, ids), _graph_totals(q, ids)
+        q_counts = Counter(ids[lab] for lab in q.vertex_labels)
+        q_ecounts = Counter(ids[lab] for _, _, lab in q.edges)
+        whole = ([q_counts[i] for i in range(len(ids))], [q_ecounts[i] for i in range(len(ids))],
+                 (Counter(ids[lab] for lab in g.vertex_labels) & q_counts).total(),
+                 (Counter(ids[lab] for _, _, lab in g.edges) & q_ecounts).total())
+        policy = rng.choice(sorted(ORDER_POLICIES))
+        key = determine_order(g, policy)[:rng.randint(0, g.n)]
+        source = _half(g_totals, dict.fromkeys(key), _UNPAIRED, *whole)
+        want = half_from_scratch(g, ids, set(key), {s: Counter() for s in key}, *whole[:2])
+        for name, a, b in zip(names, source, want, strict=True):
+            assert a == b, (name, policy, key, g, q)
+
+        paired = rng.sample(key, rng.randint(0, min(len(key), q.n)))
+        preimage = dict(zip(rng.sample(range(q.n), len(paired)), paired))
+        target = _half(q_totals, preimage, source[6], *source[:4])
+        partner_labels = {t: want[6][s][1] for t, s in preimage.items()}
+        want_t = half_from_scratch(q, ids, set(preimage), partner_labels, want[0], want[1])
+        for name, a, b in zip(names, target, want_t, strict=True):
+            assert a == b, (name, policy, key, preimage, g, q)
+        seen[policy] += 1
+        seen[f"{alphabet} labels"] += 1
+        seen["shared"] += want_t[10] > 0
+        seen["drop"] += any(drop for _, _, drop, _ in want_t[6].values())
+        seen["no drop"] += any(not drop for _, _, drop, _ in want_t[6].values())
+        seen["unpaired source"] += len(paired) < len(key)
+    assert min(seen.values()) > 80, seen
+
+
+def test_summary_has_slots():
+    # The database keeps one summary per member, so a summary carries no
+    # per-instance __dict__; it still equals the reference count.
+    g = build_graph(["A", "B", "A"], [(0, 1, "x"), (2, 1, "y")])
+    summary = summarize(g)
+    assert not hasattr(summary, "__dict__") and "degrees" in GraphSummary.__slots__
+    assert summary == reference.summarize(g)
 
 
 def test_sibling_bounds_do_not_depend_on_each_other():
