@@ -402,9 +402,10 @@ def _half(totals: tuple, removed: dict, partners: dict, o_counts: list, o_ecount
     return counts, ecounts, vinter, einter, deg, m, outer, outer_vertices, excess, total, shared
 
 
-def remainder_bounds(g_totals: tuple, q_totals: tuple) -> int:
+def remainder_bounds(g_totals: tuple, q_totals: tuple, vinter: int, einter: int) -> int:
     """h at the root, read from the two graphs' whole-graph tables
-    (_graph_totals).
+    (_graph_totals) and the intersections of their label and edge-label
+    counts, vinter and einter.
 
     Nothing is mapped at the root, so no vertex has outer edges and each
     of the three remainder bounds is the pair bound LB(G, Q), as lb_graph
@@ -417,11 +418,10 @@ def remainder_bounds(g_totals: tuple, q_totals: tuple) -> int:
     bench/spans.py traces bounds.remainder_bounds to count one root bound
     per engine run, until ROADMAP item 7 stops binding it.
     """
-    g_labels, _, g_counts, g_ecounts, g_deg, _ = g_totals
-    q_labels, _, q_counts, q_ecounts, q_deg, m_q = q_totals
+    g_labels, _, _, _, g_deg, _ = g_totals
+    q_labels, _, _, _, q_deg, m_q = q_totals
     _, _, over, under = _levels(g_deg, q_deg)
-    return _combine(len(g_labels), len(q_labels), sum(map(min, g_counts, q_counts)),
-                    over, under, m_q, sum(map(min, g_ecounts, q_ecounts)))
+    return _combine(len(g_labels), len(q_labels), vinter, over, under, m_q, einter)
 
 
 class PairHeuristic:
@@ -457,7 +457,8 @@ class PairHeuristic:
         self._g_totals = g_totals = _graph_totals(g, ids)
         self._q_totals = q_totals = _graph_totals(q, ids)
         # The source half's other side: the whole target's counts and their
-        # intersections with the whole source's.
+        # intersections with the whole source's, which the root bound reads
+        # too.
         _, _, g_counts, g_ecounts, _, _ = g_totals
         _, _, q_counts, q_ecounts, _, _ = q_totals
         self._q_whole = (q_counts, q_ecounts, sum(map(min, g_counts, q_counts)),
@@ -467,7 +468,7 @@ class PairHeuristic:
     def root(self) -> int:
         # remainder_bounds is looked up in the module at each call, so a
         # tracer that rebinds bounds.remainder_bounds sees every root bound.
-        return remainder_bounds(self._g_totals, self._q_totals)
+        return remainder_bounds(self._g_totals, self._q_totals, *self._q_whole[2:])
 
     def children(self, parent_map: dict[int, int | None], preimage: dict[int, int],
                  u: int, targets: Sequence[int | None]) -> list[int]:

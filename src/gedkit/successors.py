@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from collections import Counter
@@ -61,30 +60,28 @@ def dfs_order(g: LabeledGraph) -> tuple[int, ...]:
     The global rank sorts vertices by (degree ascending, id ascending);
     the DFS restarts from the lowest-ranked vertex not yet seen, so every
     component is covered.
+
+    One stack of vertices gives the recursive DFS preorder: it starts with
+    the rank list reversed, a vertex is marked when it is popped, and it
+    pushes its unseen neighbors in descending rank, so the smallest-ranked
+    one is popped next and the restarts come from the bottom. That is
+    O(n + m log n) steps with at most n + 2m entries on the stack, and no
+    recursion, so a long path cannot exhaust the recursion limit. It is
+    enough although this ablation's order is rebuilt for every run: the
+    engine serves graphs of tens of vertices.
     """
     rank = sorted(range(g.n), key=lambda u: (len(g.adjacency[u]), u))
     pos = {u: i for i, u in enumerate(rank)}
     seen = [False] * g.n
     order: list[int] = []
-
-    def visit(u: int):
+    stack = rank[::-1]
+    while stack:
+        u = stack.pop()
+        if seen[u]:
+            continue
         seen[u] = True
         order.append(u)
-        return iter(sorted(g.adjacency[u], key=pos.__getitem__))
-
-    for start in rank:
-        if seen[start]:
-            continue
-        # One neighbor iterator per vertex on the DFS path, kept on an
-        # explicit stack so that long paths cannot exhaust the recursion limit.
-        stack = [visit(start)]
-        while stack:
-            for v in stack[-1]:
-                if not seen[v]:
-                    stack.append(visit(v))
-                    break
-            else:
-                stack.pop()
+        stack += sorted((v for v in g.adjacency[u] if not seen[v]), key=pos.__getitem__, reverse=True)
     return tuple(order)
 
 
@@ -100,27 +97,24 @@ def connected_order(g: LabeledGraph) -> tuple[int, ...]:
     finished before the next one starts, since its unordered vertices next
     to ordered ones outrank every vertex with no ordered neighbor.
 
-    A heap holds one entry per (vertex, count of ordered neighbors); an
-    entry whose count is out of date is skipped when popped, so the order
-    takes O((n + m) log n) steps.
+    Each step scans the unordered vertices' keys (-links, -degree, rarity,
+    id) for the smallest, takes that vertex and raises its unordered
+    neighbors' links, so the order costs O(n^2 + m) steps. That is enough:
+    the order is kept on g (determine_order), and the engine serves graphs
+    of tens of vertices.
     """
     adj, labels = g.adjacency, g.vertex_labels
     rarity = Counter(labels)
-    links = [0] * g.n
-    placed = [False] * g.n
-    heap = [(0, -len(adj[u]), rarity[labels[u]], u) for u in range(g.n)]
-    heapq.heapify(heap)
+    keys = {u: (0, -len(adj[u]), rarity[labels[u]], u) for u in range(g.n)}
     order: list[int] = []
-    while heap:
-        neg_links, *_, u = heapq.heappop(heap)
-        if placed[u] or -neg_links != links[u]:
-            continue
-        placed[u] = True
+    while keys:
+        u = min(keys.values())[3]
+        del keys[u]
         order.append(u)
         for v in adj[u]:
-            if not placed[v]:
-                links[v] += 1
-                heapq.heappush(heap, (-links[v], -len(adj[v]), rarity[labels[v]], v))
+            if v in keys:
+                key = keys[v]
+                keys[v] = (key[0] - 1, *key[1:])
     return tuple(order)
 
 
@@ -130,14 +124,12 @@ ORDER_POLICIES = {"connected": connected_order, "dfs": dfs_order, "default": ide
 DEFAULT_ORDER_POLICY = "connected"
 
 
-def determine_order(g: LabeledGraph, policy: str = "dfs") -> tuple[int, ...]:
+def determine_order(g: LabeledGraph, policy: str = DEFAULT_ORDER_POLICY) -> tuple[int, ...]:
     """The processing order of g's vertices under an order policy.
 
-    policy is a key of ORDER_POLICIES; ValueError for any other. Without
-    one it is the paper's "dfs" order, the one its worked examples use,
-    although runs default to DEFAULT_ORDER_POLICY. Only the default
-    policy's order is kept on g: its first call stores it in g's _order
-    slot and later calls return that same tuple, while a copy of g
+    policy is a key of ORDER_POLICIES; ValueError for any other. Only the
+    default policy's order is kept on g: its first call stores it in g's
+    _order slot and later calls return that same tuple, while a copy of g
     computes its own. The other policies are ablations and recompute their
     order on each call.
     """

@@ -93,7 +93,7 @@ def test_criterion_04_heuristic_example(pendant_pair):
 def test_criterion_05_processing_order(pendant_pair):
     with criterion(5, "ordering example: DFS order on the pendant pair source is (1,3,0,2,4)"):
         g, _ = pendant_pair
-        assert determine_order(g) == (1, 3, 0, 2, 4)
+        assert determine_order(g, "dfs") == (1, 3, 0, 2, 4)
 
 
 def test_criterion_06_oracle_equivalence_sweep(sweep):

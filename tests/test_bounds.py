@@ -219,7 +219,7 @@ def test_batched_child_bounds_equal_remainder_bounds():
         seen["one label"] += alphabet == 1
         heuristic = PairHeuristic(g, q)
         part = vertex_partition(q)
-        for order in (identity_order(g), determine_order(g)):
+        for order in (identity_order(g), determine_order(g, "dfs")):
             for reduced in (True, False):
                 def successors(node):
                     if reduced:
@@ -400,9 +400,9 @@ def test_children_on_label_indexed_tables():
         heuristic = PairHeuristic(g, q)
         shuffled = list(range(g.n))
         random.Random(g.n).shuffle(shuffled)
-        orders = {identity_order(g), determine_order(g), tuple(reversed(range(g.n))), tuple(shuffled)}
+        orders = {identity_order(g), determine_order(g, "dfs"), tuple(reversed(range(g.n))), tuple(shuffled)}
         for order in orders:
-            seen["other order"] += order not in (identity_order(g), determine_order(g))
+            seen["other order"] += order not in (identity_order(g), determine_order(g, "dfs"))
             stack = [make_root(g, q, heuristic)]
             while stack:
                 node = stack.pop()
@@ -518,7 +518,7 @@ def test_sibling_bounds_do_not_depend_on_each_other():
     for _ in range(60):
         g, q = random_pair(rng, max_n=8, min_n=1, densities=(0.3, 0.6))
         heuristic = PairHeuristic(g, q)
-        order = determine_order(g)
+        order = determine_order(g, "dfs")
         node = make_root(g, q, heuristic)
         while len(node.pairs) < g.n:
             pairs = node.pairs

@@ -18,15 +18,18 @@ from conftest import (
 )
 from gedkit import successors
 from gedkit.bounds import PairHeuristic
+from gedkit.cli import main
 from gedkit.engine import EXACT, bss_ged
-from gedkit.graphs import vertex_partition
+from gedkit.graphs import parse_graph_db, vertex_partition
 from gedkit.mapping import GraphMapping, edit_cost
 from gedkit.oracle import exhaustive_ged
 from gedkit.successors import (
+    DEFAULT_ORDER_POLICY,
     ORDER_POLICIES,
     basic_gen_succr,
     connected_order,
     determine_order,
+    dfs_order,
     enumerate_search_tree,
     gen_succr,
     identity_order,
@@ -88,14 +91,14 @@ def test_equal_sizes_never_map_to_dummy(square_star):
 
 def test_determine_order_pendant_pair_example():
     g, _, _ = parse_pair(PENDANT_PAIR_TEXT)
-    assert determine_order(g) == (1, 3, 0, 2, 4)
+    assert determine_order(g, "dfs") == (1, 3, 0, 2, 4)
 
 
 def test_determine_order_edgeless_and_components():
     g = build_graph(["A", "B", "C"], [])
-    assert determine_order(g) == (0, 1, 2)
+    assert determine_order(g, "dfs") == (0, 1, 2)
     two = build_graph(["A"] * 5, [(0, 1, "x"), (2, 3, "x"), (3, 4, "x")])
-    order = determine_order(two)
+    order = determine_order(two, "dfs")
     assert sorted(order) == [0, 1, 2, 3, 4]
 
 
@@ -123,13 +126,13 @@ def test_determine_order_matches_recursive_dfs():
     rng = random.Random(33)
     for _ in range(200):
         g, _ = random_pair(rng, max_n=12, min_n=0, densities=(0.1, 0.2, 0.3, 0.5, 0.8))
-        assert determine_order(g) == recursive_order(g)
+        assert determine_order(g, "dfs") == recursive_order(g)
 
 
 def test_determine_order_long_path():
     n = 1500
     g = build_graph(["A"] * n, [(i, i + 1, "x") for i in range(n - 1)])
-    assert determine_order(g) == tuple(range(n))
+    assert determine_order(g, "dfs") == tuple(range(n))
 
 
 def test_connected_order_pendant_pair_tie_breaks():
@@ -193,14 +196,57 @@ def test_connected_order_grows_each_component():
 def test_order_policies():
     g, _, _ = parse_pair(PENDANT_PAIR_TEXT)
     assert determine_order(g, "default") == identity_order(g) == (0, 1, 2, 3, 4)
-    assert determine_order(g, "dfs") == determine_order(g) == (1, 3, 0, 2, 4)
+    assert determine_order(g, "dfs") == (1, 3, 0, 2, 4)
     with pytest.raises(ValueError, match="order policy"):
         determine_order(g, "random")
     # Only the default policy's order is kept on the graph.
     assert getattr(g, "_order", None) is None
     order = determine_order(g, "connected")
     assert determine_order(g, "connected") is order and g._order is order
+    assert determine_order(g) is order
     assert determine_order(g, "dfs") == (1, 3, 0, 2, 4)
+
+
+def test_default_order_is_the_kept_connected_order():
+    rng = random.Random(37)
+    for _ in range(20):
+        g, _ = random_pair(rng, max_n=12, min_n=0)
+        order = determine_order(g)
+        assert order == connected_order(g)
+        assert order is g._order is determine_order(g, DEFAULT_ORDER_POLICY) is determine_order(g)
+
+
+def test_orders_match_references_beyond_twelve_vertices():
+    rng = random.Random(38)
+    seen = Counter()
+    for density in (0.05, 0.1, 0.2, 0.3, 0.5):
+        for _ in range(12):
+            g, _ = random_pair(rng, max_n=40, min_n=13, densities=(density,))
+            assert dfs_order(g) == recursive_order(g), (density, g)
+            assert connected_order(g) == reference_connected_order(g), (density, g)
+            seen["several components"] += len(set(_component_of(g))) > 1
+            seen["over 30 vertices"] += g.n > 30
+    assert min(seen.values()) > 0, seen
+
+
+def test_orders_on_the_24_vertex_smoke_pair(tmp_path):
+    # The pair that the installed-script smoke run inspects.
+    out = tmp_path / "big.txt"
+    assert main(["gen", str(out), "--count", "2", "--min-vertices", "24", "--max-vertices", "24",
+                 "--vertex-labels", "30", "--seed", "1"]) == 0
+    graphs, _ = parse_graph_db(out.read_text())
+    assert [g.n for _, g in graphs] == [24, 24]
+    for _, g in graphs:
+        assert dfs_order(g) == recursive_order(g)
+        assert connected_order(g) == reference_connected_order(g)
+
+
+def test_connected_order_long_path():
+    # Every inner vertex has degree 2, so the scan starts at vertex 1 and
+    # walks the path up; the two ends tie, and the lower id goes first.
+    n = 1500
+    g = build_graph(["A"] * n, [(i, i + 1, "x") for i in range(n - 1)])
+    assert connected_order(g) == (*range(1, n - 1), 0, n - 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -228,7 +274,7 @@ def test_predicted_layer_counts_match_actual_trees():
         g, q = random_pair(rng, max_n=6)
         part = vertex_partition(q)
         sizes = [len(c) for c in part.classes]
-        for order in (identity_order(g), determine_order(g)):
+        for order in (identity_order(g), determine_order(g, "dfs")):
             layer_counts, _ = enumerate_search_tree(g, q, reduced=True, order=order)
             predicted = [predicted_layer_count(l, g.n, q.n, sizes) for l in range(g.n + 1)]
             assert layer_counts == predicted
@@ -377,7 +423,7 @@ def test_generators_leave_dead_successors_unbuilt(monkeypatch):
         ged = bss_ged(g, q).distance
         heuristic = PairHeuristic(g, q)
         part = vertex_partition(q)
-        order = determine_order(g)
+        order = determine_order(g, "dfs")
         for reduced in (True, False):
             def generate(node, ub=math.inf):
                 calls.clear()
