@@ -169,21 +169,27 @@ def vertex_partition(q: LabeledGraph) -> VertexPartition:
     """Group vertices of q by (label, labeled neighborhood) equivalence.
 
     Reads q.edges, so partitioning a graph does not build its adjacency.
+    A neighbour v over an edge labelled lab is the int v + n * lab: since
+    0 <= v < n, v and lab are that int's remainder and quotient by n, so
+    the code is one-to-one for every int label id, and the neighbourhood
+    is a frozenset of ints, not of tuples. Vertices are grouped in
+    ascending order, so a class enters the dict with its smallest member,
+    and the dict's order is already the classes' order: nothing is sorted.
     The first call keeps the partition on q, and later calls return that
     same object; a copy of q computes its own.
     """
     part = getattr(q, "_partition", None)
     if part is not None:
         return part
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(q.n)]
+    n = q.n
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v, lab in q.edges:
-        nbrs[u].append((v, lab))
-        nbrs[v].append((u, lab))
+        nbrs[u].append(v + n * lab)
+        nbrs[v].append(u + n * lab)
     groups: dict[tuple, list[int]] = {}
     for v, lab in enumerate(q.vertex_labels):
         groups.setdefault((lab, frozenset(nbrs[v])), []).append(v)
-    classes = sorted(groups.values(), key=lambda c: c[0])
-    part = VertexPartition(tuple(tuple(c) for c in classes))
+    part = VertexPartition(tuple(map(tuple, groups.values())))
     object.__setattr__(q, "_partition", part)
     return part
 
@@ -222,6 +228,10 @@ def parse_graph_db(text: str, table: LabelTable | None = None) -> tuple[list[tup
       vertex (ids contiguous from 0), ``e <u> <v> <label>`` declares an
       edge. Lines starting with ``#`` are comments; blank lines are skipped.
 
+    Each line is split on whitespace once: no tokens is a blank line, and a
+    first token starting with ``#`` a comment. An error message quotes the
+    line with its outer whitespace stripped.
+
     Returns the graphs in file order together with the label table used.
     """
     if table is None:
@@ -238,43 +248,20 @@ def parse_graph_db(text: str, table: LabelTable | None = None) -> tuple[list[tup
         if cur_id is not None:
             out.append((cur_id, LabeledGraph(cur_labels, cur_edges, table)))
 
+    # Interning goes through the table's own dict; intern() runs only for a
+    # label token this table has not seen yet.
+    label_id, intern = table._ids.get, table.intern
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         kind = parts[0]
-        if kind == "t":
-            if len(parts) != 3 or parts[1] != "#":
-                raise GraphFormatError(line_no, f"malformed graph header {line!r}")
-            flush()
-            try:
-                cur_id = int(parts[2])
-            except ValueError:
-                raise GraphFormatError(line_no, f"graph id must be an integer, got {parts[2]!r}") from None
-            if cur_id in seen_ids:
-                raise GraphFormatError(line_no, f"duplicate graph id {cur_id}")
-            seen_ids.add(cur_id)
-            cur_labels, cur_edges, cur_edge_set = [], [], set()
-        elif kind == "v":
-            if cur_id is None:
-                raise GraphFormatError(line_no, "vertex line before any 't' header")
-            if len(parts) != 3:
-                raise GraphFormatError(line_no, f"malformed vertex line {line!r}")
-            try:
-                vid = int(parts[1])
-            except ValueError:
-                raise GraphFormatError(line_no, f"vertex id must be an integer, got {parts[1]!r}") from None
-            if vid < len(cur_labels):
-                raise GraphFormatError(line_no, f"duplicate vertex id {vid}")
-            if vid != len(cur_labels):
-                raise GraphFormatError(line_no, f"vertex ids must be contiguous, expected {len(cur_labels)} got {vid}")
-            cur_labels.append(table.intern(parts[2]))
-        elif kind == "e":
+        # Edge lines first: they are the most common record.
+        if kind == "e":
             if cur_id is None:
                 raise GraphFormatError(line_no, "edge line before any 't' header")
             if len(parts) != 4:
-                raise GraphFormatError(line_no, f"malformed edge line {line!r}")
+                raise GraphFormatError(line_no, f"malformed edge line {raw.strip()!r}")
             try:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
@@ -287,9 +274,37 @@ def parse_graph_db(text: str, table: LabelTable | None = None) -> tuple[list[tup
             if key in cur_edge_set:
                 raise GraphFormatError(line_no, f"duplicate edge ({u},{v})")
             cur_edge_set.add(key)
-            cur_edges.append((u, v, table.intern(parts[3])))
-        else:
-            raise GraphFormatError(line_no, f"unrecognized record {line!r}")
+            lab = label_id(parts[3])
+            cur_edges.append((u, v, intern(parts[3]) if lab is None else lab))
+        elif kind == "v":
+            if cur_id is None:
+                raise GraphFormatError(line_no, "vertex line before any 't' header")
+            if len(parts) != 3:
+                raise GraphFormatError(line_no, f"malformed vertex line {raw.strip()!r}")
+            try:
+                vid = int(parts[1])
+            except ValueError:
+                raise GraphFormatError(line_no, f"vertex id must be an integer, got {parts[1]!r}") from None
+            if vid < len(cur_labels):
+                raise GraphFormatError(line_no, f"duplicate vertex id {vid}")
+            if vid != len(cur_labels):
+                raise GraphFormatError(line_no, f"vertex ids must be contiguous, expected {len(cur_labels)} got {vid}")
+            lab = label_id(parts[2])
+            cur_labels.append(intern(parts[2]) if lab is None else lab)
+        elif kind == "t":
+            if len(parts) != 3 or parts[1] != "#":
+                raise GraphFormatError(line_no, f"malformed graph header {raw.strip()!r}")
+            flush()
+            try:
+                cur_id = int(parts[2])
+            except ValueError:
+                raise GraphFormatError(line_no, f"graph id must be an integer, got {parts[2]!r}") from None
+            if cur_id in seen_ids:
+                raise GraphFormatError(line_no, f"duplicate graph id {cur_id}")
+            seen_ids.add(cur_id)
+            cur_labels, cur_edges, cur_edge_set = [], [], set()
+        elif kind[0] != "#":
+            raise GraphFormatError(line_no, f"unrecognized record {raw.strip()!r}")
     flush()
     return out, table
 

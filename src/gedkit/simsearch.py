@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .bounds import Branch, GraphSummary, lb_from_branches, lb_from_summaries, summarize, vertex_branches
 from .engine import (
@@ -35,6 +36,12 @@ class GraphDatabase:
     entry, and no mask is empty. A query's k-th unit of label l is then
     matched by one mask for the whole bucket, and filter_candidates counts
     each graph's unmatched units with a few integer operations per unit.
+    The build ORs a graph's bit once per label it carries, into an entry
+    for its bucket, the label and its exact count. After the last graph,
+    level k - 1 is the OR of the entries for counts >= k, taken from the
+    top count down, so each level is one OR on the level above. ORing the
+    bit into every level up to the count instead would copy a bucket-wide
+    integer once per label unit.
 
     Building the database reads each graph's edges, never its adjacency, so
     a graph builds its per-vertex maps only when range_query's branch bound
@@ -76,13 +83,26 @@ class GraphDatabase:
             members = db.size_index.setdefault(size, [])
             bit = 1 << len(members)
             members.append(len(db.ids))
-            _add_units(db.vertex_masks.setdefault(size, {}), s.vertex_labels, bit)
-            _add_units(db.edge_masks.setdefault(size, {}), s.edge_labels, bit)
+            # Until the loop ends, masks[size][l] maps each count c to the
+            # bucket's graphs with exactly c units of label l.
+            for masks, counts in ((db.vertex_masks.setdefault(size, {}), s.vertex_labels),
+                                  (db.edge_masks.setdefault(size, {}), s.edge_labels)):
+                for lab, count in counts.items():
+                    exact = masks.get(lab)
+                    if exact is None:
+                        masks[lab] = {count: bit}
+                    else:
+                        exact[count] = exact.get(count, 0) | bit
             db.graphs[gid] = g
             db.summaries[gid] = s
             # Kept on g: an exact run into a member reads it as the target's.
             vertex_partition(g)
             db.ids.append(gid)
+        # Level k - 1 of label l is the OR of its entries for counts >= k,
+        # accumulated from the top count down.
+        for masks in (*db.vertex_masks.values(), *db.edge_masks.values()):
+            for lab, exact in masks.items():
+                masks[lab] = list(accumulate([exact.get(k, 0) for k in range(max(exact), 0, -1)], int.__or__))[::-1]
         return db
 
     @classmethod
@@ -91,16 +111,6 @@ class GraphDatabase:
 
     def __len__(self):
         return len(self.graphs)
-
-
-def _add_units(masks: dict[int, list[int]], counts: dict[int, int], bit: int) -> None:
-    """Set bit in masks[l][k - 1] for each label l and each k <= counts[l]."""
-    for lab, count in counts.items():
-        levels = masks.setdefault(lab, [])
-        while len(levels) < count:
-            levels.append(0)
-        for k in range(count):
-            levels[k] |= bit
 
 
 def filter_candidates(db: GraphDatabase, query: LabeledGraph, tau: int) -> list[int]:

@@ -97,6 +97,51 @@ def test_parse_comments_blank_lines_and_crlf():
     assert graphs[0][1].n == 2
 
 
+@pytest.mark.parametrize("raw, message", [
+    ("  t  #  ", "malformed graph header 't  #'"),
+    ("\tt # 1 2\t ", "malformed graph header 't # 1 2'"),
+    (" t # x\t", "graph id must be an integer, got 'x'"),
+    (" v 2\t", "malformed vertex line 'v 2'"),
+    ("\tv 2 C D  ", "malformed vertex line 'v 2 C D'"),
+    ("\t v x C ", "vertex id must be an integer, got 'x'"),
+    ("  e 0 1 ", "malformed edge line 'e 0 1'"),
+    ("e\t0 1 a b\t ", "malformed edge line 'e\\t0 1 a b'"),
+    (" e 0 y a\t", "edge endpoints must be integers"),
+    ("\tt# 1 ", "unrecognized record 't# 1'"),
+    ("t#", "unrecognized record 't#'"),
+], ids=["t-short", "t-long", "t-id", "v-short", "v-long", "v-id", "e-short", "e-long",
+        "e-endpoint", "t#-id", "t#"])
+def test_parse_error_text_quotes_the_stripped_line(raw, message):
+    # A record is split on whitespace, and a message quotes the line with
+    # its leading and trailing whitespace stripped, inner whitespace kept.
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph_db(f"t # 0\nv 0 A\nv 1 B\n{raw}\n")
+    assert str(err.value) == f"line 4: {message}"
+    assert err.value.line_no == 4
+
+
+def test_parse_skips_blank_and_comment_lines():
+    plain = "t # 1\nv 0 A\nv 1 B\ne 0 1 a\n"
+    noisy = ("   \t  \n#\nt # 1\n   # note\nv 0 A\n\t#v 9 Z\n#t # 0\n \n"
+             "v 1 B\n#e 0 1 b\ne 0 1 a\n\t\n#\n")
+    assert parse_graph_db(noisy)[0] == parse_graph_db(plain)[0]
+    # "#t # 0" is a comment, not a header, so no graph is open after it.
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph_db("#t # 0\nv 0 A\n")
+    assert str(err.value) == "line 2: vertex line before any 't' header"
+
+
+@pytest.mark.parametrize("text, line", [
+    ("t # 0\ne 0 1 a\nv 0 A\nv 1 B\n", 2),
+    ("t # 0\nv 0 A\ne 0 1 a\nv 1 B\n", 3),
+    ("t # 0\nv 0 A\nv 1 B\nt # 1\nv 0 A\ne 0 1 a\nv 1 B\n", 6),
+])
+def test_parse_refuses_edges_before_their_vertices(text, line):
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph_db(text)
+    assert str(err.value) == f"line {line}: edge (0,1) references unknown vertex"
+
+
 def test_round_trip_random_graphs():
     rng = random.Random(5)
     table = LabelTable()
@@ -411,6 +456,35 @@ def test_vertex_partition_reads_edges_only():
         assert part == _partition_from_adjacency(q)
         merged += len(part.classes) < q.n
     assert merged >= 100
+
+
+def test_vertex_partition_with_label_ids_far_above_n():
+    # On a table that already holds 120 tokens, label ids are many multiples
+    # of each graph's vertex count, so a neighbour (v, label) folded into one
+    # int must stay one-to-one across labels and vertices.
+    rng = random.Random(23)
+    table = LabelTable()
+    for i in range(120):
+        table.intern(f"pad{i}")
+    labels = [table.intern(f"L{i}") for i in range(6)]
+    merged = isolated = 0
+    for _ in range(500):
+        n = rng.randint(0, 10)
+        vertex_labels = [rng.choice(labels[:2]) for _ in range(n)]
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.25]
+        q = LabeledGraph(vertex_labels, [(u, v, rng.choice(labels[3:])) for u, v in pairs], table)
+        part = vertex_partition(q)
+        assert part == _partition_from_adjacency(q)
+        firsts = [c[0] for c in part.classes]
+        assert firsts == sorted(firsts) and all(list(c) == sorted(c) for c in part.classes)
+        merged += len(part.classes) < q.n
+        isolated += sum(1 for v in range(q.n) if not q.adjacency[v])
+    assert merged >= 100 and isolated >= 100
+    # v + label folds (2, L1) and (3, L0) onto one int; the partition keeps
+    # vertices 0 and 1 apart.
+    a, x, y = labels[0], labels[0], labels[1]
+    q = LabeledGraph([a, a, a, a], [(0, 2, y), (1, 3, x)], table)
+    assert vertex_partition(q).classes == ((0,), (1,), (2,), (3,))
 
 
 def test_vertex_partition_square_star():

@@ -1,6 +1,7 @@
 import copy
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -258,6 +259,42 @@ def test_database_precomputation_consistent(small_db):
                         assert (mask >> i & 1) == (c.get(lab, 0) >= k)
                         checked += 1
     assert checked > 500
+
+
+def test_masks_of_a_bucket_wider_than_a_word():
+    # 240 graphs of one size (10 vertices, 12 edges) and a few of another,
+    # interleaved, with few labels so that counts reach 4 and more: each
+    # mask spans several machine words, and bucket positions differ from
+    # database positions.
+    rng = random.Random(88)
+    table = LabelTable()
+    vlabs = [table.intern(t) for t in "ABC"]
+    elabs = [table.intern(t) for t in "xy"]
+    pairs = [(u, v) for u in range(10) for v in range(u + 1, 10)]
+    entries = []
+    for gid in range(260):
+        n, m = (10, 12) if gid % 13 else (6, 4)
+        labels = [rng.choice(vlabs) for _ in range(n)]
+        edges = [(u, v, rng.choice(elabs)) for u, v in rng.sample([p for p in pairs if p[1] < n], m)]
+        entries.append((gid, LabeledGraph(labels, edges, table)))
+    db = GraphDatabase.from_graphs(entries, table)
+    assert len(db.size_index[10, 12]) == 240
+    top = 0
+    for masks, count_of in ((db.vertex_masks, lambda g: Counter(g.vertex_labels)),
+                            (db.edge_masks, lambda g: Counter(lab for _, _, lab in g.edges))):
+        assert masks.keys() == db.size_index.keys()
+        for size, members in db.size_index.items():
+            counts = [count_of(db.graphs[db.ids[pos]]) for pos in members]
+            # The definition: bit i of level k - 1 is set iff c_g(l) >= k
+            # for the bucket's i-th graph g, up to the bucket's top count.
+            expected = {}
+            for lab in {lab for c in counts for lab in c}:
+                expected[lab] = [sum(1 << i for i, c in enumerate(counts) if c[lab] >= k)
+                                 for k in range(1, max(c[lab] for c in counts) + 1)]
+                top = max(top, len(expected[lab]))
+            assert masks[size] == expected
+            assert all(mask for levels in masks[size].values() for mask in levels)
+    assert top >= 4
 
 
 def _shared_units(a, b) -> int:
