@@ -30,7 +30,6 @@ from .successors import (
     determine_order,
     enumerate_search_tree,
     gen_succr,
-    predicted_layer_count,
 )
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "induced_structure",
     "lb_graph",
     "parse_graph_db",
-    "predicted_layer_count",
     "range_query",
     "realize_edit_path",
     "serialize_graph_db",

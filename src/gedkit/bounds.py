@@ -416,7 +416,7 @@ def remainder_bounds(g_totals: tuple, q_totals: tuple, vinter: int, einter: int)
 
     The name is that of the general evaluator this replaced, because
     bench/spans.py traces bounds.remainder_bounds to count one root bound
-    per engine run, until ROADMAP item 7 stops binding it.
+    per engine run, until ROADMAP item 1 stops binding it.
     """
     g_labels, _, _, _, g_deg, _ = g_totals
     q_labels, _, _, _, q_deg, m_q = q_totals

@@ -149,7 +149,8 @@ class SearchRun:
         if succ_policy not in ("basic", "reduced"):
             raise ValueError(f"unknown successor policy {succ_policy!r}")
         self.succ_policy = succ_policy
-        self.part = vertex_partition(q)
+        # Only reduced successors read the target's partition.
+        self.part = vertex_partition(q) if succ_policy == "reduced" else None
         self.heuristic = PairHeuristic(g, q)
         self.node_budget = node_budget
         self.deadline = None if time_limit is None else time.monotonic() + time_limit

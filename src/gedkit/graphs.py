@@ -77,8 +77,7 @@ class LabeledGraph:
     as is by every later call; both values are immutable. Copies and pickles
     rebuild the graph from its labels and edges, so they start without
     the kept values and recompute equal ones. Kept, they cost one pointer
-    each per graph plus the value: a database partitions every member when
-    it is built, and keeps no copy of its own.
+    each per graph plus the value.
 
     The attributes cannot be reassigned or deleted, so ``==``, ``hash`` and
     the two edge stores always agree.
@@ -158,8 +157,8 @@ class VertexPartition:
 
     Two vertices share a class iff they carry the same label and the same
     labeled neighborhood. Classes are ordered by their smallest member.
-    Every graph that is searched or indexed keeps one, so instances carry
-    no __dict__.
+    Every target of a reduced run keeps one, so instances carry no
+    __dict__.
     """
 
     classes: tuple[tuple[int, ...], ...]

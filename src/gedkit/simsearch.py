@@ -15,6 +15,7 @@ from .engine import (
     bss_ged,
     check_search_args,
 )
+# bench/spans.py binds simsearch.vertex_partition until ROADMAP item 1 drops graphs.db_partition_s.
 from .graphs import LabelTable, LabeledGraph, parse_graph_db, vertex_partition
 from .mapping import GraphMapping, edit_cost
 
@@ -45,9 +46,9 @@ class GraphDatabase:
 
     Building the database reads each graph's edges, never its adjacency, so
     a graph builds its per-vertex maps only when range_query's branch bound
-    first checks it as a candidate. Each member's partition is computed
-    once at build time and kept on the graph itself (see vertex_partition);
-    the database holds no copy.
+    first checks it as a candidate. Nor does it partition a member: a
+    member keeps a partition only once it is the target of a reduced
+    engine run, which builds it on first read (see vertex_partition).
 
     The database also keeps, in _branches, the vertex branches of each
     member that range_query has checked by its branch bound, as a tuple
@@ -95,8 +96,6 @@ class GraphDatabase:
                         exact[count] = exact.get(count, 0) | bit
             db.graphs[gid] = g
             db.summaries[gid] = s
-            # Kept on g: an exact run into a member reads it as the target's.
-            vertex_partition(g)
             db.ids.append(gid)
         # Level k - 1 of label l is the OR of its entries for counts >= k,
         # accumulated from the top count down.
@@ -211,8 +210,8 @@ def range_query(db: GraphDatabase, query: LabeledGraph, tau: int,
     branches, so one dict of rows by branch is shared by every candidate of
     this query and dropped when the call returns. The query's branches are
     built once per call; a candidate's are kept by db from its first check
-    on (see GraphDatabase), and the engine keeps a candidate's DFS order
-    and the query's partition on the graphs themselves.
+    on (see GraphDatabase), and the engine keeps a candidate's default
+    order and the query's partition on the graphs themselves.
 
     A candidate the branch bound does not refute has been solved to
     optimality, and its assignment induces a complete mapping

@@ -196,7 +196,10 @@ def _extend(r: SearchNode, g: LabeledGraph, q: LabeledGraph, classes: Sequence[S
     With dummy_only_when_forced the dummy is offered only while more source
     than target vertices remain unmapped, otherwise always. Once every source
     vertex is processed, a single leaf inserts all remaining target vertices.
-    The heuristic bounds all children in one call.
+    The heuristic bounds all children in one call, complete ones included.
+    A child is complete when it maps the last source and leaves no target
+    unused. Its h is 0: both remainders are empty, and no mapped vertex has
+    an edge out of the mapped part, so all three remainder bounds are 0.
 
     A child whose f would be >= ub is dead on arrival and its slot holds
     None, so the list still has one entry per generated successor. Its
@@ -218,31 +221,28 @@ def _extend(r: SearchNode, g: LabeledGraph, q: LabeledGraph, classes: Sequence[S
     u = order[depth]
     adj_u, label_u = g.adjacency[u], g.vertex_labels[u]
     adj_q, labels_q = q.adjacency, q.vertex_labels
-    used = len(preimage)
-    # Children are complete only on the last layer once every target is
-    # used: all real children at once, or the dummy alone.
-    last = depth + 1 == n_g
-    kids = []
+    unused = n_q - len(preimage)
+    targets = []
     for members in classes:
         for z in members:
             if z not in preimage:
-                kids.append((z, last and used + 1 == n_q))
+                targets.append(z)
                 break
-    if not dummy_only_when_forced or n_g - depth > n_q - used:
-        kids.append((None, last and used == n_q))
-    pending = [z for z, complete in kids if not complete]
-    hs = None
-    if heuristic is not None and pending:
-        hs = iter(heuristic.children(parent_map, preimage, u, pending))
+    if not dummy_only_when_forced or n_g - depth > unused:
+        targets.append(None)
+    # Sources and targets left unmapped by the child (u, z), but for z
+    # itself: a child is complete when nothing is left once z is used.
+    left = n_g - depth - 1 + unused
+    hs = [0] * len(targets) if heuristic is None else heuristic.children(parent_map, preimage, u, targets)
     succ: list[SearchNode | None] = []
-    for z, complete in kids:
-        h = 0 if complete or hs is None else next(hs)
+    for z, h in zip(targets, hs):
         if r.g + h >= ub:
             succ.append(None)
             continue
         adj_z, label_z = (None, None) if z is None else (adj_q[z], labels_q[z])
         child_g = r.g + extension_cost(adj_u, label_u, adj_z, label_z, parent_map, preimage)
-        succ.append(SearchNode(layer, pairs + ((u, z),), child_g, h, complete) if child_g + h < ub else None)
+        succ.append(SearchNode(layer, pairs + ((u, z),), child_g, h, left == (z is not None))
+                    if child_g + h < ub else None)
     return succ
 
 
@@ -287,7 +287,7 @@ def enumerate_search_tree(g: LabeledGraph, q: LabeledGraph, reduced: bool = True
     """
     if order is None:
         order = identity_order(g)
-    part = vertex_partition(q)
+    part = vertex_partition(q) if reduced else None
     root = make_root(g, q)
     layer_counts = [0] * (g.n + 1)
     leaves: list[SearchNode] = []
@@ -308,7 +308,8 @@ def enumerate_search_tree(g: LabeledGraph, q: LabeledGraph, reduced: bool = True
 
 def predicted_layer_count(l: int, n_g: int, n_q: int, class_sizes: Sequence[int]) -> int:
     """Predicted number of reduced-tree nodes in layer l (see
-    predicted_layer_counts)."""
+    predicted_layer_counts). Not in the package's public names: only
+    bench/run.py's depth table still calls it."""
     return predicted_layer_counts(l, n_g, n_q, class_sizes)[l]
 
 

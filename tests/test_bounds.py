@@ -616,6 +616,42 @@ def test_h_never_negative_and_zero_when_done():
     assert bounded > 10
 
 
+def test_children_bound_complete_children_by_zero():
+    # A child that maps the last source and leaves no target unused is
+    # complete: both remainders are empty and no mapped vertex has an edge
+    # out of the mapped part, so all three remainder bounds are 0. The
+    # generators bound such children in the same call as their siblings,
+    # so children must give them 0, the dummy child included.
+    rng = random.Random(46)
+    seen = Counter()
+    for _ in range(40):
+        g, q = random_pair(rng, max_n=5)
+        heuristic = PairHeuristic(g, q)
+        part = vertex_partition(q)
+        order = determine_order(g)
+        for reduced in (True, False):
+            def generate(node, h=None):
+                if reduced:
+                    return gen_succr(node, g, q, part, order, h)
+                return basic_gen_succr(node, g, q, order, h)
+
+            layer = [make_root(g, q)]
+            for _ in range(g.n - 1):
+                layer = [c for node in layer for c in generate(node)]
+            for parent in layer:
+                parent_map = dict(parent.pairs)
+                preimage = {z: w for w, z in parent.pairs if z is not None}
+                kids = generate(parent)
+                assert [c.complete for c in kids] == [len(preimage) + (c.pairs[-1][1] is not None) == q.n
+                                                      for c in kids]
+                complete = [c.pairs[-1][1] for c in kids if c.complete]
+                assert heuristic.children(parent_map, preimage, order[-1], complete) == [0] * len(complete)
+                assert [c.h for c in generate(parent, heuristic) if c.complete] == [0] * len(complete)
+                for z in complete:
+                    seen["real" if z is not None else "dummy", reduced] += 1
+    assert len(seen) == 4 and sum(seen.values()) > 800, seen
+
+
 def random_mapping(rng: random.Random, g: LabeledGraph, q: LabeledGraph) -> GraphMapping:
     """A random valid mapping: partial, or complete with trailing insertions.
 

@@ -28,7 +28,6 @@ PUBLIC_API = [
     "induced_structure",
     "lb_graph",
     "parse_graph_db",
-    "predicted_layer_count",
     "range_query",
     "realize_edit_path",
     "serialize_graph_db",

@@ -232,11 +232,9 @@ def test_database_precomputation_consistent(small_db):
     db, _, _ = small_db
     for gid, g in db.graphs.items():
         assert db.summaries[gid] == summarize(g)
-        # The build keeps each member's partition on the member itself: a
-        # call returns the kept object, equal to a copy's fresh partition.
-        kept = g._partition
-        assert kept is not None and vertex_partition(g) is kept
-        assert kept == vertex_partition(copy.copy(g))
+        # The build partitions no member, and range_query never makes a
+        # member the target of an engine run, so none holds a partition.
+        assert not hasattr(g, "_partition")
     by_size = {}
     for pos, gid in enumerate(db.ids):
         by_size.setdefault((db.graphs[gid].n, db.graphs[gid].m), []).append(pos)
@@ -468,6 +466,33 @@ def test_per_graph_structures_built_once(monkeypatch):
         for seen, build in ((orders, connected_order), (partitions, vertex_partition)):
             if id(g) in seen:
                 assert list(seen[id(g)].values()) == [build(copy.copy(g))]
+
+
+def test_member_partition_built_on_first_read(monkeypatch):
+    # A database partitions no member. An exact run into a member builds
+    # its partition on the first read, as the run's target's, and keeps it:
+    # later runs into the member read that same object.
+    entries, table = random_graph_db(seed=79, count=12, n_min=4, n_max=7, density=0.4,
+                                     n_vertex_labels=2, n_edge_labels=2)
+    db = GraphDatabase.from_text(serialize_graph_db(entries))
+    assert not any(hasattr(g, "_partition") for g in db.graphs.values())
+    built = {}
+
+    def counting(q):
+        part = vertex_partition(q)
+        built.setdefault(id(q), []).append(part)
+        return part
+
+    monkeypatch.setattr(engine, "vertex_partition", counting)
+    member = max(db.graphs.values(), key=lambda g: g.n)
+    sources = [g for g in db.graphs.values() if g is not member and g.n <= member.n][:3]
+    for source in sources:
+        assert bss_ged(source, member).distance == bss_ged(copy.copy(source), copy.copy(member)).distance
+    parts = built[id(member)]
+    assert len(parts) == len(sources) and all(p is member._partition for p in parts)
+    assert parts[0] == vertex_partition(copy.copy(member))
+    # Only the runs' targets were partitioned.
+    assert [g for g in db.graphs.values() if hasattr(g, "_partition")] == [member]
 
 
 def test_database_builds_no_adjacency():

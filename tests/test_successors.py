@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -19,7 +20,7 @@ from conftest import (
 from gedkit import successors
 from gedkit.bounds import PairHeuristic
 from gedkit.cli import main
-from gedkit.engine import EXACT, bss_ged
+from gedkit.engine import EXACT, SearchRun, bss_ged
 from gedkit.graphs import parse_graph_db, vertex_partition
 from gedkit.mapping import GraphMapping, edit_cost
 from gedkit.oracle import exhaustive_ged
@@ -449,3 +450,18 @@ def test_generators_leave_dead_successors_unbuilt(monkeypatch):
                     seen["dead uncosted"] += len(full) - len(costed)
                 node = rng.choice(full)
     assert min(seen.values()) > 0, seen
+
+
+def test_only_reduced_searches_partition_their_target():
+    # Basic successors never read a partition, so a basic run and a basic
+    # tree build none; the reduced ones keep their target's.
+    rng = random.Random(25)
+    for _ in range(10):
+        g, q = random_pair(rng, max_n=5)
+        SearchRun(g, q, succ_policy="basic").run()
+        enumerate_search_tree(g, q, reduced=False)
+        assert not hasattr(g, "_partition") and not hasattr(q, "_partition")
+        SearchRun(g, q).run()
+        assert q._partition == vertex_partition(copy.copy(q)) and not hasattr(g, "_partition")
+        enumerate_search_tree(q, g)
+        assert g._partition == vertex_partition(copy.copy(g))
