@@ -595,7 +595,11 @@ class PairHeuristic:
             e = m_q - size_z - ei
             base = (vmax if z is not None else vmax0) - vi - (-ov // 2) + (d2 if d2 > e else e)
             # The three bounds share base; the outer-vertex correction x
-            # goes to the second when positive, and -x to the third.
+            # goes to the second when positive, and -x to the third. Each
+            # pair adds its larger outer size to smax, its target's to stgt
+            # and its source's to ssrc, all less the shared labels, so smax
+            # is never below stgt or ssrc: the term that x lowers stays
+            # under smax, and both terms may take x whatever its sign.
             x = a_g - n_aq_z
-            hs.append(base + (max(smax, stgt + x, ssrc) if x > 0 else max(smax, stgt, ssrc - x)))
+            hs.append(base + max(smax, stgt + x, ssrc - x))
         return hs

@@ -122,8 +122,9 @@ def _cost_parts(tgt, g: LabeledGraph, q: LabeledGraph) -> tuple[int, int, int]:
     g.n; targets no source reaches are inserted. A source vertex kept on a
     real target saves its deletion and the target's insertion, and so does
     a source edge whose image is a target edge; each kept vertex or edge
-    whose label changes costs one substitution. edit_cost and
-    descend_assignment both score mappings here.
+    whose label changes costs one substitution. edit_cost,
+    descend_assignment and the oracle's exhaustive_ged all score mappings
+    here.
     """
     glabels, qlabels, qadj = g.vertex_labels, q.vertex_labels, q.adjacency
     kept = subs = 0

@@ -2,8 +2,11 @@
 per graph) and edit-path checking through the path's own mapping (uncapped,
 no isomorphism test).
 
-Everything here is deliberately independent of the reduced successor rules
-and the beam-stack engine, so it can certify them.
+Everything here is deliberately independent of the reduced successor rules,
+the bounds and the beam-stack engine, so it can certify them: from the
+package it imports only the graph type and the mapping module. The
+exhaustive search prices each complete mapping with edit_cost's own formula
+(mapping._cost_parts), not with the search's incremental costs.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .graphs import LabeledGraph, require_shared_table
-from .mapping import GraphMapping, require_complete
+from .mapping import GraphMapping, _cost_parts, require_complete
 
 
 class OracleLimitError(ValueError):
@@ -54,9 +57,11 @@ def count_complete_basic_mappings(n_g: int, n_q: int) -> int:
 def exhaustive_ged(g: LabeledGraph, q: LabeledGraph) -> OracleResult:
     """Minimum edit cost over every complete mapping, found by full enumeration.
 
-    Walks the unreduced successor tree with no pruning, accumulating the edit
-    cost pair by pair, and keeps the cheapest complete mapping. Refuses a
-    graph with more than OracleLimits().max_vertices vertices.
+    Walks the unreduced successor tree with no pruning: source u goes to
+    each unused target in ascending order, then to the dummy. Each leaf is
+    priced in one piece by edit_cost's formula (mapping._cost_parts), and
+    the first leaf of the minimum cost is kept. Refuses a graph with more
+    than OracleLimits().max_vertices vertices.
     """
     cap = OracleLimits().max_vertices
     if g.n > cap or q.n > cap:
@@ -64,72 +69,32 @@ def exhaustive_ged(g: LabeledGraph, q: LabeledGraph) -> OracleResult:
     require_shared_table(g, q)
 
     n_g, n_q = g.n, q.n
-    gl, ql = g.vertex_labels, q.vertex_labels
-    gadj, qadj = g.adjacency, q.adjacency
-    target_of = [-2] * n_g  # -2 unassigned, -1 dummy
-    source_of = [-1] * n_q
+    tgt: list[int | None] = [None] * n_g
     used = [False] * n_q
-
-    best_cost = g.n + q.n + g.m + q.m + 1
-    best_snapshot: list[int] = []
+    best_cost = n_g + n_q + g.m + q.m + 1
+    best: list[int | None] = []
     enumerated = 0
 
-    def leaf_cost(cost: int) -> int:
-        cost += n_q - sum(used)
-        for a, b, _ in q.edges:
-            if not used[a] or not used[b]:
-                cost += 1
-        return cost
-
-    def extend_cost(u: int, z: int) -> int:
-        # Sources 0..u-1 are already assigned (identity processing order).
-        c = 1 if gl[u] != ql[z] else 0
-        for w, lab in gadj[u].items():
-            if w >= u:
-                continue
-            a = target_of[w]
-            if a == -1:
-                c += 1
-            else:
-                qlab = qadj[z].get(a)
-                if qlab is None or qlab != lab:
-                    c += 1
-        for b in qadj[z]:
-            w = source_of[b]
-            if w >= 0 and w not in gadj[u]:
-                c += 1
-        return c
-
-    def rec(u: int, cost: int):
-        nonlocal best_cost, best_snapshot, enumerated
+    def rec(u: int):
+        nonlocal best_cost, best, enumerated
         if u == n_g:
             enumerated += 1
-            c = leaf_cost(cost)
+            c = sum(_cost_parts(tgt, g, q))
             if c < best_cost:
-                best_cost = c
-                best_snapshot = target_of.copy()
+                best_cost, best = c, tgt.copy()
             return
         for z in range(n_q):
-            if used[z]:
-                continue
-            d = extend_cost(u, z)
-            used[z] = True
-            target_of[u] = z
-            source_of[z] = u
-            rec(u + 1, cost + d)
-            used[z] = False
-            target_of[u] = -2
-            source_of[z] = -1
-        d = 1 + sum(1 for w in gadj[u] if w < u and target_of[w] != -2)
-        target_of[u] = -1
-        rec(u + 1, cost + d)
-        target_of[u] = -2
+            if not used[z]:
+                used[z] = True
+                tgt[u] = z
+                rec(u + 1)
+                used[z] = False
+        tgt[u] = None
+        rec(u + 1)
 
-    rec(0, 0)
+    rec(0)
 
-    pairs = [(u, None if t == -1 else t) for u, t in enumerate(best_snapshot)]
-    covered = {t for t in best_snapshot if t >= 0}
-    pairs.extend((None, z) for z in range(n_q) if z not in covered)
+    pairs = [*enumerate(best)] + [(None, z) for z in range(n_q) if z not in best]
     mapping = GraphMapping(tuple(pairs), n_g, n_q)
     return OracleResult(best_cost, mapping, enumerated)
 

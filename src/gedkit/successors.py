@@ -8,7 +8,7 @@ from collections import Counter
 from typing import Collection, Mapping, Sequence
 
 from .bounds import PairHeuristic
-from .graphs import LabeledGraph, VertexPartition, vertex_partition
+from .graphs import _NO_NEIGHBOURS, LabeledGraph, VertexPartition, vertex_partition
 
 _node_ids = itertools.count()
 
@@ -145,7 +145,7 @@ def determine_order(g: LabeledGraph, policy: str = DEFAULT_ORDER_POLICY) -> tupl
     return kept
 
 
-def extension_cost(adj_u: Mapping[int, int], label_u: int, adj_z: Mapping[int, int] | None,
+def extension_cost(adj_u: Mapping[int, int], label_u: int, adj_z: Mapping[int, int],
                    label_z: int | None, parent_map: dict[int, int | None],
                    preimage: dict[int, int]) -> int:
     """Edit-cost delta of appending the pair (u -> z) to a partial mapping.
@@ -154,16 +154,11 @@ def extension_cost(adj_u: Mapping[int, int], label_u: int, adj_z: Mapping[int, i
     decidable once u is mapped: source edges to already-mapped vertices and
     target edges between z and already-used targets. adj_u and label_u are
     u's adjacency row and label in the source graph, adj_z and label_z z's
-    in the target, both None for the dummy target. The caller reads u's row
-    once for all children of one expansion. preimage is the target -> source
-    inverse of parent_map's real pairs.
+    in the target. The dummy target has an empty row and the label None, so
+    it costs 1 for deleting u plus 1 per mapped neighbour of u. The caller
+    reads u's row once for all children of one expansion. preimage is the
+    target -> source inverse of parent_map's real pairs.
     """
-    if adj_z is None:
-        cost = 1
-        for w in adj_u:
-            if w in parent_map:
-                cost += 1
-        return cost
     cost = int(label_u != label_z)
     for w in adj_u:
         if w not in parent_map:
@@ -239,7 +234,7 @@ def _extend(r: SearchNode, g: LabeledGraph, q: LabeledGraph, classes: Sequence[S
         if r.g + h >= ub:
             succ.append(None)
             continue
-        adj_z, label_z = (None, None) if z is None else (adj_q[z], labels_q[z])
+        adj_z, label_z = (_NO_NEIGHBOURS, None) if z is None else (adj_q[z], labels_q[z])
         child_g = r.g + extension_cost(adj_u, label_u, adj_z, label_z, parent_map, preimage)
         succ.append(SearchNode(layer, pairs + ((u, z),), child_g, h, left == (z is not None))
                     if child_g + h < ub else None)

@@ -204,11 +204,8 @@ def incremental_total(g, q, psi):
     for s, t in psi.pairs:
         if s is None:
             break
-        if t is None:
-            total += extension_cost(g.adjacency[s], g.vertex_labels[s], None, None, assigned, preimage)
-        else:
-            total += extension_cost(g.adjacency[s], g.vertex_labels[s], q.adjacency[t],
-                                    q.vertex_labels[t], assigned, preimage)
+        adj_t, label_t = ({}, None) if t is None else (q.adjacency[t], q.vertex_labels[t])
+        total += extension_cost(g.adjacency[s], g.vertex_labels[s], adj_t, label_t, assigned, preimage)
         assigned[s] = t
         if t is not None:
             preimage[t] = s

@@ -1,9 +1,11 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
-from conftest import all_complete_mappings, build_graph, identity_mapping, random_pair
+from conftest import all_complete_mappings, build_graph, identity_mapping, make_sweep, random_pair
 from gedkit.engine import bss_ged
 from gedkit.graphs import LabelTable, LabeledGraph
 from gedkit.mapping import GraphMapping, edit_cost, realize_edit_path
@@ -14,7 +16,7 @@ from gedkit.oracle import (
     count_complete_basic_mappings,
     exhaustive_ged,
 )
-from gedkit.synth import random_graph
+from gedkit.synth import random_graph, random_graph_db
 
 
 def renumbered(g, rng):
@@ -71,6 +73,87 @@ def test_oracle_minimum_over_all_mappings():
         assert res.distance == min(costs)
         assert res.mappings_enumerated == len(costs)
 
+
+# exhaustive_ged's full output, (distance, mappings_enumerated,
+# mapping.pairs), on make_sweep(40, 7) and then on the pairs (0, 1) and
+# (2, 3) of random_graph_db(1, 4, 8, 8, 0.3, 5, 2). Any change to how the
+# oracle walks the tree or prices a leaf must leave all three alone: the
+# same distance, every mapping visited, and the same first optimal mapping.
+PINNED_ORACLE_OUTPUTS = [
+    (0, 209, ((0, 0), (1, 1), (2, 3), (3, 2))),
+    (7, 43, ((0, 0), (1, 1), (None, 2), (None, 3), (None, 4), (None, 5))),
+    (6, 229, ((0, 1), (1, 4), (2, 0), (None, 2), (None, 3), (None, 5))),
+    (5, 1045, ((0, 0), (1, 2), (2, None), (3, 1), (4, None), (5, 3))),
+    (5, 31, ((0, 0), (1, None), (2, None), (3, 1), (4, None))),
+    (8, 358, ((0, 1), (1, None), (2, 0), (3, 2), (4, None), (5, None), (6, None))),
+    (6, 9276, ((0, 5), (1, 3), (2, 1), (3, 0), (4, 2), (None, 4), (None, 6))),
+    (8, 43, ((0, 4), (1, 0), (None, 1), (None, 2), (None, 3), (None, 5))),
+    (5, 1546, ((0, 0), (1, 1), (2, 4), (3, 3), (4, 2))),
+    (12, 43, ((0, 0), (1, 1), (2, None), (3, None), (4, None), (5, None))),
+    (4, 4051, ((0, 5), (1, 0), (2, 1), (3, 4), (4, 2), (None, 3))),
+    (3, 13, ((0, 0), (1, 1), (None, 2))),
+    (15, 57, ((0, 0), (1, 1), (2, None), (3, None), (4, None), (5, None), (6, None))),
+    (7, 4051, ((0, 0), (1, None), (2, 4), (3, 1), (4, 2), (5, 3))),
+    (11, 1045, ((0, 0), (1, 2), (2, 3), (3, 4), (None, 1), (None, 5))),
+    (3, 13, ((0, 1), (1, 0), (None, 2))),
+    (4, 34, ((0, 0), (1, 1), (2, 2))),
+    (9, 4051, ((0, 1), (1, None), (2, 0), (3, 4), (4, 3), (5, 2))),
+    (21, 57, ((0, 0), (1, 1), (2, None), (3, None), (4, None), (5, None), (6, None))),
+    (15, 1961, ((0, 0), (1, 2), (2, 1), (3, None), (4, None), (5, None), (6, 3))),
+    (14, 37633, ((0, 0), (1, 1), (2, 4), (3, 6), (4, 5), (5, 3), (None, 2))),
+    (2, 13327, ((0, 3), (1, 2), (2, 1), (3, 0), (4, 5), (5, 4))),
+    (15, 1961, ((0, 3), (1, 0), (2, 4), (3, 1), (None, 2), (None, 5), (None, 6))),
+    (9, 501, ((0, 0), (1, 2), (2, None), (3, 3), (4, 1))),
+    (5, 73, ((0, 0), (1, 1), (2, 2), (None, 3))),
+    (6, 73, ((0, 0), (1, 1), (2, None), (3, 2))),
+    (13, 4051, ((0, None), (1, 0), (2, 3), (3, 2), (4, 4), (5, 1))),
+    (1, 73, ((0, 0), (1, 2), (2, 3), (None, 1))),
+    (3, 136, ((0, 0), (1, 3), (2, 1), (None, 2), (None, 4))),
+    (4, 9276, ((0, 1), (1, 2), (2, 0), (3, 6), (4, 3), (None, 4), (None, 5))),
+    (6, 1961, ((0, 0), (1, 1), (2, None), (3, None), (4, None), (5, 2), (6, 3))),
+    (7, 358, ((0, 6), (1, 0), (2, 5), (None, 1), (None, 2), (None, 3), (None, 4))),
+    (3, 209, ((0, 1), (1, 3), (2, 2), (3, 0))),
+    (7, 9276, ((0, 0), (1, 1), (2, 5), (3, 3), (4, 6), (None, 2), (None, 4))),
+    (6, 31, ((0, 0), (1, None), (2, None), (3, 1), (4, None))),
+    (6, 31, ((0, 2), (1, 0), (None, 1), (None, 3), (None, 4))),
+    (15, 57, ((0, 0), (1, 1), (2, None), (3, None), (4, None), (5, None), (6, None))),
+    (2, 34, ((0, 1), (1, 0), (2, 2))),
+    (15, 57, ((0, 0), (1, 1), (2, None), (3, None), (4, None), (5, None), (6, None))),
+    (4, 501, ((0, 0), (1, 1), (2, 3), (3, None), (4, 2))),
+    (12, 1441729, ((0, 1), (1, 5), (2, 0), (3, 3), (4, 6), (5, 7), (6, 4), (7, 2))),
+    (10, 1441729, ((0, 1), (1, 4), (2, 7), (3, 2), (4, 5), (5, 0), (6, 6), (7, 3))),
+]
+
+
+def test_oracle_output_pinned():
+    pairs = [(p.g, p.q) for p in make_sweep(40, 7).pairs]
+    graphs = [g for _, g in random_graph_db(1, 4, 8, 8, 0.3, 5, 2)[0]]
+    pairs += [(graphs[0], graphs[1]), (graphs[2], graphs[3])]
+    got = []
+    for g, q in pairs:
+        res = exhaustive_ged(g, q)
+        got.append((res.distance, res.mappings_enumerated, res.mapping.pairs))
+    assert got == PINNED_ORACLE_OUTPUTS
+
+
+def test_oracle_imports_only_graphs_and_mapping():
+    # The oracle certifies the successor rules, the bounds and the engine,
+    # so it must not share their code: from the package it may import only
+    # the graph type and the mapping cost model.
+    path = Path(__file__).resolve().parent.parent / "src" / "gedkit" / "oracle.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "gedkit":
+                    continue
+                module = module.partition(".")[2]
+            imported.update([module] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            imported.update(a.name.partition(".")[2] or a.name for a in node.names
+                            if a.name.split(".")[0] == "gedkit")
+    assert imported <= {"graphs", "mapping"}, imported
 
 def test_oracle_symmetry_and_triangle(small_sweep):
     rng = random.Random(52)

@@ -411,7 +411,7 @@ def test_generators_leave_dead_successors_unbuilt(monkeypatch):
     def rows(g, q, u, z):
         """The arguments that identify the child (u, z) in a call."""
         if z is None:
-            return (g.adjacency[u], g.vertex_labels[u], None, None)
+            return (g.adjacency[u], g.vertex_labels[u], {}, None)
         return (g.adjacency[u], g.vertex_labels[u], q.adjacency[z], q.vertex_labels[z])
 
     def fields(nodes):
