@@ -133,9 +133,16 @@ Branch = tuple[int, tuple[int, ...]]
 
 
 def vertex_branches(g: LabeledGraph) -> list[Branch]:
-    """Each vertex's branch: its label and its sorted incident edge labels."""
-    adj = g.adjacency
-    return [(lab, tuple(sorted(adj[u].values()))) for u, lab in enumerate(g.vertex_labels)]
+    """Each vertex's branch: its label and its sorted incident edge labels.
+
+    Read from the graph's edges, as summarize is, so that a database member
+    the branch bound checks still builds no adjacency: only an engine run
+    does."""
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    for a, b, lab in g.edges:
+        incident[a].append(lab)
+        incident[b].append(lab)
+    return [(lab, tuple(sorted(labs))) for lab, labs in zip(g.vertex_labels, incident)]
 
 
 def min_cost_assignment(cost: Sequence[Sequence[int]],

@@ -123,6 +123,14 @@ def _priority(node: SearchNode):
 class SearchRun:
     """State of a single beam-stack search over one graph pair.
 
+    __init__ is the one place that declares a run's options and their
+    defaults, and checks them (check_search_args and the successor policy);
+    bss_ged passes its options on unchanged. They are the beam width w; the
+    source order_policy (see determine_order); succ_policy, 'reduced' (the
+    paper's successors, reading the target's partition, which the run keeps
+    in self.part) or 'basic' (self.part is None); node_budget; time_limit
+    in seconds, None for none; and threshold.
+
     With threshold None the run is exact. Its upper bound starts at a seed:
     the optimal branch assignment (lb_from_branches) improved by 2-swap
     descent (descend_assignment), whose mapping is self.best and whose edit
@@ -148,8 +156,8 @@ class SearchRun:
         self.order = determine_order(g, order_policy)
         if succ_policy not in ("basic", "reduced"):
             raise ValueError(f"unknown successor policy {succ_policy!r}")
-        self.succ_policy = succ_policy
-        # Only reduced successors read the target's partition.
+        # Only reduced successors read the target's partition, so the run
+        # has one exactly when its successors are reduced.
         self.part = vertex_partition(q) if succ_policy == "reduced" else None
         self.heuristic = PairHeuristic(g, q)
         self.node_budget = node_budget
@@ -171,7 +179,7 @@ class SearchRun:
         self.bs: list[Layer] = [Layer([root], 0, self.ub)]
 
     def _generate(self, r: SearchNode) -> list[SearchNode | None]:
-        if self.succ_policy == "reduced":
+        if self.part is not None:
             return gen_succr(r, self.g, self.q, self.part, self.order, self.heuristic, self.ub)
         return basic_gen_succr(r, self.g, self.q, self.order, self.heuristic, self.ub)
 
@@ -298,26 +306,23 @@ def searches_from_q(g: LabeledGraph, q: LabeledGraph, order_policy: str = DEFAUL
 
 
 def bss_ged(g: LabeledGraph, q: LabeledGraph, w: int = DEFAULT_BEAM_WIDTH, *,
-            order_policy: str = DEFAULT_ORDER_POLICY, succ_policy: str = "reduced",
-            node_budget: int = DEFAULT_NODE_BUDGET, time_limit: float | None = None,
-            threshold: int | None = None) -> GedResult:
+            order_policy: str = DEFAULT_ORDER_POLICY, threshold: int | None = None, **options) -> GedResult:
     """GED via beam-stack search: exact, or with a threshold the decision
-    ged <= threshold; see SearchRun for the knobs.
+    ged <= threshold.
+
+    bss_ged declares only the pair, w and the two options that orient the
+    pair, order_policy and threshold. It passes them on to SearchRun with
+    the other options, which are keyword only: succ_policy, node_budget
+    and time_limit. SearchRun declares, defaults and checks every option,
+    so an unknown keyword raises TypeError.
 
     When searches_from_q holds it runs SearchRun(q, g), which gives the
     same distance since GED is symmetric, and inverts the mapping, so the
     result still maps g onto q.
     """
     swap = searches_from_q(g, q, order_policy, threshold)
-    run = SearchRun(
-        *((q, g) if swap else (g, q)), w,
-        order_policy=order_policy,
-        succ_policy=succ_policy,
-        node_budget=node_budget,
-        time_limit=time_limit,
-        threshold=threshold,
-    )
-    result = run.run()
+    result = SearchRun(*((q, g) if swap else (g, q)), w,
+                       order_policy=order_policy, threshold=threshold, **options).run()
     if swap:
         result.mapping = result.mapping.inverse()
     return result

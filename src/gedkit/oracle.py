@@ -1,4 +1,4 @@
-"""Ground truth: exhaustive GED (capped at OracleLimits().max_vertices vertices
+"""Ground truth: exhaustive GED (capped at OracleLimits.max_vertices vertices
 per graph) and edit-path checking through the path's own mapping (uncapped,
 no isomorphism test).
 
@@ -19,7 +19,7 @@ from .mapping import GraphMapping, _cost_parts, require_complete
 
 
 class OracleLimitError(ValueError):
-    """Input exceeds the oracle's configured size limits."""
+    """Input exceeds the oracle's size cap."""
 
 
 class EditPathError(ValueError):
@@ -31,12 +31,13 @@ class EditPathError(ValueError):
         self.op = op
 
 
-@dataclass(frozen=True)
 class OracleLimits:
-    """The oracle's size cap. At 8 vertices a side the unreduced tree has
-    count_complete_basic_mappings(8, 8) = 1,441,729 leaves."""
+    """The oracle's size cap, a constant: exhaustive_ged refuses a graph of
+    more than max_vertices vertices. At 8 vertices a side the unreduced tree
+    has count_complete_basic_mappings(8, 8) = 1,441,729 leaves. The class
+    takes no arguments, so the cap cannot be posed as a setting."""
 
-    max_vertices: int = 8
+    max_vertices = 8
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,9 @@ def exhaustive_ged(g: LabeledGraph, q: LabeledGraph) -> OracleResult:
     each unused target in ascending order, then to the dummy. Each leaf is
     priced in one piece by edit_cost's formula (mapping._cost_parts), and
     the first leaf of the minimum cost is kept. Refuses a graph with more
-    than OracleLimits().max_vertices vertices.
+    than OracleLimits.max_vertices vertices.
     """
-    cap = OracleLimits().max_vertices
+    cap = OracleLimits.max_vertices
     if g.n > cap or q.n > cap:
         raise OracleLimitError(f"oracle limited to {cap} vertices, got {g.n} and {q.n}")
     require_shared_table(g, q)

@@ -44,11 +44,13 @@ class GraphDatabase:
     bit into every level up to the count instead would copy a bucket-wide
     integer once per label unit.
 
-    Building the database reads each graph's edges, never its adjacency, so
-    a graph builds its per-vertex maps only when range_query's branch bound
-    first checks it as a candidate. Nor does it partition a member: a
-    member keeps a partition only once it is the target of a reduced
-    engine run, which builds it on first read (see vertex_partition).
+    Building the database reads each graph's edges, never its adjacency,
+    and so do the filter, the branch bound (vertex_branches) and the
+    certify step (edit_cost reads the source's edges). A member builds its
+    per-vertex maps only when range_query first runs the engine on it.
+    Nor does the build partition a member: a member keeps a partition only
+    once it is the target of a reduced engine run, which builds it on
+    first read (see vertex_partition).
 
     The database also keeps, in _branches, the vertex branches of each
     member that range_query has checked by its branch bound, as a tuple

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 import reference_bounds as reference
-from conftest import build_graph, random_pair, unmapped_parts
+from conftest import adjacency_built, build_graph, random_pair, unmapped_parts
 from gedkit.bounds import (
     GraphSummary,
     PairHeuristic,
@@ -34,7 +34,7 @@ from gedkit.successors import (
     identity_order,
     make_root,
 )
-from gedkit.synth import random_graph
+from gedkit.synth import random_graph, random_graph_db
 
 
 def as_mapping(pairs, g, q):
@@ -888,6 +888,18 @@ def test_branch_bound_below_bss_ged_on_larger_graphs():
                          rng.choice((2, 3, 5)), rng.choice((1, 2, 3)), table)
         q = perturbed(rng, g, rng.randint(1, 8), 12)
         assert full_branch_bound(g, q) <= bss_ged(g, q).distance
+
+
+def test_vertex_branches_read_edges_only():
+    # The adjacency formula gives each vertex its label and the sorted
+    # labels of its neighbour map; vertex_branches reads g.edges instead,
+    # so it builds no adjacency, isolated vertices and empty graphs included.
+    entries, _ = random_graph_db(51, 80, 0, 12, 0.3, 3, 3)
+    for _, g in entries:
+        branches = vertex_branches(g)
+        assert not adjacency_built(g)
+        assert branches == [(lab, tuple(sorted(g.adjacency[u].values())))
+                            for u, lab in enumerate(g.vertex_labels)]
 
 
 def test_branch_bound_symmetric_and_empty():

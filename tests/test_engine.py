@@ -1,3 +1,4 @@
+import inspect
 import random
 import time
 from fractions import Fraction
@@ -391,6 +392,22 @@ def test_rejects_bad_budgets(square_star):
         with pytest.raises(ValueError, match="time limit"):
             SearchRun(g, q, time_limit=limit)
     assert bss_ged(g, q, node_budget=1).reason == "nodes"
+
+
+def test_search_run_alone_declares_the_options(square_star):
+    # bss_ged forwards succ_policy, node_budget and time_limit to
+    # SearchRun, which declares and checks them; forwarding swallows no
+    # unknown keyword.
+    forwarded = {"succ_policy", "node_budget", "time_limit"}
+    assert not forwarded & set(inspect.signature(bss_ged).parameters)
+    assert forwarded <= set(inspect.signature(SearchRun).parameters)
+    g, q = square_star
+    with pytest.raises(TypeError):
+        bss_ged(g, q, bogus=1)
+    # The run keeps its successor policy only as its partition.
+    assert not hasattr(SearchRun(g, q), "succ_policy")
+    assert SearchRun(g, q, succ_policy="basic").part is None
+    assert SearchRun(g, q).part is not None
 
 
 def test_time_limit_must_be_a_number(square_star):

@@ -12,6 +12,7 @@ from gedkit.mapping import GraphMapping, edit_cost, realize_edit_path
 from gedkit.oracle import (
     EditPathError,
     OracleLimitError,
+    OracleLimits,
     check_edit_path,
     count_complete_basic_mappings,
     exhaustive_ged,
@@ -62,6 +63,18 @@ def test_limits_refusal():
         exhaustive_ged(big, small)
     with pytest.raises(OracleLimitError):
         exhaustive_ged(small, big)
+
+
+def test_limit_is_a_constant():
+    # The cap is not a setting: the class takes no arguments, and the
+    # oracle refuses a 9-vertex graph whatever a caller tried to pass.
+    assert OracleLimits().max_vertices == OracleLimits.max_vertices == 8
+    with pytest.raises(TypeError):
+        OracleLimits(max_vertices=9)
+    table = LabelTable()
+    nine = build_graph(["A"] * 9, [], table)
+    with pytest.raises(OracleLimitError):
+        exhaustive_ged(nine, nine)
 
 
 def test_oracle_minimum_over_all_mappings():

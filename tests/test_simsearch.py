@@ -495,17 +495,31 @@ def test_member_partition_built_on_first_read(monkeypatch):
     assert [g for g in db.graphs.values() if hasattr(g, "_partition")] == [member]
 
 
-def test_database_builds_no_adjacency():
-    # Parsing, summaries, partitions and the filter read edges only; the
-    # branch stage builds the adjacency of exactly the candidates it checks.
+def test_database_builds_no_adjacency(monkeypatch):
+    # Parsing, summaries, partitions, the filter, the branch bound and the
+    # certify step read edges only: range_query builds the adjacency of
+    # exactly the candidates it runs the engine on, those the branch bound
+    # does not refute and their assignment does not certify.
     entries, table = random_graph_db(73, 60, 0, 12, 0.3, 3, 2)
     db = GraphDatabase.from_text(serialize_graph_db(entries))
     assert not any(map(adjacency_built, db.graphs.values()))
     query = random_graph(random.Random(73), 8, 0.3, 3, 2, db.table)
     candidates = filter_candidates(db, query, 4)
     assert candidates and not any(map(adjacency_built, db.graphs.values()))
-    range_query(db, query, 4)
-    assert [gid for gid in db.ids if adjacency_built(db.graphs[gid])] == candidates
+    ran = []
+
+    def recording(g, q, *args, **kwargs):
+        ran.append(next(gid for gid in db.ids if db.graphs[gid] is g))
+        return bss_ged(g, q, *args, **kwargs)
+
+    monkeypatch.setattr(simsearch, "bss_ged", recording)
+    res = range_query(db, query, 4)
+    assert res.branch_refuted and ran
+    assert len(ran) == len(candidates) - res.branch_refuted - res.certified
+    # A copy of a member is its own certified match.
+    member = max(db.graphs.values(), key=lambda g: g.n)
+    assert range_query(db, copy.copy(member), 4).certified
+    assert [gid for gid in db.ids if adjacency_built(db.graphs[gid])] == ran
 
 
 def test_database_from_text_round_trip(square_star):
